@@ -302,8 +302,16 @@ SUITES = {
 }
 
 
+class InternalFailure(str):
+    """Outcome of a check that raised CommutationFailure."""
+
+
 def run_suite(suite, threads=1):
-    """(results, failures): per-instance outcomes, sorted by name."""
+    """(results, failures): per-instance outcomes, sorted by name.
+
+    A check that raises is recorded as that instance's failure and the
+    suite goes on; a CommutationFailure is recorded as an InternalFailure.
+    """
     instances = corpus_instances()
     checks = SUITES[suite]
 
@@ -314,8 +322,9 @@ def run_suite(suite, threads=1):
             label = check.__name__.replace("_verify_", "")
             try:
                 r = check(name, spec)
-            except CommutationFailure:
-                raise
+            except CommutationFailure as e:
+                r = InternalFailure(
+                    f"{name}: internal consistency failure in {label}: {e}")
             except Exception as e:
                 r = f"{name}: {type(e).__name__}: {e}"
             if r is not None:
@@ -346,6 +355,12 @@ def cmd_verify(args):
     if failures:
         out["first_failure"] = failures[0]
     _emit(out, args.format, args.started)
+    internal = [r for _name, outcomes in results for r in outcomes.values()
+                if isinstance(r, InternalFailure)]
+    for r in internal:
+        print(r, file=sys.stderr)
+    if internal:
+        return EXIT_INTERNAL
     return EXIT_OK if not failures else EXIT_VERIFY
 
 

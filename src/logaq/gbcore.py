@@ -9,9 +9,36 @@ empty main part are syzygies, and reducing a tagged vector to zero reads
 off its expression in the original columns.
 
 Ring-level Groebner bases are the one-position case.
+
+Strategy, after Gebauer and Moeller, "On an installation of Buchberger's
+algorithm" (J. Symb. Comp. 6, 1988):
+
+  * S-pairs exist only between elements whose leading terms share a
+    position.  Pending pairs sit in a heap keyed by (lcm term, i, j), so
+    the smallest lcm is taken first (normal strategy), ties by index.
+  * Each new element h updates the pairs.  Criterion B_k drops a pending
+    pair {g_i, g_j} whose lcm the leading term of h divides, unless
+    lcm(g_i, h) or lcm(g_j, h) equals it.  Among the new pairs {g, h},
+    criterion M drops a pair whose lcm another new pair's lcm divides,
+    and criterion F keeps one pair per lcm.  Buchberger's coprime
+    (product) criterion is applied only when both vectors are supported
+    in their one common position: there they behave like ring elements,
+    elsewhere the criterion is not valid.
+  * Older elements whose leading term that of h divides stop making
+    pairs and stop serving as reducers.
+  * Reduction updates one dict in place.  It takes terms in descending
+    order from a max-heap with lazy deletion, and finds the first
+    reducer whose leading exponent divides through an index by leading
+    position.
+  * At the end, elements whose leading term another one's divides are
+    dropped, each survivor's tail is reduced once against that minimal
+    basis, and the result is made monic.
 """
 
-from .polynomials import Poly, exp_mul, exp_divides, exp_div, exp_lcm
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
+
+from .polynomials import Poly, exp_lcm
 
 
 def pot_key(ring_order):
@@ -26,25 +53,6 @@ def pot_key(ring_order):
 
 def vec_is_zero(v):
     return not v
-
-
-def vec_add_scaled(v, w, exp, c, field):
-    """v + c * x^exp * w, in place on a copy of v."""
-    out = dict(v)
-    for (pos, e), a in w.items():
-        t = (pos, exp_mul(e, exp))
-        s = field.add(out.get(t, field.zero()), field.mul(c, a))
-        if field.is_zero(s):
-            out.pop(t, None)
-        else:
-            out[t] = s
-    return out
-
-
-def vec_scale(v, c, field):
-    if field.is_zero(c):
-        return {}
-    return {t: field.mul(c, a) for t, a in v.items()}
 
 
 def vec_leading(v, key):
@@ -71,37 +79,89 @@ def polys_from_vec(v, n_pos, field):
     return [Poly(d, field) for d in cols]
 
 
+def _divides(e1, e2):
+    return all(map(le, e1, e2))
+
+
+def _descending(k):
+    """Key under which a min-heap pops the greatest sort key `k` first;
+    `k` is a number or a nested tuple of numbers."""
+    return tuple([_descending(x) if isinstance(x, tuple) else -x for x in k])
+
+
+def _reducer(v, lt):
+    """Reducer entry (leading exponent, tail items, leading coefficient)."""
+    return lt[1], [(t, c) for t, c in v.items() if t != lt], v[lt]
+
+
+def reducer_index(vecs, key):
+    """Reducers of the nonzero `vecs` by leading position, in list order:
+    {position: [(leading exponent, tail items, leading coefficient)]}."""
+    index = {}
+    for v in vecs:
+        if v:
+            lt, _lc = vec_leading(v, key)
+            index.setdefault(lt[0], []).append(_reducer(v, lt))
+    return index
+
+
+def _add_multiple(work, tail, shift, c, field):
+    """work += c * x^shift * tail in place; returns the terms new to work."""
+    fadd, fmul, is_zero = field.add, field.mul, field.is_zero
+    new = []
+    for (pos, e), a in tail:
+        t = (pos, tuple(map(add, e, shift)))
+        old = work.get(t)
+        if old is None:
+            work[t] = fmul(c, a)
+            new.append(t)
+        else:
+            s = fadd(old, fmul(c, a))
+            if is_zero(s):
+                del work[t]
+            else:
+                work[t] = s
+    return new
+
+
 def reduce_vec(v, basis, key, field):
-    """Full normal form of v against basis [(vec, lt, lc), ...]."""
-    result = {}
+    """Full normal form of v against a reducer index (see reducer_index).
+
+    The terms of the result come in descending order.
+    """
     work = dict(v)
-    while work:
-        lt = max(work, key=key)
-        c = work[lt]
+    heap = [(_descending(key(t)), t) for t in work]
+    heapify(heap)
+    result = {}
+    while heap:
+        lt = heappop(heap)[1]
+        c = work.pop(lt, None)
+        if c is None:
+            continue        # cancelled after it was pushed
         pos, exp = lt
-        reducer = None
-        for g, glt, glc in basis:
-            if glt[0] == pos and exp_divides(glt[1], exp):
-                reducer = (g, glt, glc)
+        for gexp, tail, glc in basis.get(pos, ()):
+            if _divides(gexp, exp):
                 break
-        if reducer is None:
+        else:
             result[lt] = c
-            del work[lt]
             continue
-        g, glt, glc = reducer
+        # the leading term cancels: only the reducer's tail is added
         factor = field.neg(field.div(c, glc))
-        work = vec_add_scaled(work, g, exp_div(exp, glt[1]), factor, field)
+        for t in _add_multiple(work, tail, tuple(map(sub, exp, gexp)),
+                               factor, field):
+            heappush(heap, (_descending(key(t)), t))
     return result
 
 
-def _prep(vecs, key, field):
-    out = []
-    for v in vecs:
-        if vec_is_zero(v):
-            continue
-        lt, lc = vec_leading(v, key)
-        out.append((v, lt, lc))
-    return out
+def _s_vector(ri, rj, lcm, field):
+    """S-vector of two reducer entries in one leading position, whose
+    leading exponents have lcm `lcm`; the cancelling leading terms are
+    left out."""
+    s = {}
+    for (gexp, tail, lc), c in ((ri, field.inv(ri[2])),
+                                (rj, field.neg(field.inv(rj[2])))):
+        _add_multiple(s, tail, tuple(map(sub, lcm, gexp)), c, field)
+    return s
 
 
 def _single_position(v):
@@ -120,82 +180,76 @@ def buchberger_vec(gens, key, field):
     Output is canonical: monic, auto-reduced, sorted by ascending leading
     term.  Deterministic pair selection (normal strategy, smallest lcm).
     """
-    basis = _prep(gens, key, field)
-    # drop duplicate generators early
-    seen = set()
-    uniq = []
-    for g, lt, lc in basis:
-        fz = frozenset(vec_scale(g, field.inv(lc), field).items())
-        if fz not in seen:
-            seen.add(fz)
-            uniq.append((g, lt, lc))
-    basis = uniq
+    elems = []      # per element: (leading term, reducer entry, position
+    #                 of its whole support or None)
+    active = {}     # leading position -> indices of the elements that
+    #                 make pairs and reduce
+    reducers = {}   # leading position -> their reducer entries
+    pairs = []      # heap of (key(lcm term), i, j, lcm exponent)
 
-    def make_pairs(i_range, j_fixed=None):
-        out = []
-        idx = range(len(basis)) if j_fixed is None else [j_fixed]
-        for j in idx:
-            _gj, ltj, _lcj = basis[j]
-            for i in i_range:
-                if i >= j:
-                    continue
-                _gi, lti, _lci = basis[i]
-                if lti[0] != ltj[0]:
-                    continue
-                out.append((i, j))
-        return out
+    def update(h):
+        lt, _lc = vec_leading(h, key)
+        pos, e = lt
+        single = _single_position(h)
+        same = active.setdefault(pos, [])
+        new = []
+        for i in same:
+            (_pos, ie), _r, isingle = elems[i]
+            coprime = (single is not None and isingle == single
+                       and all(a == 0 or b == 0 for a, b in zip(ie, e)))
+            new.append((exp_lcm(ie, e), i, coprime))
+        # criteria M and F; a coprime pair is kept here only so that it
+        # rules out the pairs whose lcm its lcm divides
+        kept = []
+        for n, (lcm, i, coprime) in enumerate(new):
+            if coprime or not any(_divides(q[0], lcm)
+                                  for q in new[n + 1:] + kept):
+                kept.append((lcm, i, coprime))
+        # criterion B_k on the pending pairs
+        live = [p for p in pairs
+                if elems[p[1]][0][0] != pos or not _divides(e, p[3])
+                or exp_lcm(elems[p[1]][0][1], e) == p[3]
+                or exp_lcm(elems[p[2]][0][1], e) == p[3]]
+        if len(live) < len(pairs):
+            heapify(live)
+            pairs[:] = live
+        h_idx = len(elems)
+        for lcm, i, coprime in kept:
+            if not coprime:
+                heappush(pairs, (key((pos, lcm)), i, h_idx, lcm))
+        elems.append((lt, _reducer(h, lt), single))
+        same[:] = [i for i in same if not _divides(e, elems[i][0][1])]
+        same.append(h_idx)
+        reducers[pos] = [elems[i][1] for i in same]
 
-    pairs = make_pairs(range(len(basis)))
-
-    def lcm_key(pair):
-        i, j = pair
-        lti = basis[i][1]
-        ltj = basis[j][1]
-        return (key((lti[0], exp_lcm(lti[1], ltj[1]))), i, j)
-
+    for g in gens:
+        if g:
+            update(g)
     while pairs:
-        pairs.sort(key=lcm_key)
-        i, j = pairs.pop(0)
-        gi, lti, lci = basis[i]
-        gj, ltj, lcj = basis[j]
-        # Buchberger's coprime criterion, valid only for single-position
-        # vectors (which behave like ring elements).
-        if (_single_position(gi) is not None and _single_position(gi) ==
-                _single_position(gj)):
-            if all(min(a, b) == 0 for a, b in zip(lti[1], ltj[1])):
-                continue
-        lcm = exp_lcm(lti[1], ltj[1])
-        s = vec_add_scaled({}, gi, exp_div(lcm, lti[1]),
-                           field.inv(lci), field)
-        s = vec_add_scaled(s, gj, exp_div(lcm, ltj[1]),
-                           field.neg(field.inv(lcj)), field)
-        s = reduce_vec(s, basis, key, field)
-        if vec_is_zero(s):
-            continue
-        lt, lc = vec_leading(s, key)
-        basis.append((s, lt, lc))
-        pairs.extend(make_pairs(range(len(basis) - 1), len(basis) - 1))
+        _k, i, j, lcm = heappop(pairs)
+        s = reduce_vec(_s_vector(elems[i][1], elems[j][1], lcm, field),
+                       reducers, key, field)
+        if s:
+            update(s)
 
-    # inter-reduce
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            g, lt, lc = basis[idx]
-            rest = basis[:idx] + basis[idx + 1:]
-            nf = reduce_vec(g, rest, key, field)
-            if nf != g:
-                changed = True
-                if vec_is_zero(nf):
-                    basis = rest
-                else:
-                    nlt, nlc = vec_leading(nf, key)
-                    basis = rest + [(nf, nlt, nlc)]
-                break
+    # minimal basis: active leading terms are distinct, so drop those
+    # that another one properly divides
+    minimal = []
+    for idx in active.values():
+        exps = [elems[i][0][1] for i in idx]
+        minimal += [elems[i] for i, e in zip(idx, exps)
+                    if not any(q != e and _divides(q, e) for q in exps)]
+    minimal.sort(key=lambda el: key(el[0]))
+    index = {}
+    for lt, entry, _single in minimal:
+        index.setdefault(lt[0], []).append(entry)
     out = []
-    for g, lt, lc in basis:
-        out.append(vec_scale(g, field.inv(lc), field))
-    out.sort(key=lambda v: key(vec_leading(v, key)[0]))
+    for lt, (_e, tail, lc), _single in minimal:
+        inv = field.inv(lc)
+        v = {lt: field.one()}
+        for t, c in reduce_vec(dict(tail), index, key, field).items():
+            v[t] = field.mul(inv, c)
+        out.append(v)
     return out
 
 
@@ -225,7 +279,7 @@ class TaggedGB:
             v[(n_main + i, zero_exp)] = field.one()
             tagged.append(v)
         self.gb = buchberger_vec(tagged, self.key, field)
-        self._basis = _prep(self.gb, self.key, field)
+        self._basis = reducer_index(self.gb, self.key)
 
     def main_part(self, v):
         return {t: c for t, c in v.items() if t[0] < self.n_main}
@@ -268,4 +322,4 @@ def module_gb(columns, ring_order, field):
 
 def reduce_by_module_gb(v, gb, ring_order, field):
     key = pot_key(ring_order)
-    return reduce_vec(dict(v), _prep(gb, key, field), key, field)
+    return reduce_vec(dict(v), reducer_index(gb, key), key, field)

@@ -9,7 +9,7 @@ block elimination on the graph ideal.
 
 from .polynomials import Poly, DegRevLex, BlockElim, exp_divides, poly_str
 from .gbcore import (module_gb, vec_from_polys, polys_from_vec,
-                     reduce_by_module_gb)
+                     reduce_by_module_gb, reducer_index, reduce_vec, pot_key)
 
 
 def buchberger(polys, order, field):
@@ -40,6 +40,7 @@ class PresentedAlgebra:
             raise ValueError("one weight per variable")
         self.relations = [p for p in relations if not p.is_zero()]
         self._gb = None
+        self._reducers = None   # reducer index of the Groebner basis
 
     @property
     def nvars(self):
@@ -51,7 +52,12 @@ class PresentedAlgebra:
         return self._gb
 
     def nf(self, p):
-        return normal_form(p, self.gb(), self.order, self.field)
+        key = pot_key(self.order)
+        if self._reducers is None:
+            self._reducers = reducer_index(
+                [vec_from_polys([g]) for g in self.gb()], key)
+        r = reduce_vec(vec_from_polys([p]), self._reducers, key, self.field)
+        return polys_from_vec(r, 1, self.field)[0]
 
     def is_zero(self, p):
         return self.nf(p).is_zero()
@@ -91,9 +97,6 @@ class PresentedAlgebra:
         the ring is trivial).
         """
         return staircase_dimension(self.lt_exponents(), self.nvars)
-
-    def weighted_degree(self, exp):
-        return sum(w * e for w, e in zip(self.weights, exp))
 
     def str_of(self, p):
         return poly_str(self.nf(p), self.varnames, self.order)

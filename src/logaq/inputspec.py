@@ -462,8 +462,7 @@ def _canonicalize(spec, src, tgt, ring_map):
                          for g, p in zip(spec.target.gens, tgt.alpha)}
     spec.ring_map = {v: tgt.algebra.str_of(p)
                      for v, p in zip(spec.source.vars, ring_map.images)}
-    spec.monoid_map = {g: list(w) for g, w in
-                       zip(spec.source.gens, spec.monoid_map.values())}
+    spec.monoid_map = {g: list(spec.monoid_map[g]) for g in spec.source.gens}
 
 
 # ------------------------------------------------------------- printing

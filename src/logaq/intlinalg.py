@@ -56,9 +56,6 @@ class IntMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
-    def transpose(self):
-        return IntMatrix([self.column(j) for j in range(self.ncols)], self.nrows)
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")

@@ -12,7 +12,7 @@ and graded Hilbert data otherwise.
 """
 
 from .polynomials import Poly
-from .gbcore import (TaggedGB, module_gb, reduce_by_module_gb,
+from .gbcore import (TaggedGB, module_gb, reducer_index, reduce_vec,
                      vec_from_polys, polys_from_vec, vec_is_zero,
                      pot_key, vec_leading)
 from .groebner import staircase_dimension, monomial_ideal_numerator
@@ -29,6 +29,7 @@ class FpModule:
             if len(c) != n_gens:
                 raise ValueError("relation column length mismatch")
         self._rel_gb = None
+        self._rel_reducers = None   # reducer index of rel_gb()
 
     @classmethod
     def free(cls, algebra, n):
@@ -52,17 +53,21 @@ class FpModule:
                                      self.algebra.order, self.algebra.field)
         return self._rel_gb
 
+    def _reduce(self, col):
+        """Normal form of a column, as a vector, modulo rel_gb()."""
+        key = pot_key(self.algebra.order)
+        if self._rel_reducers is None:
+            self._rel_reducers = reducer_index(self.rel_gb(), key)
+        return reduce_vec(vec_from_polys(col), self._rel_reducers, key,
+                          self.algebra.field)
+
     def nf(self, col):
         """Canonical representative of an element (length-n list of Poly)."""
-        v = vec_from_polys(col)
-        r = reduce_by_module_gb(v, self.rel_gb(), self.algebra.order,
-                                self.algebra.field)
-        return polys_from_vec(r, self.n_gens, self.algebra.field)
+        return polys_from_vec(self._reduce(col), self.n_gens,
+                              self.algebra.field)
 
     def is_zero_element(self, col):
-        v = vec_from_polys(col)
-        return vec_is_zero(reduce_by_module_gb(
-            v, self.rel_gb(), self.algebra.order, self.algebra.field))
+        return vec_is_zero(self._reduce(col))
 
     def elements_equal(self, a, b):
         return self.is_zero_element([x - y for x, y in zip(a, b)])

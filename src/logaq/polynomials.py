@@ -201,14 +201,6 @@ class Poly:
                 out[tuple(e)] = cc
         return Poly(out, f)
 
-    def map_coeffs(self, fn, field):
-        out = {}
-        for exp, c in self.coeffs.items():
-            cc = fn(c)
-            if not field.is_zero(cc):
-                out[exp] = cc
-        return Poly(out, field)
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 

@@ -5,7 +5,9 @@ import shutil
 
 import pytest
 
+from logaq import cli
 from logaq.cli import main, corpus_dir, run_suite
+from logaq.logls import CommutationFailure
 
 
 def run(capsys, *argv):
@@ -138,3 +140,21 @@ def test_run_suite_names_failures(tmp_path, monkeypatch):
     _results, failures = run_suite("all")
     assert failures
     assert any("strict_ci" in f for f in failures)
+
+
+def test_verify_commutation_failure_exit_3(capsys, monkeypatch):
+    def _verify_jz(name, spec):
+        if name == "log_point":
+            raise CommutationFailure("square 2 does not commute")
+        return True
+    monkeypatch.setitem(cli.SUITES, "jz", [_verify_jz])
+    code, out, err = run(capsys, "verify", "jz", "--format", "json")
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["passed"] is False
+    # the suite went on past the failing instance
+    assert rep["instances"]["x3_cover"] == {"jz": True}
+    failure = rep["instances"]["log_point"]["jz"]
+    assert "log_point" in failure and "jz" in failure
+    assert "square 2 does not commute" in failure
+    assert "log_point: internal consistency failure in jz" in err

@@ -1,0 +1,182 @@
+"""The vector Buchberger engine: ideal bases against sympy, module bases
+by their defining properties, and expressions from tagged bases."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from logaq.fields import QQ, PrimeField
+from logaq.gbcore import (TaggedGB, buchberger_vec, pot_key, reduce_vec,
+                          reducer_index, vec_leading)
+from logaq.groebner import buchberger
+from logaq.polynomials import Poly, DegRevLex, Lex, exp_divides, exp_lcm
+
+F3 = PrimeField(3)
+NVARS = 2
+N_POS = 3
+ORDERS = {"degrevlex": DegRevLex(), "lex": Lex()}
+
+
+def _coeff(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                         st.integers(1, 3))
+    return st.integers(1, field.characteristic - 1)
+
+
+def _vectors(field, n_pos, max_deg, max_terms, max_gens):
+    term = st.tuples(st.integers(0, n_pos - 1),
+                     st.tuples(*[st.integers(0, max_deg)] * NVARS))
+    vec = st.dictionaries(term, _coeff(field), min_size=1,
+                          max_size=max_terms)
+    return st.lists(vec, min_size=1, max_size=max_gens)
+
+
+def _add_multiple(out, v, shift, c, field):
+    """out += c * x^shift * v (dict arithmetic kept apart from gbcore's)."""
+    for (pos, e), a in v.items():
+        t = (pos, tuple(x + y for x, y in zip(e, shift)))
+        s = field.add(out.get(t, field.zero()), field.mul(c, a))
+        if field.is_zero(s):
+            out.pop(t, None)
+        else:
+            out[t] = s
+    return out
+
+
+def _assert_reduced_gb(gb, gens, key, field):
+    lts = [vec_leading(g, key)[0] for g in gb]
+    assert lts == sorted(lts, key=key)
+    for g, lt in zip(gb, lts):
+        assert g[lt] == field.one()
+        for t in g:
+            for other in lts:
+                if other != lt:
+                    assert not (other[0] == t[0]
+                                and exp_divides(other[1], t[1]))
+    index = reducer_index(gb, key)
+    for v in gens:
+        assert reduce_vec(v, index, key, field) == {}
+    for i, (gi, lti) in enumerate(zip(gb, lts)):
+        for gj, ltj in zip(gb[i + 1:], lts[i + 1:]):
+            if lti[0] != ltj[0]:
+                continue
+            lcm = exp_lcm(lti[1], ltj[1])
+            s = _add_multiple({}, gi, [a - b for a, b in zip(lcm, lti[1])],
+                              field.one(), field)
+            s = _add_multiple(s, gj, [a - b for a, b in zip(lcm, ltj[1])],
+                              field.neg(field.one()), field)
+            assert reduce_vec(s, index, key, field) == {}
+
+
+# ------------------------------------------------------------ ideals
+
+def _sympy_gb(polys, order_name, field):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{NVARS}")
+    exprs = []
+    for p in polys:
+        expr = 0
+        for e, c in p.coeffs.items():
+            if field is QQ:
+                c = sympy.Rational(c.numerator, c.denominator)
+            expr += c * sympy.prod([x**k for x, k in zip(xs, e)])
+        exprs.append(expr)
+    opts = {"modulus": field.characteristic} if field is not QQ else {}
+    sorder = "grevlex" if order_name == "degrevlex" else "lex"
+    gb = sympy.groebner(exprs, *xs, order=sorder, **opts)
+    out = []
+    for g in gb.exprs:
+        terms = sympy.Poly(g, *xs).terms()
+        coeffs = {}
+        for e, c in terms:
+            c = Fraction(int(c.p), int(c.q)) if field is QQ \
+                else field.from_int(int(c))
+            if not field.is_zero(c):
+                coeffs[tuple(e)] = c
+        p = Poly(coeffs, field)
+        out.append(p.scale(field.inv(p.leading(ORDERS[order_name])[1])))
+    return out
+
+
+def _polys(field):
+    exp = st.tuples(*[st.integers(0, 3)] * NVARS)
+    return st.lists(st.dictionaries(exp, _coeff(field), min_size=1,
+                                    max_size=3),
+                    min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@pytest.mark.parametrize("field", [QQ, F3], ids=["QQ", "F3"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_ideal_gb_matches_sympy(order_name, field, data):
+    polys = [Poly(d, field) for d in data.draw(_polys(field))]
+    order = ORDERS[order_name]
+    ours = buchberger(polys, order, field)
+    want = _sympy_gb(polys, order_name, field)
+
+    def by_leading(p):
+        return order.key(p.leading(order)[0])
+    assert sorted(ours, key=by_leading) == ours
+    assert ours == sorted(want, key=by_leading)
+
+
+# ----------------------------------------------------------- modules
+
+def test_coprime_criterion_needs_a_common_single_position():
+    # x*e0 + e1 and y*e0 have coprime leading terms, yet their S-vector
+    # y*e1 does not reduce to zero: the module contains y*e1.
+    key = pot_key(DegRevLex())
+    g1 = {(0, (1, 0)): Fraction(1), (1, (0, 0)): Fraction(1)}
+    g2 = {(0, (0, 1)): Fraction(1)}
+    gb = buchberger_vec([g1, g2], key, QQ)
+    assert {(1, (0, 1)): Fraction(1)} in gb
+    _assert_reduced_gb(gb, [g1, g2], key, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["QQ", "F3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_module_gb_properties(field, data):
+    gens = data.draw(_vectors(field, N_POS, 2, 3, 4))
+    key = pot_key(DegRevLex())
+    gb = buchberger_vec(gens, key, field)
+    _assert_reduced_gb(gb, gens, key, field)
+    perm = data.draw(st.permutations(range(len(gens))))
+    scales = data.draw(st.lists(_coeff(field), min_size=len(gens),
+                                max_size=len(gens)))
+    moved = [{t: field.mul(c, a) for t, a in gens[i].items()}
+             for i, c in zip(perm, scales)]
+    assert buchberger_vec(moved, key, field) == gb
+
+
+# ------------------------------------------------------- expressions
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["QQ", "F3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tagged_express_reconstructs_target(field, data):
+    order = DegRevLex()
+    cols = data.draw(_vectors(field, 2, 2, 2, 3))
+    multipliers = data.draw(st.lists(_vectors(field, 1, 1, 2, 1),
+                                     min_size=len(cols), max_size=len(cols)))
+    target = {}
+    for col, (m,) in zip(cols, multipliers):
+        for (_pos, e), c in m.items():
+            _add_multiple(target, col, e, c, field)
+    t = TaggedGB(cols, 2, NVARS, field, order)
+    coeffs = t.express(target)
+    assert coeffs is not None and len(coeffs) == len(cols)
+    back = {}
+    for col, p in zip(cols, coeffs):
+        for e, c in p.coeffs.items():
+            _add_multiple(back, col, e, c, field)
+    assert back == target
+    # every syzygy is one
+    for s in t.syzygies():
+        total = {}
+        for (i, e), c in s.items():
+            _add_multiple(total, cols[i], e, c, field)
+        assert total == {}

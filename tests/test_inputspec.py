@@ -2,6 +2,7 @@
 and the canonical-printing round trip."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ
 from logaq.inputspec import (parse_input, print_input, build_morphism,
@@ -153,3 +154,57 @@ def test_field_override():
     assert m2.target.algebra.field.characteristic == 2
     # the override does not disturb the canonical strings
     assert parse_input(print_input(spec)) == spec
+
+
+# Three source generators with pairwise different images, so a table read
+# in file order instead of by key builds a different morphism.
+TABLES = {
+    "source_alpha": {"a": '"x"', "b": '"y"', "c": '"z"'},
+    "target_alpha": {"e": '"s"', "f": '"t"'},
+    "ring_map": {"x": '"s*t"', "y": '"t^2"', "z": '"s^3"'},
+    "monoid_map": {"a": "[1, 1]", "b": "[0, 2]", "c": "[3, 0]"},
+}
+
+
+def _permuted_text(orders):
+    def table(name):
+        return "{ " + ", ".join(f"{k} = {TABLES[name][k]}"
+                                for k in orders[name]) + " }"
+    return f"""
+[field]
+name = "QQ"
+
+[source]
+vars = [x, y, z]
+relations = []
+gens = [a, b, c]
+alpha = {table("source_alpha")}
+
+[target]
+vars = [s, t]
+relations = []
+gens = [e, f]
+alpha = {table("target_alpha")}
+
+[morphism]
+ring_map = {table("ring_map")}
+monoid_map = {table("monoid_map")}
+"""
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fixed_dictionaries(
+    {name: st.permutations(sorted(t)) for name, t in TABLES.items()}))
+def test_table_key_order_is_irrelevant(orders):
+    spec = parse_input(_permuted_text(orders))
+    assert spec.monoid_map == {"a": [1, 1], "b": [0, 2], "c": [3, 0]}
+    assert spec.ring_map == {"x": "s*t", "y": "t^2", "z": "s^3"}
+    assert spec.source.alpha == {"a": "x", "b": "y", "c": "z"}
+    assert spec.target.alpha == {"e": "s", "f": "t"}
+    canonical = parse_input(_permuted_text(
+        {name: sorted(t) for name, t in TABLES.items()}))
+    assert print_input(spec) == print_input(canonical)
+    again = parse_input(print_input(spec))
+    assert again == spec
+    assert build_morphism(again).monoid_map.images \
+        == build_morphism(canonical).monoid_map.images
