@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .polynomials import Poly
 from .groebner import PresentedAlgebra, AlgebraMap
 from .modules import (FpModule, ModHom, Complex3, tensor_complex,
-                      HomologyReport)
+                      HomologyReport, leading_syzygies)
 
 
 def adjoin_target_vars(a_to_b):
@@ -102,20 +102,10 @@ def build_ls(r, b, r_to_b, base_nvars, front_gens=None, extra_gens=()):
 
 def u_mod_u0(data):
     """U/U_0 as an FpModule over B, generated by the syzygy columns."""
-    r = data.r
-    m = data.n_cover
-    free_f = FpModule.free(r, m)
-    ncols = len(data.u_cols)
-    rels_r = []
-    if ncols:
-        t, _k = free_f._tagged(data.u_cols + data.u0_cols)
-        from .gbcore import polys_from_vec
-        for s in t.syzygies():
-            col = polys_from_vec(s, t.n_cols, r.field)[:ncols]
-            if any(not p.is_zero() for p in col):
-                rels_r.append(col)
+    free_f = FpModule.free(data.r, data.n_cover)
+    rels_r = leading_syzygies(free_f, data.u_cols, data.u0_cols)
     rels_b = [[data.r_to_b.apply(p) for p in c] for c in rels_r]
-    return FpModule(data.b, ncols, rels_b)
+    return FpModule(data.b, len(data.u_cols), rels_b)
 
 
 def ls_complex(data):

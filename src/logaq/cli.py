@@ -45,7 +45,7 @@ class InputError(Exception):
     pass
 
 
-def _field_name(spec, char):
+def _field_name(char):
     if char is None:
         return None
     return "QQ" if char == 0 else f"F{char}"
@@ -65,7 +65,7 @@ def _load(path):
 
 def _morphism(spec, char):
     try:
-        return build_morphism(spec, field_name=_field_name(spec, char))
+        return build_morphism(spec, field_name=_field_name(char))
     except SemanticError as e:
         raise InputError(str(e))
 
@@ -111,8 +111,7 @@ def cmd_homology(args):
     spec = _load(args.file)
     mor = _morphism(spec, args.char)
     degrees = _degree_list(args.degrees)
-    coeff = _coefficients(mor.target.algebra, args.coefficients)
-    reports = log_homology(mor, coeff)
+    reports = log_homology(mor, args.coefficients)
     out = {
         "command": "homology",
         "field": mor.target.algebra.field.name,
@@ -123,7 +122,7 @@ def cmd_homology(args):
         base = [reports[d].proxy() for d in degrees]
         agree = True
         for opt in ALT_OPTIONS:
-            alt = log_homology(mor, coeff, opt)
+            alt = log_homology(mor, args.coefficients, opt)
             if [alt[d].proxy() for d in degrees] != base:
                 agree = False
         out["alt_choices_agree"] = agree
@@ -219,9 +218,8 @@ def _flag(spec, key):
     return spec.meta.get(key) == "true"
 
 
-def golden_report(spec):
+def golden_report(mor):
     """The machine homology report an instance's golden file records."""
-    mor = build_morphism(spec)
     reports = log_homology(mor)
     return {
         "command": "homology",
@@ -231,22 +229,23 @@ def golden_report(spec):
     }
 
 
-def _verify_strict(name, spec):
+def _verify_strict(name, spec, mor):
     if not _flag(spec, "strict"):
         return None
-    _log, _cls, agree = check_strict_reduction(build_morphism(spec))
+    _log, _cls, agree = check_strict_reduction(mor)
     return agree or f"{name}: log and classical homology disagree"
 
 
-def _verify_prop12(name, spec):
+def _verify_prop12(name, spec, mor):
     if not _flag(spec, "prop12"):
         return None
     for char in (0, 2):
-        mor = build_morphism(spec, field_name="QQ" if char == 0
-                             else "F2")
-        fac = choose_log_factorization(mor)
+        over = mor
+        if mor.target.algebra.field.name != _field_name(char):
+            over = build_morphism(spec, field_name=_field_name(char))
+        fac = choose_log_factorization(over)
         for coeff_name in ("self", "residue"):
-            coeff = coefficient_module(mor.target.algebra, coeff_name)
+            coeff = coefficient_module(over.target.algebra, coeff_name)
             if coeff.k_dimension() is None:
                 continue
             computed, predicted = check_prop12(fac, coeff)
@@ -256,24 +255,22 @@ def _verify_prop12(name, spec):
     return True
 
 
-def _verify_jz(name, spec):
-    checks = check_compatibility_sequence(build_morphism(spec))
+def _verify_jz(name, spec, mor):
+    checks = check_compatibility_sequence(mor)
     bad = sorted(k for k, v in checks.items() if not v)
     return (not bad) or f"{name}: failed {', '.join(bad)}"
 
 
-def _verify_edge(name, spec):
+def _verify_edge(name, spec, mor):
     if not _flag(spec, "surjection"):
         return None
-    _h1, _con, agree = check_edge_identity(
-        LogSurjection(build_morphism(spec)))
+    _h1, _con, agree = check_edge_identity(LogSurjection(mor))
     return agree or f"{name}: H1 does not match the conormal module"
 
 
-def _verify_alt(name, spec):
+def _verify_alt(name, spec, mor):
     if not _flag(spec, "alt"):
         return None
-    mor = build_morphism(spec)
     base = [r.proxy() for r in log_homology(mor)]
     for opt in ALT_OPTIONS:
         alt = [r.proxy() for r in log_homology(mor, options=opt)]
@@ -282,13 +279,13 @@ def _verify_alt(name, spec):
     return True
 
 
-def _verify_golden(name, spec):
+def _verify_golden(name, spec, mor):
     path = corpus_dir() / f"{name}.golden.json"
     try:
         want = path.read_text()
     except OSError:
         return f"{name}: missing golden file"
-    got = json.dumps(golden_report(spec), sort_keys=True, indent=2) + "\n"
+    got = json.dumps(golden_report(mor), sort_keys=True, indent=2) + "\n"
     return got == want or f"{name}: report differs from golden file"
 
 
@@ -309,19 +306,23 @@ class InternalFailure(str):
 def run_suite(suite, threads=1):
     """(results, failures): per-instance outcomes, sorted by name.
 
-    A check that raises is recorded as that instance's failure and the
-    suite goes on; a CommutationFailure is recorded as an InternalFailure.
+    Every check of an instance gets the same morphism, so they share
+    its log complex and reports.  A check that raises is recorded as
+    that instance's failure and the suite goes on; a CommutationFailure
+    is recorded as an InternalFailure.
     """
     instances = corpus_instances()
     checks = SUITES[suite]
 
     def run_one(item):
         name, spec = item
+        # parse_input built this morphism once already, so it cannot fail
+        mor = build_morphism(spec)
         outcomes = {}
         for check in checks:
             label = check.__name__.replace("_verify_", "")
             try:
-                r = check(name, spec)
+                r = check(name, spec, mor)
             except CommutationFailure as e:
                 r = InternalFailure(
                     f"{name}: internal consistency failure in {label}: {e}")
@@ -380,7 +381,6 @@ def build_parser():
                             "characteristic (0 for the rationals)")
         p.add_argument("--format", choices=("human", "json"),
                        default="human")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("homology", help="homology of the log complex")
     common(p)
@@ -416,6 +416,7 @@ def build_parser():
                        help="run an invariant suite over the corpus")
     p.add_argument("suite", choices=sorted(SUITES))
     common(p, with_file=False)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(run=cmd_verify)
     return top
 

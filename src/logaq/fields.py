@@ -59,6 +59,9 @@ class Rationals(Field):
     def zero(self):
         return Fraction(0)
 
+    def is_zero(self, a):
+        return not a
+
     def one(self):
         return Fraction(1)
 
@@ -102,6 +105,10 @@ class PrimeField(Field):
 
     def zero(self):
         return 0
+
+    def is_zero(self, a):
+        # elements are always reduced into range(p)
+        return not a
 
     def one(self):
         return 1 % self.p

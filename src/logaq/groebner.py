@@ -174,6 +174,7 @@ class AlgebraMap:
         self.source = source
         self.target = target
         self.images = [target.nf(p) for p in images]
+        self._graph_ring = None
         if check and not self.is_well_defined():
             raise ValueError("map does not kill the source relations")
 
@@ -198,7 +199,13 @@ class AlgebraMap:
 
     def _graph(self):
         """Product presentation k[target vars | source vars] with the graph
-        ideal, under an order eliminating the target block."""
+        ideal, under an order eliminating the target block.  Built once, so
+        kernels and surjectivity share its Groebner basis."""
+        if self._graph_ring is None:
+            self._graph_ring = self._build_graph()
+        return self._graph_ring
+
+    def _build_graph(self):
         nt = self.target.nvars
         ns = self.source.nvars
         n = nt + ns

@@ -24,7 +24,7 @@ from .modules import (FpModule, ModHom, Complex3, tensor_complex,
                       HomologyReport, pushout)
 from .aqclassic import (build_ls, ls_complex, kernel_ideal_gens,
                         coefficient_module, aq_classical)
-from .monoids import choose_log_factorization
+from .monoids import choose_log_factorization, FactorizationOptions
 from .kcomplex import (kdata_from_factorization, group_module,
                        int_matrix_hom, w0_coordinates)
 
@@ -51,9 +51,13 @@ def _binomial_words(alg, p):
 
 @dataclass
 class Diagram1:
-    """All faces and comparison maps of the main diagram."""
+    """All faces and comparison maps of the main diagram.
 
-    fac: object
+    It holds no reference to the factorization or the morphism: the
+    morphism keeps its log complex, and a reference back would make a
+    cycle that only the cyclic garbage collector frees.
+    """
+
     p0_alg: object            # k[P0]
     n_alg: object             # k[N]
     h_alg: AlgebraMap         # k[P0] -> k[N]
@@ -103,7 +107,7 @@ def build_diagram1(fac):
     # front face: classical data of R -> B, J images first in the cover
     extra = [s_map.apply(j) for j in j_gens]
     front_gens = None
-    if getattr(fac, "front_raw", False):
+    if fac.options.front_raw:
         front_gens = list(reversed(kernel_ideal_gens(fac.right.ring_map)))
     front = build_ls(r_alg, b_alg, fac.right.ring_map, a_alg.nvars,
                      front_gens=front_gens, extra_gens=extra)
@@ -135,7 +139,7 @@ def build_diagram1(fac):
     _check_square(betas[0].compose(back_complex.d1),
                   right_complex.d1.compose(betas[1]), "beta degree 1")
 
-    return Diagram1(fac, p0_alg, n_alg, h_alg, p0_to_b, s_map, j_gens,
+    return Diagram1(p0_alg, n_alg, h_alg, p0_to_b, s_map, j_gens,
                     front, front_complex, back, back_complex, kd,
                     right_complex, alphas, betas)
 
@@ -165,11 +169,10 @@ def _build_alphas(front, front_complex, back, back_complex, s_map):
     r_alg = front.r
     free_front = FpModule.free(r_alg, front.n_cover)
     r_to_b = front.r_to_b
+    pad = [r_alg.zero()] * (front.n_cover - g)
+    casts = [[s_map.apply(p) for p in col] + pad for col in back.u_cols]
     cols = []
-    for col in back.u_cols:
-        cast = [s_map.apply(p) for p in col]
-        cast += [r_alg.zero()] * (front.n_cover - g)
-        co = free_front.express_in(front.u_cols, cast)
+    for co in free_front.express_in(front.u_cols, casts):
         if co is None:
             raise CommutationFailure(
                 "cast syzygy is not a combination of the front syzygies")
@@ -306,22 +309,37 @@ def assemble_log_ls(diagram):
 
 
 def log_ls(morphism, options=None):
-    """Factor the morphism and assemble its log complex."""
-    fac = choose_log_factorization(morphism, options)
-    if options is not None and options.front_raw:
-        fac.front_raw = True
-    return assemble_log_ls(build_diagram1(fac))
+    """Factor the morphism and assemble its log complex; computed once
+    per options and kept on the morphism."""
+    options = options or FactorizationOptions()
+    data = morphism._log_ls.get(options)
+    if data is None:
+        fac = choose_log_factorization(morphism, options)
+        data = assemble_log_ls(build_diagram1(fac))
+        morphism._log_ls[options] = data
+    return data
 
 
 def log_homology(morphism, coefficients=None, options=None):
     """(H0, H1, H2) HomologyReports of the log complex with the given
-    coefficient module (an FpModule over B, or a name)."""
+    coefficient module (an FpModule over B, or a name).
+
+    Reports for a named coefficient module are kept on the morphism; an
+    explicit FpModule reuses the kept complex but not its reports.
+    """
+    options = options or FactorizationOptions()
+    named = not isinstance(coefficients, FpModule)
+    key = (options, coefficients or "self")
+    if named and key in morphism._log_reports:
+        return morphism._log_reports[key]
     data = log_ls(morphism, options)
-    b_alg = morphism.target.algebra
-    t = coefficients if isinstance(coefficients, FpModule) \
-        else coefficient_module(b_alg, coefficients)
+    t = coefficient_module(morphism.target.algebra, coefficients) \
+        if named else coefficients
     h0, h1, h2 = tensor_complex(data.complex, t).homology()
-    return HomologyReport(h0), HomologyReport(h1), HomologyReport(h2)
+    reports = HomologyReport(h0), HomologyReport(h1), HomologyReport(h2)
+    if named:
+        morphism._log_reports[key] = reports
+    return reports
 
 
 def check_strict_reduction(morphism, coefficients=None, options=None):

@@ -120,7 +120,6 @@ def a_conormal(s):
 def conormal_module(s):
     """Cokernel of B (x) b/b^2 -> a/a^2 (+) kergp (x) B."""
     b_alg = s.b_alg
-    field = b_alg.field
     amod = a_conormal(s)
     kmod = group_module(s.kergp, b_alg)
     na, nk = amod.n_gens, kmod.n_gens
@@ -130,22 +129,22 @@ def conormal_module(s):
     rels += [[zero] * na + list(c) for c in kmod.rel_cols]
 
     q_rels = s.morphism.source.monoid.group_completion().relations
-    free_c = FpModule.free(s.c_alg, 1)
-    for g in s.b_gens:
-        u, v = _binomial_words(s.q_alg, g)
-        # first component: the image alpha_C(u) - alpha_C(v) in a,
-        # expressed in the chosen generators and cast to B
-        elt = s.q_to_c.apply(_monomial(s.q_alg, u)
-                             - _monomial(s.q_alg, v))
-        co = free_c.express_in([[g2] for g2 in s.a_gens], [elt])
+    stacked = IntMatrix.from_columns(
+        s.kergp_inc.columns() + q_rels.columns(), s.kergp_inc.nrows)
+    words = [_binomial_words(s.q_alg, g) for g in s.b_gens]
+    # first component: the image alpha_C(u) - alpha_C(v) in a, expressed
+    # in the chosen generators and cast to B
+    elts = [[s.q_to_c.apply(_monomial(s.q_alg, u) - _monomial(s.q_alg, v))]
+            for u, v in words]
+    cos = FpModule.free(s.c_alg, 1).express_in([[g] for g in s.a_gens],
+                                               elts)
+    for (u, v), co in zip(words, cos):
         if co is None:
             raise ValueError("kernel binomial image does not lie in a")
         first = [s.morphism.ring_map.apply(p) for p in co]
         # second component: alpha_B(image of v) * (u - v) in the chosen
         # generators of ker(Q^gp -> N^gp)
         diff = [x - y for x, y in zip(u, v)]
-        stacked = IntMatrix.from_columns(
-            s.kergp_inc.columns() + q_rels.columns(), s.kergp_inc.nrows)
         sol = int_solve(stacked, diff)
         if sol is NO_SOLUTION:
             raise ValueError("kernel binomial does not land in ker gp")

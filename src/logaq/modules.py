@@ -99,14 +99,18 @@ class FpModule:
                 out.append(col)
         return out
 
-    def express_in(self, columns, target):
-        """Coefficients c with sum c_i * columns[i] = target in the module,
-        or None if target is not in their span."""
+    def express_in(self, columns, targets):
+        """For each target, coefficients c with sum c_i * columns[i] =
+        target in the module, or None if it is not in their span.  One
+        tagged basis serves every target."""
+        if not targets:
+            return []
         t, k = self._tagged(columns)
-        co = t.express(vec_from_polys(target))
-        if co is None:
-            return None
-        return co[:k]
+        out = []
+        for target in targets:
+            co = t.express(vec_from_polys(target))
+            out.append(None if co is None else co[:k])
+        return out
 
     def k_dimension(self):
         """dim_k of the module, or None if infinite."""
@@ -374,15 +378,23 @@ def homology_at(d_low, d_high):
     if not ker_cols:
         return FpModule(mid.algebra, 0)
     # relations: coefficients c with  sum c_i ker_i  in  im(d_high) + rel
-    im_cols = d_high.image_cols
-    t, _k = mid._tagged(ker_cols + im_cols)
-    nk = len(ker_cols)
-    rels = []
-    for s in t.syzygies():
-        col = polys_from_vec(s, t.n_cols, mid.algebra.field)[:nk]
+    return FpModule(mid.algebra, len(ker_cols),
+                    leading_syzygies(mid, ker_cols, d_high.image_cols))
+
+
+def leading_syzygies(module, lead, rest):
+    """The relations among `lead` modulo `rest` and the module: syzygies
+    of lead + rest, cut to their first len(lead) coordinates, nonzero
+    ones only, in the order syzygies_of returns them."""
+    nk = len(lead)
+    if not nk:
+        return []
+    out = []
+    for col in module.syzygies_of(lead + rest):
+        col = col[:nk]
         if any(not p.is_zero() for p in col):
-            rels.append(col)
-    return FpModule(mid.algebra, nk, rels)
+            out.append(col)
+    return out
 
 
 def tensor_module(m, t):

@@ -163,6 +163,10 @@ class PrelogMorphism:
         self.target = target
         self.ring_map = ring_map
         self.monoid_map = monoid_map
+        # logls fills these: LogLsData per FactorizationOptions, and the
+        # (H0, H1, H2) reports per (options, coefficient name)
+        self._log_ls = {}
+        self._log_reports = {}
         if check and not self.is_well_defined():
             raise ValueError("ring and monoid maps do not commute with alpha")
 
@@ -180,9 +184,10 @@ class PrelogMorphism:
         return self.monoid_map.is_strict()
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorizationOptions:
-    """Knobs for alternative intermediate choices, for stability checks."""
+    """Knobs for alternative intermediate choices, for stability checks.
+    Frozen, so it can key the per-morphism log complex memo."""
 
     extra_x: bool = False       # add a redundant cover of the first N gen
     reverse_x: bool = False     # reverse the order of the new monoid gens
@@ -197,6 +202,7 @@ class Factorization:
     mid: "PrelogRing"                 # (R, P0)
     left: "PrelogMorphism"            # (A, M) -> (R, P0)
     right: "PrelogMorphism"           # (R, P0) -> (B, N)
+    options: FactorizationOptions     # the options it was built with
     x_names: list = dc_field(default_factory=list)
     x_words: list = dc_field(default_factory=list)  # image word in N per x
 
@@ -269,4 +275,5 @@ def choose_log_factorization(morphism, options=None):
         AlgebraMap(r_alg, b_alg, images, check=False),
         h, check=False)
 
-    return Factorization(morphism, mid, left, right, x_names, x_words)
+    return Factorization(morphism, mid, left, right, options, x_names,
+                         x_words)

@@ -109,9 +109,33 @@ def test_verify_all_passes(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_threads_only_on_verify(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["homology", corpus_file("log_point"), "--threads", "2"])
+    assert e.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_run_suite_builds_one_diagram_per_morphism_and_options(monkeypatch):
+    from logaq import logls
+    calls = []
+    build = logls.build_diagram1
+
+    def counting(fac):
+        calls.append(fac.options)
+        return build(fac)
+    monkeypatch.setattr(logls, "build_diagram1", counting)
+    _results, failures = run_suite("all")
+    assert not failures
+    # 15 instances once each, plus 3 alt instances under 3 ALT_OPTIONS
+    assert len(calls) == 24
+    assert sum(o in cli.ALT_OPTIONS for o in calls) == 9
+
+
 def test_verify_threads_deterministic(capsys):
-    _, a, _ = run(capsys, "verify", "jz", "--format", "json")
-    _, b, _ = run(capsys, "verify", "jz", "--threads", "4",
+    # every thread's instance has its own morphism and kept complex
+    _, a, _ = run(capsys, "verify", "all", "--format", "json")
+    _, b, _ = run(capsys, "verify", "all", "--threads", "4",
                   "--format", "json")
     assert a == b
 
@@ -143,7 +167,7 @@ def test_run_suite_names_failures(tmp_path, monkeypatch):
 
 
 def test_verify_commutation_failure_exit_3(capsys, monkeypatch):
-    def _verify_jz(name, spec):
+    def _verify_jz(name, spec, mor):
         if name == "log_point":
             raise CommutationFailure("square 2 does not commute")
         return True

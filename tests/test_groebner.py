@@ -79,6 +79,18 @@ def test_algebra_map_kernels():
         assert to_k.apply(g).is_zero()
 
 
+def test_kernel_and_surjectivity_share_one_graph_basis():
+    kuv = P(["u", "v"])
+    kt = P(["t"])
+    f = AlgebraMap(kuv, kt, [kt.var("t"), kt.var("t")])
+    f.kernel_generators()
+    ring, _nt, _ns = f._graph()
+    basis = ring._gb
+    assert basis is not None
+    assert f.surjectivity_witness() is not None
+    assert f._graph()[0] is ring and ring._gb is basis
+
+
 def test_surjectivity():
     kuv = P(["u", "v"])
     kt = P(["t"])

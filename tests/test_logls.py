@@ -1,18 +1,15 @@
 """The assembled log complex: worked examples, strict reduction, and
 the structural checks of the pushout construction."""
 
+import gc
+import weakref
+
 from logaq.monoids import FactorizationOptions
 from logaq.logls import (log_ls, log_homology, check_strict_reduction,
                          check_compatibility_sequence)
-from logaq.cli import corpus_instances
+from logaq.aqclassic import residue_module
+from logaq.cli import corpus_instances, ALT_OPTIONS
 from logaq.inputspec import build_morphism
-
-ALTS = [
-    FactorizationOptions(extra_x=True),
-    FactorizationOptions(reverse_x=True),
-    FactorizationOptions(extra_x=True, reverse_x=True, front_raw=True),
-]
-
 
 def mor(name, field_name=None):
     return build_morphism(dict(corpus_instances())[name], field_name)
@@ -87,7 +84,7 @@ def test_alt_choice_independence():
     for name in ("log_point", "toric_sum", "torsion_kummer"):
         m = mor(name)
         base = [r.proxy() for r in log_homology(m)]
-        for opt in ALTS:
+        for opt in ALT_OPTIONS:
             alt = [r.proxy() for r in log_homology(m, options=opt)]
             assert alt == base, (name, opt)
 
@@ -97,3 +94,55 @@ def test_residue_coefficients():
     assert (h0.k_dimension, h1.k_dimension, h2.k_dimension) == (1, 1, 0)
     r0 = log_homology(mor("strict_plane_curve"), "residue")
     assert r0[0].k_dimension is not None
+
+
+def test_memoized_reports_match_fresh_morphisms():
+    # every corpus instance under every option: reports kept on a morphism
+    # that has already computed all options and both coefficient names
+    # equal those computed afresh on a new morphism (residue through an
+    # explicit module, whose reports are never kept)
+    opts = [None] + ALT_OPTIONS
+    coeffs = (None, "residue")
+    for name, spec in corpus_instances():
+        shared = build_morphism(spec)
+        first = {(o, c): log_homology(shared, c, o)
+                 for o in opts for c in coeffs}
+        for o in opts:
+            fresh = build_morphism(spec)
+            residue = residue_module(fresh.target.algebra)
+            want = {None: log_homology(fresh, None, o),
+                    "residue": log_homology(fresh, residue, o)}
+            for c in coeffs:
+                kept = log_homology(shared, c, o)
+                assert kept is first[o, c]
+                assert [r.to_dict() for r in kept] == \
+                    [r.to_dict() for r in want[c]], (name, o, c)
+
+
+def test_explicit_coefficients_reuse_the_complex_not_the_reports():
+    m = mor("log_point")
+    data = log_ls(m)
+    t = residue_module(m.target.algebra)
+    a = log_homology(m, t)
+    b = log_homology(m, t)
+    assert a is not b
+    assert log_ls(m) is data
+    assert log_ls(m, FactorizationOptions()) is data
+    assert [r.to_dict() for r in a] == \
+        [r.to_dict() for r in log_homology(m, "residue")]
+
+
+def test_kept_complex_does_not_keep_its_morphism_alive():
+    # without a reference cycle, dropping the morphism frees everything
+    # it keeps at once, not at the next cyclic collection
+    m = mor("toric_sum")
+    check_compatibility_sequence(m)
+    for opt in [None] + ALT_OPTIONS:
+        log_homology(m, options=opt)
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()

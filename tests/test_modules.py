@@ -43,6 +43,26 @@ def test_syzygy_examples():
     assert free.syzygies_of([[kxy.one()]]) == []
 
 
+def test_express_in_many_targets():
+    kxy = P(["x", "y"], ["x^2"])
+    m = FpModule(kxy, 2, [[pp(kxy, "y"), pp(kxy, "x")]])
+    cols = [[pp(kxy, "x"), kxy.zero()], [kxy.zero(), pp(kxy, "y")]]
+    targets = [[pp(kxy, "x*y"), pp(kxy, "y^2")],
+               [kxy.one(), kxy.zero()],
+               [pp(kxy, "y^2"), kxy.zero()]]
+    got = m.express_in(cols, targets)
+    assert len(got) == 3
+    assert got[1] is None
+    for target, co in ((targets[0], got[0]), (targets[2], got[2])):
+        assert co is not None and len(co) == 2
+        combo = [sum((c * col[i] for c, col in zip(co, cols)), kxy.zero())
+                 for i in range(2)]
+        assert m.elements_equal(combo, target)
+    # each target alone gets the same canonical coefficients
+    assert [m.express_in(cols, [t])[0] for t in targets] == got
+    assert m.express_in(cols, []) == []
+
+
 def test_syzygy_completeness_oracle():
     """Truncated linear algebra finds no syzygy outside the computed
     module, through degree 6, on the homogeneous test ideals."""
