@@ -51,9 +51,6 @@ class FpAbGroup:
     def free_rank(self):
         return self.invariants()[1]
 
-    def is_free(self):
-        return not self.invariants()[0]
-
     def order(self):
         """Group order, or None if infinite."""
         torsion, rank = self.invariants()

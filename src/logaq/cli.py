@@ -20,7 +20,7 @@ from .fields import field_from_name
 from .monoids import FactorizationOptions
 from .modules import HomologyReport
 from .aqclassic import coefficient_module
-from .kcomplex import build_k, check_prop12
+from .kcomplex import build_k, check_prop12, kdata_from_factorization
 from .logls import (CommutationFailure, log_homology,
                     check_strict_reduction, check_compatibility_sequence)
 from .logsurj import (LogSurjection, tor_over_c, w_terms,
@@ -136,19 +136,19 @@ def cmd_homology(args):
 def cmd_kcomplex(args):
     spec = _load(args.file)
     mor = _morphism(spec, args.char)
-    fac = choose_log_factorization(mor)
+    kd = kdata_from_factorization(choose_log_factorization(mor))
     coeff = _coefficients(mor.target.algebra, args.coefficients)
     out = {"command": "kcomplex",
            "field": mor.target.algebra.field.name,
            "coefficients": args.coefficients}
     if coeff.k_dimension() is not None:
-        computed, predicted = check_prop12(fac, coeff)
+        computed, predicted = check_prop12(kd, mor.monoid_map, coeff)
         out["computed_dims"] = list(computed)
         out["predicted_dims"] = list(predicted)
         out["agree"] = computed == predicted
         _emit(out, args.format, args.started)
         return EXIT_OK if computed == predicted else EXIT_VERIFY
-    h0, h1, h2 = build_k(fac, coeff).homology()
+    h0, h1, h2 = build_k(kd, coeff).homology()
     out["degrees"] = {str(i): HomologyReport(m).to_dict()
                       for i, m in enumerate((h0, h1, h2))}
     _emit(out, args.format, args.started)
@@ -239,16 +239,17 @@ def _verify_strict(name, spec, mor):
 def _verify_prop12(name, spec, mor):
     if not _flag(spec, "prop12"):
         return None
+    # the integer data does not depend on the field
+    kd = kdata_from_factorization(choose_log_factorization(mor))
     for char in (0, 2):
         over = mor
         if mor.target.algebra.field.name != _field_name(char):
             over = build_morphism(spec, field_name=_field_name(char))
-        fac = choose_log_factorization(over)
         for coeff_name in ("self", "residue"):
             coeff = coefficient_module(over.target.algebra, coeff_name)
             if coeff.k_dimension() is None:
                 continue
-            computed, predicted = check_prop12(fac, coeff)
+            computed, predicted = check_prop12(kd, mor.monoid_map, coeff)
             if computed != predicted:
                 return (f"{name}: char {char}, {coeff_name}: "
                         f"dims {computed} != predicted {predicted}")
@@ -373,9 +374,8 @@ def build_parser():
         description="logarithmic Andre-Quillen homology in degrees 0-2")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="input description file")
+    def common(p):
+        p.add_argument("file", help="input description file")
         p.add_argument("--char", type=int, default=None,
                        help="override the coefficient field "
                             "characteristic (0 for the rationals)")
@@ -415,7 +415,7 @@ def build_parser():
     p = sub.add_parser("verify",
                        help="run an invariant suite over the corpus")
     p.add_argument("suite", choices=sorted(SUITES))
-    common(p, with_file=False)
+    p.add_argument("--format", choices=("human", "json"), default="human")
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(run=cmd_verify)
     return top

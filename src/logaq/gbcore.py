@@ -296,10 +296,6 @@ class TaggedGB:
                 out.append(self.tag_part(g))
         return out
 
-    def plain_gb(self):
-        """Reduced Groebner basis of the column span (main parts only)."""
-        return [self.main_part(g) for g in self.gb if self.main_part(g)]
-
     def express(self, v):
         """Coefficients writing v in the columns, or None.
 

@@ -134,7 +134,7 @@ def staircase_dimension(lt_exps, nvars):
     return count
 
 
-def monomial_ideal_numerator(gens, weights, field=None):
+def monomial_ideal_numerator(gens, weights):
     """Hilbert series numerator of R/(monomial ideal), as {degree: int}.
 
     The graded free resolution recursion: with m the last generator,

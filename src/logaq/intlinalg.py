@@ -288,123 +288,3 @@ def lattice_basis(columns_matrix):
         col = res.u_inv.column(j)
         cols.append([d * x for x in col])
     return IntMatrix.from_columns(cols, columns_matrix.nrows)
-
-
-def det(a):
-    """Integer determinant (Bareiss), for test-sized matrices."""
-    n = a.nrows
-    if n != a.ncols:
-        raise ValueError("square matrix required")
-    if n == 0:
-        return 1
-    m = [list(r) for r in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def field_kernel(rows, field):
-    """Reduced-echelon basis of the null space of a matrix over a field.
-
-    `rows` is a list of row lists of field elements; returns a list of
-    column vectors.  Each basis vector has a 1 in its free coordinate and
-    zeros in the other free coordinates.
-    """
-    if not rows:
-        return []
-    nc = len(rows[0])
-    m = [list(r) for r in rows]
-    nr = len(m)
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if not field.is_zero(m[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nr):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(nc):
-        if c in pivot_set:
-            continue
-        vec = [field.zero()] * nc
-        vec[c] = field.one()
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(m[i][c])
-        basis.append(vec)
-    return basis
-
-
-def field_solve(rows, b, field):
-    """Canonical solution of the linear system over a field, or None.
-
-    `rows` is the coefficient matrix, `b` the right-hand side; the
-    particular solution with all free coordinates zero is returned.
-    """
-    nr = len(rows)
-    if nr == 0:
-        return []
-    nc = len(rows[0])
-    m = [list(r) + [x] for r, x in zip(rows, b)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if not field.is_zero(m[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nr):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y))
-                        for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if not field.is_zero(m[i][nc]):
-            return None
-    x = [field.zero()] * nc
-    for i, c in enumerate(pivots):
-        x[c] = m[i][nc]
-    return x
-
-
-def field_rank(rows, field):
-    if not rows:
-        return 0
-    return len(rows[0]) - len(field_kernel(rows, field))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .intlinalg import IntMatrix, lattice_basis, int_solve, NO_SOLUTION
 from .abgroups import FpAbGroup
-from .modules import FpModule, ModHom, Complex3, tensor_module, tensor_hom
+from .modules import FpModule, ModHom, Complex3, tensor_complex
 
 
 @dataclass
@@ -50,18 +50,19 @@ def kdata_from_factorization(fac):
                                   fac.right.monoid_map)
 
 
-def w0_coordinates(kd, p0_rels, vec):
-    """Canonical W0 coordinates of a P0^gp vector lying in W0, or None.
+def w0_coordinates(inc, p_rels, vec):
+    """Canonical coordinates, on the columns of the inclusion `inc` of a
+    subgroup of P^gp, of a P^gp vector lying in it, or None.
 
-    `p0_rels` are the relation columns of P0^gp; the solve is modulo
+    `p_rels` are the relation columns of P^gp; the solve is modulo
     them, so any integer representative of the element works.
     """
-    cols = kd.w0_inc.columns() + p0_rels.columns()
-    stacked = IntMatrix.from_columns(cols, kd.w0_inc.nrows)
+    stacked = IntMatrix.from_columns(inc.columns() + p_rels.columns(),
+                                     inc.nrows)
     sol = int_solve(stacked, list(vec))
     if sol is NO_SOLUTION:
         return None
-    return sol[: kd.w0_inc.ncols]
+    return sol[: inc.ncols]
 
 
 def group_module(group, algebra):
@@ -80,25 +81,22 @@ def int_matrix_hom(source, target, mat):
     return ModHom(source, target, cols, check=False)
 
 
-def build_k(fac, coefficients):
+def right_face(kd, alg):
+    """The complex W1 -> Q1 -> P0^gp/M^gp base changed to the algebra."""
+    f2 = FpModule.free(alg, kd.n_w1)
+    f1 = FpModule.free(alg, kd.n_q1)
+    f0 = group_module(kd.quotient, alg)
+    return Complex3(int_matrix_hom(f2, f1, kd.w1_cols),
+                    int_matrix_hom(f1, f0, kd.w0_inc))
+
+
+def build_k(kd, coefficients):
     """The complex T (x) W1 -> T (x) Q1 -> T (x) P0^gp/M^gp over B.
 
     `coefficients` is an FpModule over the target algebra.
     """
-    kd = kdata_from_factorization(fac)
-    t = coefficients
-    alg = t.algebra
-    f2 = FpModule.free(alg, kd.n_w1)
-    f1 = FpModule.free(alg, kd.n_q1)
-    f0 = group_module(kd.quotient, alg)
-    c2 = tensor_module(f2, t)
-    c1 = tensor_module(f1, t)
-    c0 = tensor_module(f0, t)
-    d2_plain = int_matrix_hom(f2, f1, kd.w1_cols)
-    d1_plain = int_matrix_hom(f1, f0, kd.w0_inc)
-    d2 = tensor_hom(d2_plain, t, c2, c1)
-    d1 = tensor_hom(d1_plain, t, c1, c0)
-    return Complex3(d2, d1)
+    return tensor_complex(right_face(kd, coefficients.algebra),
+                          coefficients)
 
 
 def closed_form_dims(monoid_map, t_dim, field):
@@ -114,16 +112,16 @@ def closed_form_dims(monoid_map, t_dim, field):
     return h0, h1, h2
 
 
-def check_prop12(fac, coefficients):
-    """Compare computed homology of the monoid-side complex against the
-    closed-form dimensions; the coefficient module must be finite
-    dimensional.  Returns (computed, predicted) dimension triples."""
+def check_prop12(kd, monoid_map, coefficients):
+    """Compare computed homology of the monoid-side complex of `kd`
+    against the closed-form dimensions for the morphism's monoid map
+    M -> N; the coefficient module must be finite dimensional.  Returns
+    (computed, predicted) dimension triples."""
     t_dim = coefficients.k_dimension()
     if t_dim is None:
         raise ValueError("closed-form check needs finite coefficients")
-    c = build_k(fac, coefficients)
-    h0, h1, h2 = c.homology()
+    h0, h1, h2 = build_k(kd, coefficients).homology()
     computed = (h0.k_dimension(), h1.k_dimension(), h2.k_dimension())
     field = coefficients.algebra.field
-    predicted = closed_form_dims(fac.morphism.monoid_map, t_dim, field)
+    predicted = closed_form_dims(monoid_map, t_dim, field)
     return computed, predicted

@@ -17,8 +17,10 @@ CommutationFailure, which callers surface as an internal error.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intlinalg import snf
+from .polynomials import Poly
 from .groebner import AlgebraMap
 from .modules import (FpModule, ModHom, Complex3, tensor_complex,
                       HomologyReport, pushout)
@@ -26,7 +28,7 @@ from .aqclassic import (build_ls, ls_complex, kernel_ideal_gens,
                         coefficient_module, aq_classical)
 from .monoids import choose_log_factorization, FactorizationOptions
 from .kcomplex import (kdata_from_factorization, group_module,
-                       int_matrix_hom, w0_coordinates)
+                       right_face, w0_coordinates)
 
 
 class CommutationFailure(Exception):
@@ -49,6 +51,63 @@ def _binomial_words(alg, p):
     return u, v
 
 
+class MonoidFace:
+    """The monoid side of a prelog morphism f: (A, P) -> (B, N).
+
+    It turns h: P -> N into algebra maps: h_alg: k[P] -> k[N],
+    p_to_b = alpha_B after h, and p_to_a = alpha_A.  The binomial
+    generators of ker(h_alg) and their words are computed on first use,
+    so a caller can test surjectivity first.  It keeps no reference to
+    f.
+    """
+
+    def __init__(self, f):
+        p = f.source.monoid
+        field = f.target.algebra.field
+        n_alg = f.target.monoid.monoid_algebra(field)
+        images = [f.monoid_map.apply(p.unit(i)) for i in range(p.n_gens)]
+        self.p_alg = p.monoid_algebra(field)
+        self.p_rels = p.group_completion().relations
+        self.h_alg = AlgebraMap(self.p_alg, n_alg,
+                                [n_alg.nf(_monomial(n_alg, w))
+                                 for w in images], check=False)
+        self.p_to_b = AlgebraMap(self.p_alg, f.target.algebra,
+                                 [f.target.alpha_of(w) for w in images],
+                                 check=False)
+        self.p_to_a = AlgebraMap(self.p_alg, f.source.algebra,
+                                 f.source.alpha, check=False)
+
+    @cached_property
+    def gens(self):
+        """Binomial generators of ker(h_alg)."""
+        return kernel_ideal_gens(self.h_alg)
+
+    @cached_property
+    def words(self):
+        """(u, v) with x^u - x^v, one per generator."""
+        return [_binomial_words(self.p_alg, g) for g in self.gens]
+
+    def w0_columns(self, inc):
+        """Per word (u, v): alpha_B(h(v)) times the coordinates of u - v
+        on the columns of `inc`, an inclusion into P^gp, or None where
+        u - v does not lie in its image."""
+        b_alg = self.p_to_b.target
+        cols = []
+        for u, v in self.words:
+            z = w0_coordinates(inc, self.p_rels,
+                               [a - b for a, b in zip(u, v)])
+            if z is None:
+                cols.append(None)
+                continue
+            scale = self.p_to_b.apply(_monomial(self.p_alg, v))
+            cols.append([b_alg.from_int(c) * scale for c in z])
+        return cols
+
+
+def _monomial(alg, word):
+    return Poly.monomial(tuple(word), alg.field.one(), alg.field)
+
+
 @dataclass
 class Diagram1:
     """All faces and comparison maps of the main diagram.
@@ -58,18 +117,9 @@ class Diagram1:
     cycle that only the cyclic garbage collector frees.
     """
 
-    p0_alg: object            # k[P0]
-    n_alg: object             # k[N]
-    h_alg: AlgebraMap         # k[P0] -> k[N]
-    p0_to_b: AlgebraMap       # k[P0] -> B (alpha_B after h)
-    s_map: AlgebraMap         # k[P0] -> R (structure map of the middle)
-    j_gens: list              # binomial generators of ker(k[P0] -> k[N])
-    front: object             # LsData of R -> B over A
-    front_complex: Complex3
-    back: object              # LsData of k[P0] -> k[N] over k[M], in B
-    back_complex: Complex3
-    kd: object                # integer data of the right face
-    right_complex: Complex3
+    front_complex: Complex3   # classical complex of R -> B over A
+    back_complex: Complex3    # k[P0] -> k[N] over k[M], cast to B
+    right_complex: Complex3   # W1 -> Q1 -> P0^gp / M^gp, over B
     alphas: list              # back -> front, degrees 0..2
     betas: list               # back -> right, degrees 0..2
 
@@ -82,52 +132,32 @@ def _check_square(low, high, label):
 def build_diagram1(fac):
     """Faces and comparison maps for a chosen factorization."""
     mor = fac.morphism
-    a_alg = mor.source.algebra
     b_alg = mor.target.algebra
-    r_alg = fac.mid.algebra
-    field = b_alg.field
-    m = mor.source.monoid
-    n = mor.target.monoid
-    p0 = fac.mid.monoid
-    h = fac.right.monoid_map
-
-    p0_alg = p0.monoid_algebra(field)
-    n_alg = n.monoid_algebra(field)
-    h_alg = AlgebraMap(p0_alg, n_alg,
-                       [n_alg.nf(_monomial(n_alg, h.apply(_unit(p0, i))))
-                        for i in range(p0.n_gens)], check=False)
-    p0_to_b = AlgebraMap(p0_alg, b_alg,
-                         [mor.target.alpha_of(h.apply(_unit(p0, i)))
-                          for i in range(p0.n_gens)], check=False)
-    s_map = AlgebraMap(p0_alg, r_alg, fac.mid.alpha, check=False)
-
-    j_gens = kernel_ideal_gens(h_alg)
-    j_words = [_binomial_words(p0_alg, j) for j in j_gens]
+    n_m = mor.source.monoid.n_gens
+    face = MonoidFace(fac.right)
 
     # front face: classical data of R -> B, J images first in the cover
-    extra = [s_map.apply(j) for j in j_gens]
+    extra = [face.p_to_a.apply(j) for j in face.gens]
     front_gens = None
     if fac.options.front_raw:
         front_gens = list(reversed(kernel_ideal_gens(fac.right.ring_map)))
-    front = build_ls(r_alg, b_alg, fac.right.ring_map, a_alg.nvars,
-                     front_gens=front_gens, extra_gens=extra)
+    front = build_ls(fac.mid.algebra, b_alg, fac.right.ring_map,
+                     mor.source.algebra.nvars, front_gens=front_gens,
+                     extra_gens=extra)
     front_complex = ls_complex(front)
 
     # back face: classical data of k[P0] -> k[N] over k[M], cast to B
-    back = build_ls(p0_alg, b_alg, p0_to_b, m.n_gens, front_gens=j_gens)
+    back = build_ls(face.p_alg, b_alg, face.p_to_b, n_m,
+                    front_gens=face.gens)
     back_complex = ls_complex(back)
 
-    # right face
+    # right face: the integer data, base changed to B
     kd = kdata_from_factorization(fac)
-    f2r = FpModule.free(b_alg, kd.n_w1)
-    f1r = FpModule.free(b_alg, kd.n_q1)
-    f0r = group_module(kd.quotient, b_alg)
-    right_complex = Complex3(int_matrix_hom(f2r, f1r, kd.w1_cols),
-                             int_matrix_hom(f1r, f0r, kd.w0_inc))
+    right_complex = right_face(kd, b_alg)
 
-    alphas = _build_alphas(front, front_complex, back, back_complex, s_map)
-    betas = _build_betas(back_complex, right_complex, kd, p0, p0_to_b,
-                         j_words, m.n_gens)
+    alphas = _build_alphas(front, front_complex, back, back_complex,
+                           face.p_to_a)
+    betas = _build_betas(back_complex, right_complex, kd, face, n_m)
 
     # mixed squares
     _check_square(alphas[1].compose(back_complex.d2),
@@ -139,18 +169,8 @@ def build_diagram1(fac):
     _check_square(betas[0].compose(back_complex.d1),
                   right_complex.d1.compose(betas[1]), "beta degree 1")
 
-    return Diagram1(p0_alg, n_alg, h_alg, p0_to_b, s_map, j_gens,
-                    front, front_complex, back, back_complex, kd,
-                    right_complex, alphas, betas)
-
-
-def _unit(monoid, i):
-    return tuple(1 if j == i else 0 for j in range(monoid.n_gens))
-
-
-def _monomial(alg, word):
-    from .polynomials import Poly
-    return Poly.monomial(tuple(word), alg.field.one(), alg.field)
+    return Diagram1(front_complex, back_complex, right_complex, alphas,
+                    betas)
 
 
 def _build_alphas(front, front_complex, back, back_complex, s_map):
@@ -181,30 +201,23 @@ def _build_alphas(front, front_complex, back, back_complex, s_map):
     return [a0, a1, a2]
 
 
-def _build_betas(back_complex, right_complex, kd, p0, p0_to_b, j_words, n_m):
+def _build_betas(back_complex, right_complex, kd, face, n_m):
     """Monoid-side maps back -> right in degrees 0..2."""
-    b_alg = p0_to_b.target
-    p0_rels = p0.group_completion().relations
+    b_alg = face.p_to_b.target
 
     # degree 0: dx -> alpha_B(h(x)) * class of x
     cols0 = []
     for jx in range(back_complex.c0.n_gens):
         pos = n_m + jx
         col = right_complex.c0.zero_column()
-        col[pos] = p0_to_b.images[pos]
+        col[pos] = face.p_to_b.images[pos]
         cols0.append(col)
     b0 = ModHom(back_complex.c0, right_complex.c0, cols0, check=False)
 
     # degree 1: x^u - x^v -> alpha_B(h(v)) * (u - v in W0 coordinates)
-    cols1 = []
-    for u, v in j_words:
-        diff = [a - b for a, b in zip(u, v)]
-        z = w0_coordinates(kd, p0_rels, diff)
-        if z is None:
-            raise CommutationFailure(
-                "kernel binomial does not land in W0")
-        scale = p0_to_b.apply(_monomial(p0_to_b.source, v))
-        cols1.append([b_alg.from_int(c) * scale for c in z])
+    cols1 = face.w0_columns(kd.w0_inc)
+    if any(col is None for col in cols1):
+        raise CommutationFailure("kernel binomial does not land in W0")
     b1 = ModHom(back_complex.c1, right_complex.c1, cols1, check=False)
 
     # degree 2: lift each syzygy image through the inclusion of W1
@@ -282,10 +295,6 @@ class LogLsData:
 
 def assemble_log_ls(diagram):
     """Degreewise pushout of the faces along alpha and beta."""
-    fronts = [diagram.front_complex.c0, diagram.front_complex.c1,
-              diagram.front_complex.c2]
-    rights = [diagram.right_complex.c0, diagram.right_complex.c1,
-              diagram.right_complex.c2]
     pushed = []
     for i in range(3):
         pushed.append(pushout(diagram.alphas[i], diagram.betas[i]))

@@ -12,12 +12,10 @@ check compares the conormal module against H1 of the log complex of the
 same morphism.
 """
 
-from .intlinalg import IntMatrix, int_solve, NO_SOLUTION
-from .groebner import AlgebraMap
 from .modules import FpModule, ModHom, HomologyReport, homology_at
 from .aqclassic import kernel_ideal_gens
 from .kcomplex import group_module
-from .logls import log_homology, _binomial_words, _monomial
+from .logls import log_homology, MonoidFace
 
 
 class LogSurjection:
@@ -28,32 +26,13 @@ class LogSurjection:
         self.morphism = morphism
         self.c_alg = morphism.source.algebra
         self.b_alg = morphism.target.algebra
-        field = self.b_alg.field
-        q = morphism.source.monoid
-        n = morphism.target.monoid
-        self.q_alg = q.monoid_algebra(field)
-        self.n_alg = n.monoid_algebra(field)
-        h = morphism.monoid_map
-        self.h_alg = AlgebraMap(
-            self.q_alg, self.n_alg,
-            [self.n_alg.nf(_monomial(self.n_alg, h.apply(
-                tuple(1 if j == i else 0 for j in range(q.n_gens)))))
-             for i in range(q.n_gens)], check=False)
+        self.face = MonoidFace(morphism)
         if not morphism.ring_map.is_surjective():
             raise ValueError("ring map is not surjective")
-        if not self.h_alg.is_surjective():
+        if not self.face.h_alg.is_surjective():
             raise ValueError("monoid map is not surjective")
         self.a_gens = kernel_ideal_gens(morphism.ring_map)
-        self.b_gens = kernel_ideal_gens(self.h_alg)
-        self.kergp_inc, self.kergp = h.gp().kernel()
-        # alpha_C as a map k[Q] -> C, and alpha_B after h as k[Q] -> B
-        self.q_to_c = AlgebraMap(self.q_alg, self.c_alg,
-                                 morphism.source.alpha, check=False)
-        self.q_to_b = AlgebraMap(
-            self.q_alg, self.b_alg,
-            [morphism.target.alpha_of(h.apply(
-                tuple(1 if j == i else 0 for j in range(q.n_gens))))
-             for i in range(q.n_gens)], check=False)
+        self.kergp_inc, self.kergp = morphism.monoid_map.gp().kernel()
 
 
 def tor_over_c(s, n):
@@ -128,29 +107,21 @@ def conormal_module(s):
     rels = [list(c) + [zero] * nk for c in amod.rel_cols]
     rels += [[zero] * na + list(c) for c in kmod.rel_cols]
 
-    q_rels = s.morphism.source.monoid.group_completion().relations
-    stacked = IntMatrix.from_columns(
-        s.kergp_inc.columns() + q_rels.columns(), s.kergp_inc.nrows)
-    words = [_binomial_words(s.q_alg, g) for g in s.b_gens]
+    face = s.face
+    # second component: alpha_B(image of v) * (u - v) in the chosen
+    # generators of ker(Q^gp -> N^gp), per binomial x^u - x^v of b
+    seconds = face.w0_columns(s.kergp_inc)
     # first component: the image alpha_C(u) - alpha_C(v) in a, expressed
     # in the chosen generators and cast to B
-    elts = [[s.q_to_c.apply(_monomial(s.q_alg, u) - _monomial(s.q_alg, v))]
-            for u, v in words]
+    elts = [[face.p_to_a.apply(g)] for g in face.gens]
     cos = FpModule.free(s.c_alg, 1).express_in([[g] for g in s.a_gens],
                                                elts)
-    for (u, v), co in zip(words, cos):
+    for co, second in zip(cos, seconds):
         if co is None:
             raise ValueError("kernel binomial image does not lie in a")
-        first = [s.morphism.ring_map.apply(p) for p in co]
-        # second component: alpha_B(image of v) * (u - v) in the chosen
-        # generators of ker(Q^gp -> N^gp)
-        diff = [x - y for x, y in zip(u, v)]
-        sol = int_solve(stacked, diff)
-        if sol is NO_SOLUTION:
+        if second is None:
             raise ValueError("kernel binomial does not land in ker gp")
-        z = sol[: s.kergp_inc.ncols]
-        scale = s.q_to_b.apply(_monomial(s.q_alg, v))
-        second = [b_alg.from_int(c) * scale for c in z]
+        first = [s.morphism.ring_map.apply(p) for p in co]
         rels.append(first + second)
     return FpModule(b_alg, na + nk, rels)
 

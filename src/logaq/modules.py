@@ -596,17 +596,6 @@ class HomologyReport:
         return out
 
 
-def base_change(module, algebra_map, target_algebra):
-    """M tensor_A B along an algebra map A -> B (entrywise on relations)."""
-    rels = [[algebra_map.apply(p) for p in col] for col in module.rel_cols]
-    return FpModule(target_algebra, module.n_gens, rels)
-
-
-def base_change_hom(hom, algebra_map, new_source, new_target):
-    cols = [[algebra_map.apply(p) for p in col] for col in hom.image_cols]
-    return ModHom(new_source, new_target, cols, check=False)
-
-
 def pushout(alpha, beta):
     """Pushout of L <--alpha-- S --beta--> R.
 

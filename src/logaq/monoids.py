@@ -43,18 +43,16 @@ class FpMonoid:
     def free(cls, gen_names):
         return cls(gen_names)
 
+    def unit(self, i):
+        """The word of the i-th generator."""
+        return tuple(1 if j == i else 0 for j in range(self.n_gens))
+
     def _algebra(self):
         # internal word-problem oracle; the field is irrelevant because
         # the ideal is generated by differences of monomials
         if self._word_algebra is None:
             from .fields import QQ
-            n = self.n_gens
-            rels = []
-            for u, v in self.relations:
-                rels.append(Poly.monomial(u, QQ.one(), QQ)
-                            - Poly.monomial(v, QQ.one(), QQ))
-            self._word_algebra = PresentedAlgebra(
-                [f"m{i}" for i in range(n)], QQ, rels)
+            self._word_algebra = self.monoid_algebra(QQ)
         return self._word_algebra
 
     def words_equal(self, u, v):
@@ -76,14 +74,11 @@ class FpMonoid:
         rels = [(u + (0,) * k, v + (0,) * k) for u, v in self.relations]
         return FpMonoid(names, rels)
 
-    def monoid_algebra(self, field, varnames=None, order=None, weights=None):
-        names = varnames or self.gen_names
-        rels = []
-        for u, v in self.relations:
-            rels.append(Poly.monomial(u, field.one(), field)
-                        - Poly.monomial(v, field.one(), field))
-        return PresentedAlgebra(names, field, rels, order=order,
-                                weights=weights)
+    def monoid_algebra(self, field):
+        rels = [Poly.monomial(u, field.one(), field)
+                - Poly.monomial(v, field.one(), field)
+                for u, v in self.relations]
+        return PresentedAlgebra(self.gen_names, field, rels)
 
     def __repr__(self):
         return f"FpMonoid({self.gen_names}, {len(self.relations)} relations)"
@@ -172,8 +167,7 @@ class PrelogMorphism:
 
     def is_well_defined(self):
         for i in range(self.source.monoid.n_gens):
-            word = tuple(1 if j == i else 0
-                         for j in range(self.source.monoid.n_gens))
+            word = self.source.monoid.unit(i)
             lhs = self.ring_map.apply(self.source.alpha[i])
             rhs = self.target.alpha_of(self.monoid_map.apply(word))
             if not self.target.algebra.is_zero(lhs - rhs):
@@ -232,8 +226,7 @@ def choose_log_factorization(morphism, options=None):
             else f"x@{n.gen_names[gi]}#{k}"
         x_names.append(name)
         used.add(name)
-    x_words = [tuple(1 if j == gi else 0 for j in range(n.n_gens))
-               for gi in covers]
+    x_words = [n.unit(gi) for gi in covers]
 
     p0 = m.free_adjunction(x_names)
     # h: P0 -> N, the morphism's monoid map on M, the covers on X
@@ -260,9 +253,8 @@ def choose_log_factorization(morphism, options=None):
         src, mid,
         AlgebraMap(a_alg, r_alg, [r_alg.var(v) for v in a_alg.varnames],
                    check=False),
-        MonoidHom(m, p0,
-                  [tuple(1 if j == i else 0 for j in range(p0.n_gens))
-                   for i in range(m.n_gens)], check=False),
+        MonoidHom(m, p0, [p0.unit(i) for i in range(m.n_gens)],
+                  check=False),
         check=False)
 
     # R -> B: A variables via the ring map, x@ to alpha_B of the cover,

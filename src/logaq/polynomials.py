@@ -26,13 +26,6 @@ class DegRevLex(MonomialOrder):
         return hash("degrevlex")
 
 
-class Lex(MonomialOrder):
-    name = "lex"
-
-    def key(self, exp):
-        return exp
-
-
 class BlockElim(MonomialOrder):
     """Elimination order: degrevlex on the first block, then on the rest.
 
@@ -56,10 +49,6 @@ def exp_mul(e1, e2):
 
 def exp_divides(e1, e2):
     return all(a <= b for a, b in zip(e1, e2))
-
-
-def exp_div(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
 
 
 def exp_lcm(e1, e2):

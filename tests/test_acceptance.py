@@ -5,11 +5,11 @@ import random
 import time
 
 from logaq.fields import QQ, PrimeField
-from logaq.intlinalg import IntMatrix, snf, det
+from logaq.intlinalg import IntMatrix, snf
 from logaq.monoids import choose_log_factorization, FactorizationOptions
 from logaq.modules import FpModule, HomologyReport
 from logaq.aqclassic import coefficient_module
-from logaq.kcomplex import check_prop12
+from logaq.kcomplex import check_prop12, kdata_from_factorization
 from logaq.logls import log_homology, check_strict_reduction, \
     check_compatibility_sequence
 from logaq.logsurj import LogSurjection, tor_over_c, w_terms, \
@@ -19,7 +19,7 @@ from logaq.inputspec import build_morphism, parse_poly
 from logaq.cli import corpus_instances
 
 from helpers import (morphism, truncated_ideal_span, span_rank,
-                     oracle_syzygy_dim, syzygy_span_dim)
+                     oracle_syzygy_dim, syzygy_span_dim, det)
 
 F2 = PrimeField(2)
 
@@ -45,13 +45,13 @@ def test_1_closed_form_oracle_equivalence():
             homs.add((tuple(mor.monoid_map.images),
                       tuple(mor.source.monoid.relations),
                       tuple(mor.target.monoid.relations)))
-            fac = choose_log_factorization(mor)
+            kd = kdata_from_factorization(choose_log_factorization(mor))
             for coeff in ("self", "residue"):
                 t = coefficient_module(mor.target.algebra, coeff)
                 if t.k_dimension() is None:
                     continue
                 start = time.time()
-                computed, predicted = check_prop12(fac, t)
+                computed, predicted = check_prop12(kd, mor.monoid_map, t)
                 assert time.time() - start < 1.0
                 assert computed == predicted, (name, field_name, coeff)
     assert len(homs) >= 8

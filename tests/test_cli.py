@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -116,6 +117,15 @@ def test_threads_only_on_verify(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_char_not_on_verify(capsys):
+    # verify runs each corpus file over its own field (and prop12 over
+    # QQ and F2), so it does not offer a field override
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "jz", "--char", "2"])
+    assert e.value.code == 2
+    assert "--char" in capsys.readouterr().err
+
+
 def test_run_suite_builds_one_diagram_per_morphism_and_options(monkeypatch):
     from logaq import logls
     calls = []
@@ -130,6 +140,30 @@ def test_run_suite_builds_one_diagram_per_morphism_and_options(monkeypatch):
     # 15 instances once each, plus 3 alt instances under 3 ALT_OPTIONS
     assert len(calls) == 24
     assert sum(o in cli.ALT_OPTIONS for o in calls) == 9
+
+
+def test_run_suite_builds_one_kdata_per_diagram_and_prop12(monkeypatch):
+    from logaq import logls, kcomplex, monoids
+    calls = Counter()
+
+    def count(mod, name):
+        func = vars(mod)[name]
+
+        def counting(*args):
+            calls[name] += 1
+            return func(*args)
+        monkeypatch.setattr(mod, name, counting)
+    # wrap each module's own binding, so every call is seen once
+    for mod in (cli, logls, kcomplex, monoids):
+        for name in ("kdata_from_factorization", "choose_log_factorization"):
+            if name in vars(mod):
+                count(mod, name)
+    _results, failures = run_suite("all")
+    assert not failures
+    # one per diagram (24), plus one per prop12 instance (13): the
+    # integer data serves both QQ and F2
+    assert calls == {"kdata_from_factorization": 37,
+                     "choose_log_factorization": 37}
 
 
 def test_verify_threads_deterministic(capsys):

@@ -10,7 +10,9 @@ from logaq.fields import QQ, PrimeField
 from logaq.gbcore import (TaggedGB, buchberger_vec, pot_key, reduce_vec,
                           reducer_index, vec_leading)
 from logaq.groebner import buchberger
-from logaq.polynomials import Poly, DegRevLex, Lex, exp_divides, exp_lcm
+from logaq.polynomials import Poly, DegRevLex, exp_divides, exp_lcm
+
+from helpers import Lex
 
 F3 = PrimeField(3)
 NVARS = 2

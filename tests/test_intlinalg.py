@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
 from logaq.intlinalg import (IntMatrix, snf, int_kernel, int_solve,
-                             NO_SOLUTION, lattice_basis, det,
-                             field_kernel, field_rank, field_solve)
+                             NO_SOLUTION, lattice_basis)
+
+from helpers import det, field_kernel, field_rank, field_solve
 
 F2 = PrimeField(2)
 

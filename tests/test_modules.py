@@ -3,10 +3,10 @@ complexes, pushouts, tensor coefficients, and homology reports."""
 
 from logaq.fields import QQ
 from logaq.polynomials import Poly
-from logaq.groebner import PresentedAlgebra, AlgebraMap
+from logaq.groebner import PresentedAlgebra
 from logaq.modules import (FpModule, ModHom, Complex3, homology_at,
                            tensor_module, tensor_hom, tensor_complex,
-                           pushout, base_change, HomologyReport)
+                           pushout, HomologyReport)
 
 from helpers import oracle_syzygy_dim, syzygy_span_dim
 
@@ -114,16 +114,6 @@ def test_dim_examples():
     assert rep.free_rank == 1
     num, den = rep.hilbert
     assert sum(num.values()) == 1 and list(den) == [1]
-
-
-def test_base_change_example():
-    kx = P(["x"])
-    bx2 = P(["x"], ["x^2"])
-    x = kx.var("x")
-    i_mod_i2 = FpModule(kx, 1, [[x * x]])
-    cast = AlgebraMap(kx, bx2, [bx2.var("x")], check=False)
-    m = base_change(i_mod_i2, cast, bx2)
-    assert m.k_dimension() == 2
 
 
 def test_homology_koszul():

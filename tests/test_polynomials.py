@@ -3,7 +3,9 @@
 from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
-from logaq.polynomials import Poly, DegRevLex, Lex, BlockElim, poly_str
+from logaq.polynomials import Poly, DegRevLex, BlockElim, poly_str
+
+from helpers import Lex
 
 F2 = PrimeField(2)
 
