@@ -25,17 +25,6 @@ class FpAbGroup:
     def free(cls, n):
         return cls(n)
 
-    @classmethod
-    def from_invariants(cls, torsion, rank=0):
-        """Direct sum of Z/d for d in torsion and `rank` copies of Z."""
-        n = len(torsion) + rank
-        cols = []
-        for i, d in enumerate(torsion):
-            col = [0] * n
-            col[i] = d
-            cols.append(col)
-        return cls(n, IntMatrix.from_columns(cols, n))
-
     def _rel_snf(self):
         if self._snf is None:
             self._snf = snf(self.relations)
@@ -47,26 +36,6 @@ class FpAbGroup:
         torsion = [d for d in res.invariant_factors if d != 1]
         rank = self.n_gens - res.rank
         return torsion, rank
-
-    def free_rank(self):
-        return self.invariants()[1]
-
-    def order(self):
-        """Group order, or None if infinite."""
-        torsion, rank = self.invariants()
-        if rank:
-            return None
-        n = 1
-        for d in torsion:
-            n *= d
-        return n
-
-    def contains_in_relations(self, vec):
-        """Whether `vec` in Z^n_gens is zero in the group."""
-        return int_solve(self.relations, vec) is not NO_SOLUTION
-
-    def elements_equal(self, a, b):
-        return self.contains_in_relations([x - y for x, y in zip(a, b)])
 
     def tensor_dim(self, field):
         """dim_k of G tensor_Z k."""
@@ -93,14 +62,12 @@ class FpAbGroup:
 class AbHom:
     """Homomorphism of f.p. abelian groups, as a matrix on generators."""
 
-    def __init__(self, source, target, matrix, check=True):
+    def __init__(self, source, target, matrix):
         if matrix.nrows != target.n_gens or matrix.ncols != source.n_gens:
             raise ValueError("matrix shape must be target gens x source gens")
         self.source = source
         self.target = target
         self.matrix = matrix
-        if check and not self.is_well_defined():
-            raise ValueError("matrix does not respect the source relations")
 
     def is_well_defined(self):
         for col in self.matrix.mul(self.source.relations).columns():

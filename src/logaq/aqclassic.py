@@ -39,7 +39,7 @@ def adjoin_target_vars(a_to_b):
 
     r = PresentedAlgebra(names, f, [lift(g) for g in a.relations])
     images = list(a_to_b.images) + [b.var(v) for v in b.varnames]
-    r_to_b = AlgebraMap(r, b, images, check=False)
+    r_to_b = AlgebraMap(r, b, images)
     return r, r_to_b, n_a
 
 
@@ -117,15 +117,18 @@ def ls_complex(data):
     c0 = FpModule.free(b, data.omega_rank)
     d2 = ModHom(c2, c1,
                 [[data.r_to_b.apply(p) for p in col]
-                 for col in data.u_cols], check=False)
+                 for col in data.u_cols])
     d1_cols = []
     for f in data.i_gens:
         col = []
         for v in range(data.base_nvars, data.r.nvars):
             col.append(data.r_to_b.apply(f.derivative(v)))
         d1_cols.append(col)
-    d1 = ModHom(c1, c0, d1_cols, check=False)
-    return Complex3(d2, d1)
+    d1 = ModHom(c1, c0, d1_cols)
+    cx = Complex3(d2, d1)
+    if not cx.is_complex():
+        raise ValueError("d1 d2 is not zero")
+    return cx
 
 
 def residue_module(b):
@@ -143,11 +146,10 @@ def coefficient_module(b, name):
 
 def aq_classical(a_to_b, coefficients=None):
     """(H0, H1, H2) HomologyReports of the classical complex with the
-    given coefficient module (an FpModule over B, or a name)."""
+    named coefficient module (None, "self" or "residue")."""
     r, r_to_b, n_a = adjoin_target_vars(a_to_b)
     data = build_ls(r, a_to_b.target, r_to_b, n_a)
     c = ls_complex(data)
-    t = coefficients if isinstance(coefficients, FpModule) \
-        else coefficient_module(a_to_b.target, coefficients)
+    t = coefficient_module(a_to_b.target, coefficients)
     h0, h1, h2 = tensor_complex(c, t).homology()
     return HomologyReport(h0), HomologyReport(h1), HomologyReport(h2)

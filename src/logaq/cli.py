@@ -16,7 +16,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
-from .fields import field_from_name
 from .monoids import FactorizationOptions
 from .modules import HomologyReport
 from .aqclassic import coefficient_module
@@ -77,8 +76,8 @@ def _coefficients(b_alg, name):
         raise InputError(str(e))
 
 
-def _emit(report, fmt, started, out=None):
-    out = out or sys.stdout
+def _emit(report, fmt, started):
+    out = sys.stdout
     if fmt == "json":
         out.write(json.dumps(report, sort_keys=True, indent=2))
         out.write("\n")

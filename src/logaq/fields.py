@@ -6,6 +6,7 @@ object, so the same polynomial code serves both.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 
 class Field:
@@ -97,7 +98,10 @@ class Rationals(Field):
 
 class PrimeField(Field):
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        # Singular's bound for prime fields
+        if p >= 2**31:
+            raise ValueError("prime field characteristic must be below 2^31")
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p

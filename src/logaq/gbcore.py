@@ -60,14 +60,14 @@ def vec_leading(v, key):
     return t, v[t]
 
 
-def vec_from_polys(col, start_pos=0):
+def vec_from_polys(col):
     """Column of Polys (one per position) to a vector dict."""
     out = {}
     for i, p in enumerate(col):
         if p is None or p.is_zero():
             continue
         for exp, c in p.coeffs.items():
-            out[(start_pos + i, exp)] = c
+            out[(i, exp)] = c
     return out
 
 
@@ -314,8 +314,3 @@ def module_gb(columns, ring_order, field):
     """Reduced Groebner basis of the span of the columns (no tracking)."""
     key = pot_key(ring_order)
     return buchberger_vec(list(columns), key, field)
-
-
-def reduce_by_module_gb(v, gb, ring_order, field):
-    key = pot_key(ring_order)
-    return reduce_vec(dict(v), reducer_index(gb, key), key, field)

@@ -9,7 +9,7 @@ block elimination on the graph ideal.
 
 from .polynomials import Poly, DegRevLex, BlockElim, exp_divides, poly_str
 from .gbcore import (module_gb, vec_from_polys, polys_from_vec,
-                     reduce_by_module_gb, reducer_index, reduce_vec, pot_key)
+                     reducer_index, reduce_vec, pot_key)
 
 
 def buchberger(polys, order, field):
@@ -17,12 +17,6 @@ def buchberger(polys, order, field):
     vecs = [vec_from_polys([p]) for p in polys if not p.is_zero()]
     gb = module_gb(vecs, order, field)
     return [polys_from_vec(v, 1, field)[0] for v in gb]
-
-
-def normal_form(p, gb, order, field):
-    v = vec_from_polys([p])
-    gbv = [vec_from_polys([g]) for g in gb]
-    return polys_from_vec(reduce_by_module_gb(v, gbv, order, field), 1, field)[0]
 
 
 class PresentedAlgebra:
@@ -79,11 +73,6 @@ class PresentedAlgebra:
 
     def is_graded(self):
         return all(g.is_homogeneous(self.weights) for g in self.relations)
-
-    def is_trivial(self):
-        """Whether the quotient is the zero ring (1 lies in the ideal)."""
-        g = self.gb()
-        return len(g) == 1 and g[0].is_constant() and not g[0].is_zero()
 
     def lt_exponents(self):
         """Leading exponents of the reduced Groebner basis of the ideal."""
@@ -166,7 +155,7 @@ def monomial_ideal_numerator(gens, weights):
 class AlgebraMap:
     """Map of presented algebras, given by images of the source variables."""
 
-    def __init__(self, source, target, images, check=True):
+    def __init__(self, source, target, images):
         if len(images) != source.nvars:
             raise ValueError("one image per source variable")
         if source.field != target.field:
@@ -175,8 +164,6 @@ class AlgebraMap:
         self.target = target
         self.images = [target.nf(p) for p in images]
         self._graph_ring = None
-        if check and not self.is_well_defined():
-            raise ValueError("map does not kill the source relations")
 
     def is_well_defined(self):
         return all(self.target.is_zero(self._apply_raw(g))
@@ -262,10 +249,3 @@ class AlgebraMap:
     def is_surjective(self):
         return self.surjectivity_witness() is not None
 
-
-def compose(g, f):
-    """g after f."""
-    if f.target is not g.source and f.target.varnames != g.source.varnames:
-        raise ValueError("composition mismatch")
-    return AlgebraMap(f.source, g.target,
-                      [g._apply_raw(p) for p in f.images], check=False)

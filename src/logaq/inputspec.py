@@ -128,6 +128,14 @@ class _Parser:
             raise ParseError("expected an identifier", t[2], t[3])
         return t[1]
 
+    def new_key(self, seen):
+        """The next identifier, which must not be among `seen`."""
+        t = self.peek()
+        key = self.expect_ident()
+        if key in seen:
+            raise ParseError(f"duplicate key {key!r}", t[2], t[3])
+        return key
+
     def sections(self):
         out = {}
         order = []
@@ -137,7 +145,7 @@ class _Parser:
             self.expect_sym("]")
             entries = {}
             while self.peek()[0] == "ident":
-                key = self.expect_ident()
+                key = self.new_key(entries)
                 self.expect_sym("=")
                 entries[key] = self.value()
             if name in out:
@@ -173,7 +181,7 @@ class _Parser:
             table = {}
             if not (self.peek()[0] == "sym" and self.peek()[1] == "}"):
                 while True:
-                    k = self.expect_ident()
+                    k = self.new_key(table)
                     self.expect_sym("=")
                     table[k] = self.value()
                     if self.peek()[0] == "sym" and self.peek()[1] == ",":
@@ -382,7 +390,7 @@ def _build_prelog(desc, field, section):
         raise SemanticError(
             f"section {section!r}: alpha names unknown generators "
             f"{sorted(extra)}")
-    ring = PrelogRing(algebra, monoid, alpha, check=False)
+    ring = PrelogRing(algebra, monoid, alpha)
     for i, (u, v) in enumerate(monoid.relations):
         if not algebra.is_zero(ring.alpha_of(u) - ring.alpha_of(v)):
             raise SemanticError(
@@ -413,7 +421,7 @@ def build_morphism(spec, field_name=None):
     if extra:
         raise SemanticError(f"ring_map names unknown variables "
                             f"{sorted(extra)}")
-    ring_map = AlgebraMap(src.algebra, tgt.algebra, images, check=False)
+    ring_map = AlgebraMap(src.algebra, tgt.algebra, images)
     if not ring_map.is_well_defined():
         raise SemanticError("ring_map does not respect the source relations")
 
@@ -432,14 +440,12 @@ def build_morphism(spec, field_name=None):
     if extra:
         raise SemanticError(f"monoid_map names unknown generators "
                             f"{sorted(extra)}")
-    try:
-        monoid_map = MonoidHom(src.monoid, tgt.monoid, words)
-    except ValueError:
+    monoid_map = MonoidHom(src.monoid, tgt.monoid, words)
+    if not monoid_map.is_well_defined():
         raise SemanticError(
             "monoid_map does not respect the source monoid relations")
-    try:
-        morphism = PrelogMorphism(src, tgt, ring_map, monoid_map)
-    except ValueError:
+    morphism = PrelogMorphism(src, tgt, ring_map, monoid_map)
+    if not morphism.is_well_defined():
         raise SemanticError(
             "ring_map and monoid_map do not commute with alpha")
 

@@ -99,7 +99,6 @@ class SnfResult:
     d: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
-    v_inv: IntMatrix
     invariant_factors: list
 
     @property
@@ -128,7 +127,6 @@ def snf(a):
     u = IntMatrix.identity(nr)
     u_inv = IntMatrix.identity(nr)
     v = IntMatrix.identity(nc)
-    v_inv = IntMatrix.identity(nc)
 
     def swap_rows(i, j):
         if i == j:
@@ -145,7 +143,6 @@ def snf(a):
             r[i], r[j] = r[j], r[i]
         for r in v.rows:
             r[i], r[j] = r[j], r[i]
-        v_inv.rows[i], v_inv.rows[j] = v_inv.rows[j], v_inv.rows[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
@@ -165,8 +162,6 @@ def snf(a):
             r[dst] += q * r[src]
         for r in v.rows:
             r[dst] += q * r[src]
-        for k in range(nc):
-            v_inv.rows[src][k] -= q * v_inv.rows[dst][k]
 
     def negate_row(i):
         for k in range(nc):
@@ -222,7 +217,7 @@ def snf(a):
         t += 1
 
     factors = [m.rows[i][i] for i in range(min(nr, nc)) if m.rows[i][i]]
-    return SnfResult(u, m, v, u_inv, v_inv, factors)
+    return SnfResult(u, m, v, u_inv, factors)
 
 
 def int_kernel(a):

@@ -78,7 +78,7 @@ def int_matrix_hom(source, target, mat):
     alg = source.algebra
     cols = [[alg.from_int(mat.rows[i][j]) for i in range(mat.nrows)]
             for j in range(mat.ncols)]
-    return ModHom(source, target, cols, check=False)
+    return ModHom(source, target, cols)
 
 
 def right_face(kd, alg):
@@ -86,8 +86,11 @@ def right_face(kd, alg):
     f2 = FpModule.free(alg, kd.n_w1)
     f1 = FpModule.free(alg, kd.n_q1)
     f0 = group_module(kd.quotient, alg)
-    return Complex3(int_matrix_hom(f2, f1, kd.w1_cols),
-                    int_matrix_hom(f1, f0, kd.w0_inc))
+    cx = Complex3(int_matrix_hom(f2, f1, kd.w1_cols),
+                  int_matrix_hom(f1, f0, kd.w0_inc))
+    if not cx.is_complex():
+        raise ValueError("d1 d2 is not zero")
+    return cx
 
 
 def build_k(kd, coefficients):

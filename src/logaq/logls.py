@@ -70,12 +70,11 @@ class MonoidFace:
         self.p_rels = p.group_completion().relations
         self.h_alg = AlgebraMap(self.p_alg, n_alg,
                                 [n_alg.nf(_monomial(n_alg, w))
-                                 for w in images], check=False)
+                                 for w in images])
         self.p_to_b = AlgebraMap(self.p_alg, f.target.algebra,
-                                 [f.target.alpha_of(w) for w in images],
-                                 check=False)
+                                 [f.target.alpha_of(w) for w in images])
         self.p_to_a = AlgebraMap(self.p_alg, f.source.algebra,
-                                 f.source.alpha, check=False)
+                                 f.source.alpha)
 
     @cached_property
     def gens(self):
@@ -180,11 +179,10 @@ def _build_alphas(front, front_complex, back, back_complex, s_map):
     # non-base variables of R
     a0 = ModHom(back_complex.c0, front_complex.c0,
                 [front_complex.c0.gen_column(j)
-                 for j in range(back_complex.c0.n_gens)], check=False)
+                 for j in range(back_complex.c0.n_gens)])
     # degree 1: the J images are the first cover generators
     a1 = ModHom(back_complex.c1, front_complex.c1,
-                [front_complex.c1.gen_column(l) for l in range(g)],
-                check=False)
+                [front_complex.c1.gen_column(l) for l in range(g)])
     # degree 2: express each cast syzygy in the front syzygy generators
     r_alg = front.r
     free_front = FpModule.free(r_alg, front.n_cover)
@@ -197,7 +195,7 @@ def _build_alphas(front, front_complex, back, back_complex, s_map):
             raise CommutationFailure(
                 "cast syzygy is not a combination of the front syzygies")
         cols.append([r_to_b.apply(p) for p in co])
-    a2 = ModHom(back_complex.c2, front_complex.c2, cols, check=False)
+    a2 = ModHom(back_complex.c2, front_complex.c2, cols)
     return [a0, a1, a2]
 
 
@@ -212,13 +210,13 @@ def _build_betas(back_complex, right_complex, kd, face, n_m):
         col = right_complex.c0.zero_column()
         col[pos] = face.p_to_b.images[pos]
         cols0.append(col)
-    b0 = ModHom(back_complex.c0, right_complex.c0, cols0, check=False)
+    b0 = ModHom(back_complex.c0, right_complex.c0, cols0)
 
     # degree 1: x^u - x^v -> alpha_B(h(v)) * (u - v in W0 coordinates)
     cols1 = face.w0_columns(kd.w0_inc)
     if any(col is None for col in cols1):
         raise CommutationFailure("kernel binomial does not land in W0")
-    b1 = ModHom(back_complex.c1, right_complex.c1, cols1, check=False)
+    b1 = ModHom(back_complex.c1, right_complex.c1, cols1)
 
     # degree 2: lift each syzygy image through the inclusion of W1
     w0_mod = group_module(kd.w0, b_alg)
@@ -241,7 +239,7 @@ def _build_betas(back_complex, right_complex, kd, face, n_m):
             raise CommutationFailure(
                 "syzygy image does not lift through W1")
         cols2.append(eta)
-    b2 = ModHom(back_complex.c2, right_complex.c2, cols2, check=False)
+    b2 = ModHom(back_complex.c2, right_complex.c2, cols2)
     return [b0, b1, b2]
 
 
@@ -285,11 +283,10 @@ def _int_preimage(res, xi, b_alg):
 
 @dataclass
 class LogLsData:
-    """Assembled pushout complex with the face inclusions."""
+    """Assembled pushout complex with the right-face inclusions."""
 
     diagram: Diagram1
     complex: Complex3
-    inc_front: list            # front face -> pushout, degrees 0..2
     inc_right: list            # right face -> pushout (epsilon)
 
 
@@ -306,15 +303,14 @@ def assemble_log_ls(diagram):
         lo = mods[deg - 1]
         cols = [inc_front[deg - 1].apply(c) for c in front_d.image_cols]
         cols += [inc_right[deg - 1].apply(c) for c in right_d.image_cols]
-        return ModHom(mods[deg], lo, cols, check=False)
+        return ModHom(mods[deg], lo, cols)
 
     d1 = induced(1, diagram.front_complex.d1, diagram.right_complex.d1)
     d2 = induced(2, diagram.front_complex.d2, diagram.right_complex.d2)
-    try:
-        cx = Complex3(d2, d1)
-    except ValueError as e:
-        raise CommutationFailure(str(e))
-    return LogLsData(diagram, cx, inc_front, inc_right)
+    cx = Complex3(d2, d1)
+    if not cx.is_complex():
+        raise CommutationFailure("d1 d2 is not zero")
+    return LogLsData(diagram, cx, inc_right)
 
 
 def log_ls(morphism, options=None):
@@ -330,41 +326,35 @@ def log_ls(morphism, options=None):
 
 
 def log_homology(morphism, coefficients=None, options=None):
-    """(H0, H1, H2) HomologyReports of the log complex with the given
-    coefficient module (an FpModule over B, or a name).
-
-    Reports for a named coefficient module are kept on the morphism; an
-    explicit FpModule reuses the kept complex but not its reports.
-    """
+    """(H0, H1, H2) HomologyReports of the log complex with the named
+    coefficient module (None, "self" or "residue"), kept on the
+    morphism per options and name."""
     options = options or FactorizationOptions()
-    named = not isinstance(coefficients, FpModule)
     key = (options, coefficients or "self")
-    if named and key in morphism._log_reports:
-        return morphism._log_reports[key]
-    data = log_ls(morphism, options)
-    t = coefficient_module(morphism.target.algebra, coefficients) \
-        if named else coefficients
-    h0, h1, h2 = tensor_complex(data.complex, t).homology()
-    reports = HomologyReport(h0), HomologyReport(h1), HomologyReport(h2)
-    if named:
+    reports = morphism._log_reports.get(key)
+    if reports is None:
+        data = log_ls(morphism, options)
+        t = coefficient_module(morphism.target.algebra, coefficients)
+        h0, h1, h2 = tensor_complex(data.complex, t).homology()
+        reports = HomologyReport(h0), HomologyReport(h1), HomologyReport(h2)
         morphism._log_reports[key] = reports
     return reports
 
 
-def check_strict_reduction(morphism, coefficients=None, options=None):
+def check_strict_reduction(morphism):
     """For a strict morphism, compare the log homology reports against
     the classical ones of the underlying ring map.
 
     Returns (log_reports, classical_reports, agree)."""
     if not morphism.is_strict():
         raise ValueError("strict reduction check needs a strict morphism")
-    log_reports = log_homology(morphism, coefficients, options)
-    cls_reports = aq_classical(morphism.ring_map, coefficients)
+    log_reports = log_homology(morphism)
+    cls_reports = aq_classical(morphism.ring_map)
     agree = all(a.same_as(b) for a, b in zip(log_reports, cls_reports))
     return log_reports, cls_reports, agree
 
 
-def check_compatibility_sequence(morphism, options=None):
+def check_compatibility_sequence(morphism):
     """Structural checks of the pushout against its faces.
 
     * the right-face inclusions in degrees 0 and 1 are split injective
@@ -376,7 +366,7 @@ def check_compatibility_sequence(morphism, options=None):
 
     Returns a dict of booleans.
     """
-    data = log_ls(morphism, options)
+    data = log_ls(morphism)
     dg = data.diagram
     out = {}
 
@@ -389,12 +379,9 @@ def check_compatibility_sequence(morphism, options=None):
         nb = back_mod.n_gens
         cols = [back_mod.gen_column(j) if j < nb else back_mod.zero_column()
                 for j in range(front_mod.n_gens)]
-        try:
-            rho = ModHom(front_mod, back_mod, cols, check=True)
-            out[f"alpha_{i}_split"] = rho.compose(alpha).equals(
-                ModHom.identity(back_mod))
-        except ValueError:
-            out[f"alpha_{i}_split"] = False
+        rho = ModHom(front_mod, back_mod, cols)
+        out[f"alpha_{i}_split"] = rho.is_well_defined() and \
+            rho.compose(alpha).equals(ModHom.identity(back_mod))
 
     # split injectivity of the right-face inclusion via an explicit
     # retraction
@@ -411,13 +398,10 @@ def check_compatibility_sequence(morphism, options=None):
                         else right_mod.zero_column())
         for j in range(right_mod.n_gens):
             cols.append(right_mod.gen_column(j))
-        try:
-            rho = ModHom(push_mod, right_mod, cols, check=True)
-            ident = rho.compose(data.inc_right[i])
-            out[f"epsilon_{i}_split"] = ident.equals(
+        rho = ModHom(push_mod, right_mod, cols)
+        out[f"epsilon_{i}_split"] = rho.is_well_defined() and \
+            rho.compose(data.inc_right[i]).equals(
                 ModHom.identity(right_mod))
-        except ValueError:
-            out[f"epsilon_{i}_split"] = False
 
     # cokernel comparison in every degree
     for i in range(3):

@@ -48,7 +48,7 @@ def tor_over_c(s, n):
     cols = [[g] for g in s.a_gens]
     for _step in range(n + 1):
         cur = FpModule.free(c_alg, len(cols))
-        d = ModHom(cur, prev, cols, check=False)
+        d = ModHom(cur, prev, cols)
         diffs.append(d)
         cols = prev.syzygies_of(cols) if cols else []
         prev = cur
@@ -60,7 +60,7 @@ def tor_over_c(s, n):
     for i, d in enumerate(diffs):
         b_diffs.append(ModHom(b_mods[i + 1], b_mods[i],
                               [[cast.apply(p) for p in col]
-                               for col in d.image_cols], check=False))
+                               for col in d.image_cols]))
     reports = []
     for i in range(n + 1):
         if i == 0:

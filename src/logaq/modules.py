@@ -169,17 +169,16 @@ class FpModule:
         return FpModule(alg, len(gens), cols)
 
     def free_rank(self):
-        """Rank if the presentation visibly reduces to a free module.
+        """Rank if the presentation visibly presents a free module.
 
-        First trims away generators eliminated by unit coefficients, then
-        checks whether every remaining Groebner relation just rewrites a
-        generator in relation-free ones; returns None otherwise.
+        Call it on a trimmed presentation: it checks whether every
+        Groebner relation just rewrites a generator in relation-free
+        ones, and returns None otherwise.
         """
-        m = self.trim()
-        if not m.rel_cols:
-            return m.n_gens
-        by_pos = m.lt_by_position()
-        zero_exp = (0,) * m.algebra.nvars
+        if not self.rel_cols:
+            return self.n_gens
+        by_pos = self.lt_by_position()
+        zero_exp = (0,) * self.algebra.nvars
         led = set()
         for j, exps in by_pos.items():
             if not exps:
@@ -187,7 +186,7 @@ class FpModule:
             if exps != [zero_exp]:
                 return None
             led.add(j)
-        return m.n_gens - len(led)
+        return self.n_gens - len(led)
 
     def infer_shifts(self):
         """Generator degrees making all relation columns homogeneous.
@@ -259,14 +258,12 @@ class FpModule:
 class ModHom:
     """Module homomorphism given by images of the source generators."""
 
-    def __init__(self, source, target, image_cols, check=True):
+    def __init__(self, source, target, image_cols):
         if len(image_cols) != source.n_gens:
             raise ValueError("one image column per source generator")
         self.source = source
         self.target = target
         self.image_cols = [list(c) for c in image_cols]
-        if check and not self.is_well_defined():
-            raise ValueError("images do not kill the source relations")
 
     def is_well_defined(self):
         for rel in self.source.rel_cols:
@@ -286,19 +283,17 @@ class ModHom:
     @classmethod
     def identity(cls, module):
         return cls(module, module,
-                   [module.gen_column(i) for i in range(module.n_gens)],
-                   check=False)
+                   [module.gen_column(i) for i in range(module.n_gens)])
 
     @classmethod
     def zero(cls, source, target):
         return cls(source, target,
-                   [target.zero_column() for _ in range(source.n_gens)],
-                   check=False)
+                   [target.zero_column() for _ in range(source.n_gens)])
 
     def compose(self, other):
         """self after other."""
         return ModHom(other.source, self.target,
-                      [self.apply(c) for c in other.image_cols], check=False)
+                      [self.apply(c) for c in other.image_cols])
 
     def equals(self, other):
         for a, b in zip(self.image_cols, other.image_cols):
@@ -315,15 +310,14 @@ class ModHom:
         # each ker col is a column over source generators
         rels = self.source.syzygies_of(ker_cols) if ker_cols else []
         ker = FpModule(self.source.algebra, len(ker_cols), rels)
-        inc = ModHom(ker, self.source, ker_cols, check=False)
+        inc = ModHom(ker, self.source, ker_cols)
         return inc, ker
 
     def cokernel(self):
         coker = FpModule(self.target.algebra, self.target.n_gens,
                          self.target.rel_cols + self.image_cols)
         proj = ModHom(self.target, coker,
-                      [coker.gen_column(i) for i in range(coker.n_gens)],
-                      check=False)
+                      [coker.gen_column(i) for i in range(coker.n_gens)])
         return proj, coker
 
     def is_surjective(self):
@@ -332,15 +326,16 @@ class ModHom:
 
 
 class Complex3:
-    """C2 --d2--> C1 --d1--> C0 with d1 d2 = 0."""
+    """C2 --d2--> C1 --d1--> C0; is_complex() checks d1 d2 = 0."""
 
-    def __init__(self, d2, d1, check=True):
+    def __init__(self, d2, d1):
         if d2.target is not d1.source:
             raise ValueError("differentials do not compose")
         self.d2 = d2
         self.d1 = d1
-        if check and not d1.compose(d2).is_zero_map():
-            raise ValueError("d1 d2 is not zero")
+
+    def is_complex(self):
+        return self.d1.compose(self.d2).is_zero_map()
 
     @property
     def c2(self):
@@ -426,12 +421,11 @@ def tensor_module(m, t):
     return FpModule(alg, n, rels)
 
 
-def tensor_hom(f, t, new_source=None, new_target=None):
-    """f tensor id_t on the block presentations of tensor_module."""
+def tensor_hom(f, t, src, tgt):
+    """f tensor id_t from src to tgt, the tensor_modules of its source
+    and target."""
     if t.n_gens == 1 and not t.rel_cols:
         return f
-    src = new_source or tensor_module(f.source, t)
-    tgt = new_target or tensor_module(f.target, t)
     alg = f.source.algebra
     cols = []
     for i in range(f.source.n_gens):
@@ -441,7 +435,7 @@ def tensor_hom(f, t, new_source=None, new_target=None):
             for i2, p in enumerate(img):
                 col[i2 * t.n_gens + j] = p
             cols.append(col)
-    return ModHom(src, tgt, cols, check=False)
+    return ModHom(src, tgt, cols)
 
 
 def tensor_complex(c, t):
@@ -453,7 +447,7 @@ def tensor_complex(c, t):
     c0 = tensor_module(c.c0, t)
     d2 = tensor_hom(c.d2, t, c2, c1)
     d1 = tensor_hom(c.d1, t, c1, c0)
-    return Complex3(d2, d1, check=False)
+    return Complex3(d2, d1)
 
 
 def poly_det(mat, algebra):
@@ -474,11 +468,11 @@ def poly_det(mat, algebra):
     return out
 
 
-def fitting0(module):
+def fitting0(m):
     """Reduced Groebner basis of the 0th Fitting ideal (plus the ring
-    ideal), as a canonical iso-proxy for small presentations."""
+    ideal) of the module a trimmed presentation m presents, as a
+    canonical iso-proxy for small presentations."""
     from .groebner import buchberger
-    m = module.trim()
     alg = m.algebra
     n = m.n_gens
     cols = m.rel_cols
@@ -509,25 +503,21 @@ class HomologyReport:
     """Canonical summary of a module: presentation plus size proxies."""
 
     def __init__(self, module):
-        self.module = module
         trimmed = module.trim()
         self.n_gens = trimmed.n_gens
         alg = module.algebra
         self.relations = [[alg.str_of(p) for p in c]
                           for c in trimmed.rel_cols]
         self.k_dimension = module.k_dimension()
-        self.free_rank = module.free_rank()
+        self.free_rank = trimmed.free_rank()
         self.hilbert = module.hilbert_data() \
             if self.k_dimension is None else None
         self.fitting = None
         if self.k_dimension is None and self.free_rank is None \
                 and self.hilbert is None:
-            f0 = fitting0(module)
+            f0 = fitting0(trimmed)
             if f0 is not None:
                 self.fitting = [alg.str_of(p) for p in f0]
-
-    def is_zero(self):
-        return self.k_dimension == 0
 
     def proxy(self):
         """Comparable summary tuple; equal proxies mean the reports agree
@@ -622,10 +612,8 @@ def pushout(alpha, beta):
         rels.append(list(a) + [-p for p in b])
     p = FpModule(alg, n, rels)
     inc_left = ModHom(left, p,
-                      [p.gen_column(i) for i in range(left.n_gens)],
-                      check=False)
+                      [p.gen_column(i) for i in range(left.n_gens)])
     inc_right = ModHom(right, p,
                        [p.gen_column(left.n_gens + i)
-                        for i in range(right.n_gens)],
-                       check=False)
+                        for i in range(right.n_gens)])
     return p, inc_left, inc_right

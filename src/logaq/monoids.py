@@ -87,7 +87,7 @@ class FpMonoid:
 class MonoidHom:
     """Monoid map given by images (exponent words) of the generators."""
 
-    def __init__(self, source, target, images, check=True):
+    def __init__(self, source, target, images):
         if len(images) != source.n_gens:
             raise ValueError("one image word per source generator")
         self.source = source
@@ -96,8 +96,6 @@ class MonoidHom:
         for w in self.images:
             if len(w) != target.n_gens or any(e < 0 for e in w):
                 raise ValueError("bad image word")
-        if check and not self.is_well_defined():
-            raise ValueError("map does not respect the monoid relations")
 
     def apply(self, word):
         out = [0] * self.target.n_gens
@@ -118,7 +116,7 @@ class MonoidHom:
         if not self.images:
             mat = IntMatrix.zero(self.target.n_gens, 0)
         return AbHom(self.source.group_completion(),
-                     self.target.group_completion(), mat, check=False)
+                     self.target.group_completion(), mat)
 
     def is_strict(self):
         """Whether the induced map of group completions is an isomorphism."""
@@ -128,14 +126,12 @@ class MonoidHom:
 class PrelogRing:
     """(algebra, monoid, structure images of the monoid generators)."""
 
-    def __init__(self, algebra, monoid, alpha, check=True):
+    def __init__(self, algebra, monoid, alpha):
         if len(alpha) != monoid.n_gens:
             raise ValueError("one structure image per monoid generator")
         self.algebra = algebra
         self.monoid = monoid
         self.alpha = [algebra.nf(p) for p in alpha]
-        if check and not self.is_well_defined():
-            raise ValueError("structure map does not respect monoid relations")
 
     def alpha_of(self, word):
         out = self.algebra.one()
@@ -153,7 +149,7 @@ class PrelogMorphism:
     """(A, M) -> (B, N): an algebra map and a monoid map that commute
     with the structure maps."""
 
-    def __init__(self, source, target, ring_map, monoid_map, check=True):
+    def __init__(self, source, target, ring_map, monoid_map):
         self.source = source
         self.target = target
         self.ring_map = ring_map
@@ -162,8 +158,6 @@ class PrelogMorphism:
         # (H0, H1, H2) reports per (options, coefficient name)
         self._log_ls = {}
         self._log_reports = {}
-        if check and not self.is_well_defined():
-            raise ValueError("ring and monoid maps do not commute with alpha")
 
     def is_well_defined(self):
         for i in range(self.source.monoid.n_gens):
@@ -232,7 +226,7 @@ def choose_log_factorization(morphism, options=None):
     # h: P0 -> N, the morphism's monoid map on M, the covers on X
     h = MonoidHom(p0, n,
                   [morphism.monoid_map.images[i] for i in range(m.n_gens)]
-                  + x_words, check=False)
+                  + x_words)
 
     r_names = list(a_alg.varnames) + x_names + [f"y@{v}"
                                                 for v in b_alg.varnames]
@@ -247,15 +241,12 @@ def choose_log_factorization(morphism, options=None):
     # structure map of (R, P0): alpha_A on M, the new variables on X
     r_alpha = ([lift_a(p) for p in src.alpha]
                + [r_alg.var(nm) for nm in x_names])
-    mid = PrelogRing(r_alg, p0, r_alpha, check=False)
+    mid = PrelogRing(r_alg, p0, r_alpha)
 
     left = PrelogMorphism(
         src, mid,
-        AlgebraMap(a_alg, r_alg, [r_alg.var(v) for v in a_alg.varnames],
-                   check=False),
-        MonoidHom(m, p0, [p0.unit(i) for i in range(m.n_gens)],
-                  check=False),
-        check=False)
+        AlgebraMap(a_alg, r_alg, [r_alg.var(v) for v in a_alg.varnames]),
+        MonoidHom(m, p0, [p0.unit(i) for i in range(m.n_gens)]))
 
     # R -> B: A variables via the ring map, x@ to alpha_B of the cover,
     # y@ to the B variable itself
@@ -264,8 +255,7 @@ def choose_log_factorization(morphism, options=None):
               + [b_alg.var(v) for v in b_alg.varnames])
     right = PrelogMorphism(
         mid, tgt,
-        AlgebraMap(r_alg, b_alg, images, check=False),
-        h, check=False)
+        AlgebraMap(r_alg, b_alg, images), h)
 
     return Factorization(morphism, mid, left, right, options, x_names,
                          x_words)

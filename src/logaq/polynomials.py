@@ -133,13 +133,6 @@ class Poly:
             return Poly.zero(f)
         return Poly({e: f.mul(c, x) for e, x in self.coeffs.items()}, f)
 
-    def mul_monomial(self, exp, c):
-        f = self.field
-        if f.is_zero(c):
-            return Poly.zero(f)
-        return Poly({exp_mul(e, exp): f.mul(c, x)
-                     for e, x in self.coeffs.items()}, f)
-
     def __pow__(self, n):
         if self.is_zero():
             if n == 0:
@@ -162,11 +155,6 @@ class Poly:
     def terms_sorted(self, order):
         return sorted(self.coeffs.items(), key=lambda t: order.key(t[0]),
                       reverse=True)
-
-    def total_degree(self):
-        if self.is_zero():
-            return -1
-        return max(sum(e) for e in self.coeffs)
 
     def weighted_degrees(self, weights):
         """Set of weighted degrees of the terms."""

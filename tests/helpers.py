@@ -1,16 +1,53 @@
 """Shared test utilities: morphism construction from input text, the lex
 order, exact linear algebra over a field and an integer determinant,
-and the degree-truncated linear-algebra oracle used to cross-check
-Groebner results."""
+small oracles on polynomials, algebras and abelian groups, and the
+degree-truncated linear-algebra oracle used to cross-check Groebner
+results."""
 
 from itertools import product
 
 from logaq.inputspec import parse_input, build_morphism
-from logaq.polynomials import Poly, MonomialOrder
+from logaq.polynomials import Poly, MonomialOrder, exp_mul
+from logaq.intlinalg import IntMatrix, int_solve, NO_SOLUTION
+from logaq.abgroups import FpAbGroup
 
 
 def morphism(text, field_name=None):
     return build_morphism(parse_input(text), field_name=field_name)
+
+
+def total_degree(p):
+    if p.is_zero():
+        return -1
+    return max(sum(e) for e in p.coeffs)
+
+
+def mul_monomial(p, exp):
+    """p times the monomial x^exp."""
+    return Poly({exp_mul(e, exp): c for e, c in p.coeffs.items()}, p.field)
+
+
+def is_trivial(algebra):
+    """Whether the quotient is the zero ring (1 lies in the ideal)."""
+    g = algebra.gb()
+    return len(g) == 1 and g[0].is_constant() and not g[0].is_zero()
+
+
+def group_from_invariants(torsion, rank=0):
+    """Direct sum of Z/d for d in torsion and `rank` copies of Z."""
+    n = len(torsion) + rank
+    cols = []
+    for i, d in enumerate(torsion):
+        col = [0] * n
+        col[i] = d
+        cols.append(col)
+    return FpAbGroup(n, IntMatrix.from_columns(cols, n))
+
+
+def group_elements_equal(group, a, b):
+    """Whether the integer vectors a and b are equal in the group."""
+    diff = [x - y for x, y in zip(a, b)]
+    return int_solve(group.relations, diff) is not NO_SOLUTION
 
 
 class Lex(MonomialOrder):
@@ -169,9 +206,9 @@ def truncated_ideal_span(gens, nvars, degree, field):
     index = {e: i for i, e in enumerate(basis)}
     rows = []
     for g in gens:
-        d = g.total_degree()
+        d = total_degree(g)
         for m in monomials_upto(nvars, degree - d):
-            q = g.mul_monomial(m, field.one())
+            q = mul_monomial(g, m)
             if all(sum(e) <= degree for e in q.coeffs):
                 rows.append(poly_vector(q, index, field))
     return rows, basis, index
@@ -195,9 +232,8 @@ def oracle_syzygy_dim(gens, nvars, degree, field):
     cols = []
     layout = []
     for i, g in enumerate(gens):
-        for m in monomials_upto(nvars, degree - g.total_degree()):
-            cols.append(poly_vector(g.mul_monomial(m, field.one()),
-                                    index, field))
+        for m in monomials_upto(nvars, degree - total_degree(g)):
+            cols.append(poly_vector(mul_monomial(g, m), index, field))
             layout.append((i, m))
     if not cols:
         return 0, layout
@@ -212,15 +248,15 @@ def syzygy_span_dim(syzygies, gens, nvars, degree, field):
     index = {im: j for j, im in enumerate(layout)}
     rows = []
     for s in syzygies:
-        bounds = [degree - g.total_degree() for g in gens]
-        top = max((bounds[i] - s[i].total_degree()
+        bounds = [degree - total_degree(g) for g in gens]
+        top = max((bounds[i] - total_degree(s[i])
                    for i in range(len(gens)) if not s[i].is_zero()),
                   default=-1)
         for m in monomials_upto(nvars, max(top, -1) if top >= 0 else -1):
             row = [field.zero()] * len(layout)
             ok = True
             for i, comp in enumerate(s):
-                q = comp.mul_monomial(m, field.one())
+                q = mul_monomial(comp, m)
                 for e, c in q.coeffs.items():
                     if (i, e) not in index:
                         ok = False

@@ -73,6 +73,20 @@ def test_bad_input_exit_2(capsys, tmp_path):
     assert "unsupported field" in err
 
 
+@pytest.mark.parametrize("digits", ["9" * 400,
+                                    "1000000000000000000000000000057"],
+                         ids=["400_nines", "31_digits"])
+def test_large_characteristic_exit_2(capsys, tmp_path, digits):
+    # a prime test by trial division would overflow on the first and not
+    # finish on the second; both lie above the 2^31 bound
+    text = (corpus_dir() / "log_point.logaq").read_text()
+    p = tmp_path / "big.logaq"
+    p.write_text(text.replace('name = "QQ"', f'name = "F{digits}"'))
+    code, _, err = run(capsys, "homology", str(p))
+    assert code == 2
+    assert "below 2^31" in err
+
+
 def test_kcomplex_command(capsys):
     code, out, _ = run(capsys, "kcomplex", corpus_file("x2_cover"),
                        "--char", "2", "--format", "json")

@@ -3,8 +3,7 @@ degree-truncated linear-algebra oracle for membership soundness."""
 
 from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly, DegRevLex, poly_str, exp_divides
-from logaq.groebner import (buchberger, PresentedAlgebra, AlgebraMap,
-                            normal_form)
+from logaq.groebner import buchberger, PresentedAlgebra, AlgebraMap
 
 from helpers import (Lex, monomials_upto, poly_vector, truncated_ideal_span,
                      span_rank, in_span)

@@ -136,6 +136,24 @@ monoid_map = { a = [1], b = [2] }
         parse_input(text)
 
 
+def test_morphism_not_commuting_with_alpha():
+    # alpha_B(f^1) = t, but the ring map sends alpha_A(e) = s to t^2
+    bad = GOOD.replace('monoid_map = { e = [2] }', 'monoid_map = { e = [1] }')
+    with pytest.raises(SemanticError, match="do not commute with alpha"):
+        parse_input(bad)
+
+
+def test_duplicate_keys():
+    bad = GOOD.replace('vars = [s]\n', 'vars = [s]\nvars = [u]\n')
+    with pytest.raises(ParseError, match="duplicate key 'vars'") as e:
+        parse_input(bad)
+    assert (e.value.line, e.value.col) == (7, 1)
+    bad = GOOD.replace('alpha = { e = "s" }', 'alpha = { e = "s", e = "u" }')
+    with pytest.raises(ParseError, match="duplicate key 'e'") as e:
+        parse_input(bad)
+    assert (e.value.line, e.value.col) == (9, 20)
+
+
 def test_missing_images():
     bad = GOOD.replace('monoid_map = { e = [2] }', 'monoid_map = {}')
     with pytest.raises(SemanticError, match="monoid_map"):

@@ -4,10 +4,16 @@ the structural checks of the pushout construction."""
 import gc
 import weakref
 
-from logaq.monoids import FactorizationOptions
-from logaq.logls import (log_ls, log_homology, check_strict_reduction,
-                         check_compatibility_sequence)
-from logaq.aqclassic import residue_module
+import pytest
+
+from logaq.monoids import FactorizationOptions, choose_log_factorization
+from logaq.modules import Complex3
+from logaq.logls import (CommutationFailure, log_ls, log_homology,
+                         check_strict_reduction,
+                         check_compatibility_sequence, build_diagram1,
+                         assemble_log_ls)
+from logaq.aqclassic import aq_classical
+from logaq.kcomplex import kdata_from_factorization, right_face
 from logaq.cli import corpus_instances, ALT_OPTIONS
 from logaq.inputspec import build_morphism
 
@@ -99,37 +105,41 @@ def test_residue_coefficients():
 def test_memoized_reports_match_fresh_morphisms():
     # every corpus instance under every option: reports kept on a morphism
     # that has already computed all options and both coefficient names
-    # equal those computed afresh on a new morphism (residue through an
-    # explicit module, whose reports are never kept)
+    # equal those computed afresh on a new morphism for one option
     opts = [None] + ALT_OPTIONS
     coeffs = (None, "residue")
     for name, spec in corpus_instances():
         shared = build_morphism(spec)
         first = {(o, c): log_homology(shared, c, o)
                  for o in opts for c in coeffs}
+        # None names the default options and the "self" coefficients
+        assert log_ls(shared, FactorizationOptions()) is log_ls(shared)
+        assert log_homology(shared, "self", FactorizationOptions()) \
+            is first[None, None]
         for o in opts:
             fresh = build_morphism(spec)
-            residue = residue_module(fresh.target.algebra)
-            want = {None: log_homology(fresh, None, o),
-                    "residue": log_homology(fresh, residue, o)}
             for c in coeffs:
+                want = log_homology(fresh, c, o)
                 kept = log_homology(shared, c, o)
                 assert kept is first[o, c]
                 assert [r.to_dict() for r in kept] == \
-                    [r.to_dict() for r in want[c]], (name, o, c)
+                    [r.to_dict() for r in want], (name, o, c)
 
 
-def test_explicit_coefficients_reuse_the_complex_not_the_reports():
-    m = mor("log_point")
-    data = log_ls(m)
-    t = residue_module(m.target.algebra)
-    a = log_homology(m, t)
-    b = log_homology(m, t)
-    assert a is not b
-    assert log_ls(m) is data
-    assert log_ls(m, FactorizationOptions()) is data
-    assert [r.to_dict() for r in a] == \
-        [r.to_dict() for r in log_homology(m, "residue")]
+def test_each_complex_is_checked_where_it_is_built(monkeypatch):
+    # the constructor never checks d1 d2 = 0; the log, right-face and
+    # classical builders each call is_complex() and refuse with their
+    # own exception
+    fac = choose_log_factorization(mor("log_point"))
+    diagram = build_diagram1(fac)
+    kd = kdata_from_factorization(fac)
+    monkeypatch.setattr(Complex3, "is_complex", lambda self: False)
+    with pytest.raises(CommutationFailure, match="^d1 d2 is not zero$"):
+        assemble_log_ls(diagram)
+    with pytest.raises(ValueError, match="^d1 d2 is not zero$"):
+        right_face(kd, fac.morphism.target.algebra)
+    with pytest.raises(ValueError, match="^d1 d2 is not zero$"):
+        aq_classical(mor("strict_hypersurface").ring_map)
 
 
 def test_kept_complex_does_not_keep_its_morphism_alive():

@@ -202,7 +202,7 @@ def test_tensor():
     assert m.k_dimension() == 2
     # tensoring a map with the rank-1 free module is the identity path
     f = ModHom(f2, f2, [f2.gen_column(1), f2.gen_column(0)])
-    assert tensor_hom(f, FpModule.free(b, 1)) is f
+    assert tensor_hom(f, FpModule.free(b, 1), f2, f2) is f
 
 
 def test_tensor_complex_coefficients():
@@ -210,12 +210,21 @@ def test_tensor_complex_coefficients():
     f = FpModule.free(b, 1)
     x = b.var("x")
     d = ModHom(f, f, [[x]])
-    c = Complex3(d, d, check=False)
+    c = Complex3(d, d)
+    assert c.is_complex()
     t = FpModule(b, 1, [[x]])
     ct = tensor_complex(c, t)
     # over B/(x) the differential x becomes zero
     h0, h1, h2 = (m.k_dimension() for m in ct.homology())
     assert (h0, h1, h2) == (1, 1, 1)
+
+
+def test_is_complex():
+    kx = P(["x"])
+    f = FpModule.free(kx, 1)
+    d = ModHom(f, f, [[kx.var("x")]])
+    # x * x is not zero in k[x]; the constructor does not check it
+    assert not Complex3(d, d).is_complex()
 
 
 def test_report_proxies():
