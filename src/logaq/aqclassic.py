@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .polynomials import Poly
 from .groebner import PresentedAlgebra, AlgebraMap
 from .modules import (FpModule, ModHom, Complex3, tensor_complex,
-                      HomologyReport, leading_syzygies)
+                      HomologyReport)
 
 
 def adjoin_target_vars(a_to_b):
@@ -102,8 +102,8 @@ def build_ls(r, b, r_to_b, base_nvars, front_gens=None, extra_gens=()):
 
 def u_mod_u0(data):
     """U/U_0 as an FpModule over B, generated by the syzygy columns."""
-    free_f = FpModule.free(data.r, data.n_cover)
-    rels_r = leading_syzygies(free_f, data.u_cols, data.u0_cols)
+    quotient = FpModule(data.r, data.n_cover, data.u0_cols)
+    rels_r = quotient.syzygies_of(data.u_cols)
     rels_b = [[data.r_to_b.apply(p) for p in c] for c in rels_r]
     return FpModule(data.b, len(data.u_cols), rels_b)
 

@@ -96,11 +96,14 @@ class Rationals(Field):
         return hash("QQ")
 
 
+# Singular's bound for prime fields
+_TOO_LARGE = "prime field characteristic must be below 2^31"
+
+
 class PrimeField(Field):
     def __init__(self, p):
-        # Singular's bound for prime fields
         if p >= 2**31:
-            raise ValueError("prime field characteristic must be below 2^31")
+            raise ValueError(_TOO_LARGE)
         if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -156,5 +159,9 @@ def field_from_name(name):
     if name == "QQ":
         return QQ
     if name.startswith("F") and name[1:].isdigit():
-        return PrimeField(int(name[1:]))
+        digits = name[1:].lstrip("0")
+        # 2^31 has 10 digits; int() refuses very long digit strings
+        if len(digits) > 10:
+            raise ValueError(_TOO_LARGE)
+        return PrimeField(int(digits or "0"))
     raise ValueError(f"unsupported field {name!r}")

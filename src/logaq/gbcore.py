@@ -8,6 +8,13 @@ the main block therefore tracks coefficients: Groebner elements with
 empty main part are syzygies, and reducing a tagged vector to zero reads
 off its expression in the original columns.
 
+Whatever compares terms here takes the ring's monomial order (see
+polynomials), which alone decides how terms compare: `order.term_key(t)`
+is a flat tuple of ints, greater for the greater term, and
+`order.heap_key(t)` a flat tuple that is smaller for the greater term,
+so that a min-heap pops the greatest term first.  Nothing here builds
+keys of its own.
+
 Ring-level Groebner bases are the one-position case.
 
 Strategy, after Gebauer and Moeller, "On an installation of Buchberger's
@@ -27,9 +34,9 @@ algorithm" (J. Symb. Comp. 6, 1988):
   * Older elements whose leading term that of h divides stop making
     pairs and stop serving as reducers.
   * Reduction updates one dict in place.  It takes terms in descending
-    order from a max-heap with lazy deletion, and finds the first
-    reducer whose leading exponent divides through an index by leading
-    position.
+    order from a min-heap on `heap_key` with lazy deletion, and finds the
+    first reducer whose leading exponent divides through an index by
+    leading position.
   * At the end, elements whose leading term another one's divides are
     dropped, each survivor's tail is reduced once against that minimal
     basis, and the result is made monic.
@@ -41,22 +48,12 @@ from operator import add, le, sub
 from .polynomials import Poly, exp_lcm
 
 
-def pot_key(ring_order):
-    okey = ring_order.key
-
-    def key(term):
-        pos, exp = term
-        return (-pos, okey(exp))
-
-    return key
-
-
 def vec_is_zero(v):
     return not v
 
 
-def vec_leading(v, key):
-    t = max(v, key=key)
+def vec_leading(v, order):
+    t = max(v, key=order.term_key)
     return t, v[t]
 
 
@@ -83,24 +80,18 @@ def _divides(e1, e2):
     return all(map(le, e1, e2))
 
 
-def _descending(k):
-    """Key under which a min-heap pops the greatest sort key `k` first;
-    `k` is a number or a nested tuple of numbers."""
-    return tuple([_descending(x) if isinstance(x, tuple) else -x for x in k])
-
-
 def _reducer(v, lt):
     """Reducer entry (leading exponent, tail items, leading coefficient)."""
     return lt[1], [(t, c) for t, c in v.items() if t != lt], v[lt]
 
 
-def reducer_index(vecs, key):
+def reducer_index(vecs, order):
     """Reducers of the nonzero `vecs` by leading position, in list order:
     {position: [(leading exponent, tail items, leading coefficient)]}."""
     index = {}
     for v in vecs:
         if v:
-            lt, _lc = vec_leading(v, key)
+            lt, _lc = vec_leading(v, order)
             index.setdefault(lt[0], []).append(_reducer(v, lt))
     return index
 
@@ -124,13 +115,14 @@ def _add_multiple(work, tail, shift, c, field):
     return new
 
 
-def reduce_vec(v, basis, key, field):
+def reduce_vec(v, basis, order, field):
     """Full normal form of v against a reducer index (see reducer_index).
 
     The terms of the result come in descending order.
     """
+    key = order.heap_key
     work = dict(v)
-    heap = [(_descending(key(t)), t) for t in work]
+    heap = [(key(t), t) for t in work]
     heapify(heap)
     result = {}
     while heap:
@@ -149,7 +141,7 @@ def reduce_vec(v, basis, key, field):
         factor = field.neg(field.div(c, glc))
         for t in _add_multiple(work, tail, tuple(map(sub, exp, gexp)),
                                factor, field):
-            heappush(heap, (_descending(key(t)), t))
+            heappush(heap, (key(t), t))
     return result
 
 
@@ -174,7 +166,7 @@ def _single_position(v):
     return pos
 
 
-def buchberger_vec(gens, key, field):
+def buchberger_vec(gens, order, field):
     """Reduced Groebner basis of the submodule generated by `gens`.
 
     Output is canonical: monic, auto-reduced, sorted by ascending leading
@@ -185,10 +177,11 @@ def buchberger_vec(gens, key, field):
     active = {}     # leading position -> indices of the elements that
     #                 make pairs and reduce
     reducers = {}   # leading position -> their reducer entries
-    pairs = []      # heap of (key(lcm term), i, j, lcm exponent)
+    pairs = []      # heap of (term_key(lcm term), i, j, lcm exponent)
+    key = order.term_key
 
     def update(h):
-        lt, _lc = vec_leading(h, key)
+        lt, _lc = vec_leading(h, order)
         pos, e = lt
         single = _single_position(h)
         same = active.setdefault(pos, [])
@@ -228,7 +221,7 @@ def buchberger_vec(gens, key, field):
     while pairs:
         _k, i, j, lcm = heappop(pairs)
         s = reduce_vec(_s_vector(elems[i][1], elems[j][1], lcm, field),
-                       reducers, key, field)
+                       reducers, order, field)
         if s:
             update(s)
 
@@ -247,7 +240,7 @@ def buchberger_vec(gens, key, field):
     for lt, (_e, tail, lc), _single in minimal:
         inv = field.inv(lc)
         v = {lt: field.one()}
-        for t, c in reduce_vec(dict(tail), index, key, field).items():
+        for t, c in reduce_vec(dict(tail), index, order, field).items():
             v[t] = field.mul(inv, c)
         out.append(v)
     return out
@@ -271,15 +264,15 @@ class TaggedGB:
         self.n_cols = len(columns)
         self.nvars = nvars
         self.field = field
-        self.key = pot_key(ring_order)
+        self.order = ring_order
         zero_exp = (0,) * nvars
         tagged = []
         for i, col in enumerate(columns):
             v = dict(col)
             v[(n_main + i, zero_exp)] = field.one()
             tagged.append(v)
-        self.gb = buchberger_vec(tagged, self.key, field)
-        self._basis = reducer_index(self.gb, self.key)
+        self.gb = buchberger_vec(tagged, ring_order, field)
+        self._basis = reducer_index(self.gb, ring_order)
 
     def main_part(self, v):
         return {t: c for t, c in v.items() if t[0] < self.n_main}
@@ -302,15 +295,9 @@ class TaggedGB:
         Returns a list of Polys c_i with v = sum c_i * column_i; canonical
         because the tagged reduction is a full normal form.
         """
-        nf = reduce_vec(dict(v), self._basis, self.key, self.field)
+        nf = reduce_vec(dict(v), self._basis, self.order, self.field)
         if self.main_part(nf):
             return None
         tags = self.tag_part(nf)
         cols = polys_from_vec(tags, self.n_cols, self.field)
         return [-p for p in cols]
-
-
-def module_gb(columns, ring_order, field):
-    """Reduced Groebner basis of the span of the columns (no tracking)."""
-    key = pot_key(ring_order)
-    return buchberger_vec(list(columns), key, field)

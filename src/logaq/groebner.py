@@ -8,14 +8,14 @@ block elimination on the graph ideal.
 """
 
 from .polynomials import Poly, DegRevLex, BlockElim, exp_divides, poly_str
-from .gbcore import (module_gb, vec_from_polys, polys_from_vec,
-                     reducer_index, reduce_vec, pot_key)
+from .gbcore import (buchberger_vec, vec_from_polys, polys_from_vec,
+                     reducer_index, reduce_vec)
 
 
 def buchberger(polys, order, field):
     """Reduced Groebner basis of the ideal generated by `polys`."""
     vecs = [vec_from_polys([p]) for p in polys if not p.is_zero()]
-    gb = module_gb(vecs, order, field)
+    gb = buchberger_vec(vecs, order, field)
     return [polys_from_vec(v, 1, field)[0] for v in gb]
 
 
@@ -46,11 +46,11 @@ class PresentedAlgebra:
         return self._gb
 
     def nf(self, p):
-        key = pot_key(self.order)
         if self._reducers is None:
             self._reducers = reducer_index(
-                [vec_from_polys([g]) for g in self.gb()], key)
-        r = reduce_vec(vec_from_polys([p]), self._reducers, key, self.field)
+                [vec_from_polys([g]) for g in self.gb()], self.order)
+        r = reduce_vec(vec_from_polys([p]), self._reducers, self.order,
+                       self.field)
         return polys_from_vec(r, 1, self.field)[0]
 
     def is_zero(self, p):

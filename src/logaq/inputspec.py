@@ -77,7 +77,12 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(("int", int(text[i:j]), start_line, start_col))
+            try:
+                value = int(text[i:j])
+            except ValueError:      # over int()'s digit limit, or not 0-9
+                raise ParseError("integer literal is too long or not "
+                                 "decimal", start_line, start_col) from None
+            toks.append(("int", value, start_line, start_col))
             col += j - i
             i = j
             continue

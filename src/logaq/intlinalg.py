@@ -98,7 +98,6 @@ class SnfResult:
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
     invariant_factors: list
 
     @property
@@ -125,7 +124,6 @@ def snf(a):
     m = a.copy()
     nr, nc = m.nrows, m.ncols
     u = IntMatrix.identity(nr)
-    u_inv = IntMatrix.identity(nr)
     v = IntMatrix.identity(nc)
 
     def swap_rows(i, j):
@@ -133,8 +131,6 @@ def snf(a):
             return
         m.rows[i], m.rows[j] = m.rows[j], m.rows[i]
         u.rows[i], u.rows[j] = u.rows[j], u.rows[i]
-        for r in u_inv.rows:
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         if i == j:
@@ -152,8 +148,6 @@ def snf(a):
             m.rows[dst][k] += q * m.rows[src][k]
         for k in range(nr):
             u.rows[dst][k] += q * u.rows[src][k]
-        for r in u_inv.rows:
-            r[src] -= q * r[dst]
 
     def add_col(src, dst, q):
         if q == 0:
@@ -168,8 +162,6 @@ def snf(a):
             m.rows[i][k] = -m.rows[i][k]
         for k in range(nr):
             u.rows[i][k] = -u.rows[i][k]
-        for r in u_inv.rows:
-            r[i] = -r[i]
 
     t = 0
     while t < min(nr, nc):
@@ -217,7 +209,7 @@ def snf(a):
         t += 1
 
     factors = [m.rows[i][i] for i in range(min(nr, nc)) if m.rows[i][i]]
-    return SnfResult(u, m, v, u_inv, factors)
+    return SnfResult(u, m, v, factors)
 
 
 def int_kernel(a):
@@ -274,12 +266,10 @@ def int_solve(a, b):
 def lattice_basis(columns_matrix):
     """Basis of the lattice spanned by the columns, as columns.
 
-    Computed from snf: if U.K.V = D then the lattice is spanned by
-    d_j * (U^-1 e_j) for the nonzero diagonal entries d_j.
+    Computed from snf: if U.K.V = D then K.V = U^-1.D, whose first rank
+    columns d_j * (U^-1 e_j) span the lattice.
     """
     res = snf(columns_matrix)
-    cols = []
-    for j, d in enumerate(res.invariant_factors):
-        col = res.u_inv.column(j)
-        cols.append([d * x for x in col])
-    return IntMatrix.from_columns(cols, columns_matrix.nrows)
+    kv = columns_matrix.mul(res.v)
+    return IntMatrix.from_columns([kv.column(j) for j in range(res.rank)],
+                                  columns_matrix.nrows)

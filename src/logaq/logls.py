@@ -38,8 +38,7 @@ class CommutationFailure(Exception):
 
 def _binomial_words(alg, p):
     """(u, v) with p = x^u - x^v, for an element of a monomial-map kernel."""
-    terms = sorted(p.coeffs.items(), key=lambda t: alg.order.key(t[0]),
-                   reverse=True)
+    terms = p.terms_sorted(alg.order)
     if len(terms) != 2:
         raise CommutationFailure(
             f"kernel generator {alg.str_of(p)} is not a binomial")

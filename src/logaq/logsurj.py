@@ -80,10 +80,8 @@ def w_terms(s, n):
     if n == 1:
         return HomologyReport(group_module(s.kergp, b_alg))
     if n == 2:
-        p = b_alg.field.characteristic
-        torsion, _rank = s.kergp.invariants()
-        cnt = sum(1 for d in torsion if p and d % p == 0)
-        return HomologyReport(FpModule.free(b_alg, cnt))
+        return HomologyReport(
+            FpModule.free(b_alg, s.kergp.tor1_dim(b_alg.field)))
     return HomologyReport(FpModule.free(b_alg, 0))
 
 

@@ -5,16 +5,16 @@ relation columns (length-n lists of Poly).  All membership, kernel, and
 syzygy questions go through the vector Groebner engine; the ideal enters
 by augmenting the relation submodule with I * e_j for every position.
 
-Homology of a three-term complex, pushouts, and base change are built
+Homology of a three-term complex, tensor products and pushouts are built
 from the same primitives, plus size proxies for reporting: exact k
 dimension when finite, free rank when the presentation visibly splits,
-and graded Hilbert data otherwise.
+graded Hilbert data, and the 0th Fitting ideal otherwise.
 """
 
 from .polynomials import Poly
-from .gbcore import (TaggedGB, module_gb, reducer_index, reduce_vec,
+from .gbcore import (TaggedGB, buchberger_vec, reducer_index, reduce_vec,
                      vec_from_polys, polys_from_vec, vec_is_zero,
-                     pot_key, vec_leading)
+                     vec_leading)
 from .groebner import staircase_dimension, monomial_ideal_numerator
 
 
@@ -49,17 +49,18 @@ class FpModule:
     def rel_gb(self):
         """Reduced GB of the full relation submodule (ideal included)."""
         if self._rel_gb is None:
-            self._rel_gb = module_gb(self.rel_vecs() + self._ideal_aug_vecs(),
-                                     self.algebra.order, self.algebra.field)
+            self._rel_gb = buchberger_vec(
+                self.rel_vecs() + self._ideal_aug_vecs(),
+                self.algebra.order, self.algebra.field)
         return self._rel_gb
 
     def _reduce(self, col):
         """Normal form of a column, as a vector, modulo rel_gb()."""
-        key = pot_key(self.algebra.order)
+        alg = self.algebra
         if self._rel_reducers is None:
-            self._rel_reducers = reducer_index(self.rel_gb(), key)
-        return reduce_vec(vec_from_polys(col), self._rel_reducers, key,
-                          self.algebra.field)
+            self._rel_reducers = reducer_index(self.rel_gb(), alg.order)
+        return reduce_vec(vec_from_polys(col), self._rel_reducers, alg.order,
+                          alg.field)
 
     def nf(self, col):
         """Canonical representative of an element (length-n list of Poly)."""
@@ -91,6 +92,8 @@ class FpModule:
 
         Returns columns of length len(columns) over the algebra.
         """
+        if not columns:
+            return []
         t, k = self._tagged(columns)
         out = []
         for s in t.syzygies():
@@ -125,10 +128,9 @@ class FpModule:
         return total
 
     def lt_by_position(self):
-        key = pot_key(self.algebra.order)
         by_pos = {j: [] for j in range(self.n_gens)}
         for g in self.rel_gb():
-            (pos, exp), _c = vec_leading(g, key)
+            (pos, exp), _c = vec_leading(g, self.algebra.order)
             by_pos[pos].append(exp)
         return by_pos
 
@@ -308,7 +310,7 @@ class ModHom:
         """(inclusion hom, kernel module)."""
         ker_cols = self.target.syzygies_of(self.image_cols)
         # each ker col is a column over source generators
-        rels = self.source.syzygies_of(ker_cols) if ker_cols else []
+        rels = self.source.syzygies_of(ker_cols)
         ker = FpModule(self.source.algebra, len(ker_cols), rels)
         inc = ModHom(ker, self.source, ker_cols)
         return inc, ker
@@ -319,10 +321,6 @@ class ModHom:
         proj = ModHom(self.target, coker,
                       [coker.gen_column(i) for i in range(coker.n_gens)])
         return proj, coker
-
-    def is_surjective(self):
-        _proj, coker = self.cokernel()
-        return coker.k_dimension() == 0
 
 
 class Complex3:
@@ -370,26 +368,12 @@ def homology_at(d_low, d_high):
     differentials, as an FpModule."""
     mid = d_low.source
     ker_cols = d_low.target.syzygies_of(d_low.image_cols)
-    if not ker_cols:
-        return FpModule(mid.algebra, 0)
-    # relations: coefficients c with  sum c_i ker_i  in  im(d_high) + rel
+    # relations: coefficients c with  sum c_i ker_i  in  im(d_high) + rel;
+    # the column order fixes the tagged basis, hence the printed relations
+    quotient = FpModule(mid.algebra, mid.n_gens,
+                        d_high.image_cols + mid.rel_cols)
     return FpModule(mid.algebra, len(ker_cols),
-                    leading_syzygies(mid, ker_cols, d_high.image_cols))
-
-
-def leading_syzygies(module, lead, rest):
-    """The relations among `lead` modulo `rest` and the module: syzygies
-    of lead + rest, cut to their first len(lead) coordinates, nonzero
-    ones only, in the order syzygies_of returns them."""
-    nk = len(lead)
-    if not nk:
-        return []
-    out = []
-    for col in module.syzygies_of(lead + rest):
-        col = col[:nk]
-        if any(not p.is_zero() for p in col):
-            out.append(col)
-    return out
+                    quotient.syzygies_of(ker_cols))
 
 
 def tensor_module(m, t):

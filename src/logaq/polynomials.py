@@ -3,30 +3,42 @@
 A polynomial is a dict from exponent tuples to nonzero field elements,
 wrapped in a small class bound to its field.  The number of variables is
 implicit in the exponent tuples; the surrounding algebra keeps the names.
+
+A monomial order is the one place that decides how terms compare, by
+three flat tuples of ints:
+
+  * `key(exp)` is greater for the greater monomial;
+  * `term_key((position, exp))` is the position-over-term key the
+    Groebner engine compares module terms by: `-position`, then
+    `key(exp)`, so position 0 is greatest and ties go to the monomial
+    order;
+  * `heap_key(term)` is `term_key(term)` negated, smaller for the greater
+    term, so that a min-heap pops the greatest term first.
 """
 
-
-class MonomialOrder:
-    """Total well-order on exponent tuples, via a sort key (bigger = greater)."""
-
-    def key(self, exp):
-        raise NotImplementedError
+from operator import neg
 
 
-class DegRevLex(MonomialOrder):
-    name = "degrevlex"
+class DegRevLex:
+    """Degree reverse lexicographic order: higher total degree wins, then
+    the smaller exponent of the last variable where two monomials differ."""
 
-    def key(self, exp):
-        return (sum(exp), tuple(-e for e in reversed(exp)))
+    @staticmethod
+    def key(exp):
+        return DegRevLex.term_key((0, exp))[1:]
 
-    def __eq__(self, other):
-        return isinstance(other, DegRevLex)
+    @staticmethod
+    def term_key(term):
+        pos, exp = term
+        return (-pos, sum(exp), *map(neg, reversed(exp)))
 
-    def __hash__(self):
-        return hash("degrevlex")
+    @staticmethod
+    def heap_key(term):
+        pos, exp = term
+        return (pos, -sum(exp), *reversed(exp))
 
 
-class BlockElim(MonomialOrder):
+class BlockElim:
     """Elimination order: degrevlex on the first block, then on the rest.
 
     Any monomial involving a first-block variable beats every monomial in
@@ -35,12 +47,20 @@ class BlockElim(MonomialOrder):
 
     def __init__(self, n_first):
         self.n_first = n_first
-        self.name = f"elim{n_first}"
 
     def key(self, exp):
-        a, b = exp[: self.n_first], exp[self.n_first:]
-        return (sum(a), tuple(-e for e in reversed(a)),
-                sum(b), tuple(-e for e in reversed(b)))
+        return self.term_key((0, exp))[1:]
+
+    def term_key(self, term):
+        pos, exp = term
+        a, b = exp[:self.n_first], exp[self.n_first:]
+        return (-pos, sum(a), *map(neg, reversed(a)),
+                sum(b), *map(neg, reversed(b)))
+
+    def heap_key(self, term):
+        pos, exp = term
+        a, b = exp[:self.n_first], exp[self.n_first:]
+        return (pos, -sum(a), *reversed(a), -sum(b), *reversed(b))
 
 
 def exp_mul(e1, e2):

@@ -1,13 +1,14 @@
 """Shared test utilities: morphism construction from input text, the lex
 order, exact linear algebra over a field and an integer determinant,
-small oracles on polynomials, algebras and abelian groups, and the
-degree-truncated linear-algebra oracle used to cross-check Groebner
-results."""
+small oracles on polynomials, algebras, abelian groups and term orders,
+and the degree-truncated linear-algebra oracle used to cross-check
+Groebner results."""
 
 from itertools import product
+from operator import neg
 
 from logaq.inputspec import parse_input, build_morphism
-from logaq.polynomials import Poly, MonomialOrder, exp_mul
+from logaq.polynomials import Poly, exp_mul
 from logaq.intlinalg import IntMatrix, int_solve, NO_SOLUTION
 from logaq.abgroups import FpAbGroup
 
@@ -50,13 +51,43 @@ def group_elements_equal(group, a, b):
     return int_solve(group.relations, diff) is not NO_SOLUTION
 
 
-class Lex(MonomialOrder):
+class Lex:
     """Pure lexicographic order, a second order for the Groebner tests."""
 
-    name = "lex"
-
-    def key(self, exp):
+    @staticmethod
+    def key(exp):
         return exp
+
+    @staticmethod
+    def term_key(term):
+        return (-term[0], *term[1])
+
+    @staticmethod
+    def heap_key(term):
+        return (term[0], *map(neg, term[1]))
+
+
+# The nested sort keys the engine used before its keys were flat: an
+# oracle for the order of the flat ones.
+
+def nested_degrevlex(exp):
+    return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def nested_block_elim(n_first):
+    def key(exp):
+        a, b = exp[:n_first], exp[n_first:]
+        return (sum(a), tuple(-e for e in reversed(a)),
+                sum(b), tuple(-e for e in reversed(b)))
+    return key
+
+
+def nested_pot(okey):
+    """Position-over-term key of (position, exponent) terms."""
+    def key(term):
+        pos, exp = term
+        return (-pos, okey(exp))
+    return key
 
 
 def det(a):

@@ -7,7 +7,7 @@ import time
 from logaq.fields import QQ, PrimeField
 from logaq.intlinalg import IntMatrix, snf
 from logaq.monoids import choose_log_factorization, FactorizationOptions
-from logaq.modules import FpModule, HomologyReport
+from logaq.modules import FpModule
 from logaq.aqclassic import coefficient_module
 from logaq.kcomplex import check_prop12, kdata_from_factorization
 from logaq.logls import log_homology, check_strict_reduction, \
@@ -203,7 +203,7 @@ def test_9_groebner_and_snf_soundness():
         (["x", "y"], ["x^2", "x*y", "y^2"]),
         (["x", "y", "z"], ["x^2", "y^2", "z^2"]),
     ]
-    from logaq.polynomials import Poly, exp_divides
+    from logaq.polynomials import exp_divides
     for names, rels in ideals:
         alg = PresentedAlgebra(names, QQ,
                                [parse_poly(s, names, QQ) for s in rels])

@@ -87,6 +87,25 @@ def test_large_characteristic_exit_2(capsys, tmp_path, digits):
     assert "below 2^31" in err
 
 
+@pytest.mark.parametrize("name, old, new, where", [
+    ("log_point", "prop12 = true", "prop12 = " + "9" * 5000,
+     "line 5, column 10: integer literal is too long"),
+    ("toric_sum", 'alpha = { e = "t" }', f'alpha = {{ e = "{"9" * 5000}*t" }}',
+     "line 1, column 1: integer literal is too long"),
+    ("log_point", 'name = "QQ"', f'name = "F{"9" * 5000}"', "below 2^31"),
+], ids=["meta", "polynomial", "field"])
+def test_overlong_integer_exit_2(capsys, tmp_path, name, old, new, where):
+    # Python's int() refuses more than 4300 digits by default
+    text = (corpus_dir() / f"{name}.logaq").read_text()
+    assert old in text
+    p = tmp_path / "long.logaq"
+    p.write_text(text.replace(old, new))
+    code, _, err = run(capsys, "homology", str(p))
+    assert code == 2
+    assert where in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_kcomplex_command(capsys):
     code, out, _ = run(capsys, "kcomplex", corpus_file("x2_cover"),
                        "--char", "2", "--format", "json")

@@ -1,5 +1,6 @@
-"""The vector Buchberger engine: ideal bases against sympy, module bases
-by their defining properties, and expressions from tagged bases."""
+"""The vector Buchberger engine: flat term keys against the nested ones
+they replaced, ideal bases against sympy, module bases by their defining
+properties, and expressions from tagged bases."""
 
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
-from logaq.gbcore import (TaggedGB, buchberger_vec, pot_key, reduce_vec,
+from logaq.gbcore import (TaggedGB, buchberger_vec, reduce_vec,
                           reducer_index, vec_leading)
 from logaq.groebner import buchberger
-from logaq.polynomials import Poly, DegRevLex, exp_divides, exp_lcm
+from logaq.polynomials import (Poly, DegRevLex, BlockElim, exp_divides,
+                               exp_lcm)
 
-from helpers import Lex
+from helpers import Lex, nested_block_elim, nested_degrevlex, nested_pot
 
 F3 = PrimeField(3)
 NVARS = 2
@@ -47,9 +49,9 @@ def _add_multiple(out, v, shift, c, field):
     return out
 
 
-def _assert_reduced_gb(gb, gens, key, field):
-    lts = [vec_leading(g, key)[0] for g in gb]
-    assert lts == sorted(lts, key=key)
+def _assert_reduced_gb(gb, gens, order, field):
+    lts = [vec_leading(g, order)[0] for g in gb]
+    assert lts == sorted(lts, key=order.term_key)
     for g, lt in zip(gb, lts):
         assert g[lt] == field.one()
         for t in g:
@@ -57,9 +59,9 @@ def _assert_reduced_gb(gb, gens, key, field):
                 if other != lt:
                     assert not (other[0] == t[0]
                                 and exp_divides(other[1], t[1]))
-    index = reducer_index(gb, key)
+    index = reducer_index(gb, order)
     for v in gens:
-        assert reduce_vec(v, index, key, field) == {}
+        assert reduce_vec(v, index, order, field) == {}
     for i, (gi, lti) in enumerate(zip(gb, lts)):
         for gj, ltj in zip(gb[i + 1:], lts[i + 1:]):
             if lti[0] != ltj[0]:
@@ -69,7 +71,37 @@ def _assert_reduced_gb(gb, gens, key, field):
                               field.one(), field)
             s = _add_multiple(s, gj, [a - b for a, b in zip(lcm, ltj[1])],
                               field.neg(field.one()), field)
-            assert reduce_vec(s, index, key, field) == {}
+            assert reduce_vec(s, index, order, field) == {}
+
+
+# --------------------------------------------------------- term keys
+
+KEY_ORACLES = {
+    "degrevlex": (DegRevLex(), nested_degrevlex),
+    "lex": (Lex(), Lex.key),
+    "elim0": (BlockElim(0), nested_block_elim(0)),
+    "elim2": (BlockElim(2), nested_block_elim(2)),
+    "elim4": (BlockElim(4), nested_block_elim(4)),
+}
+KEY_NVARS = 4
+
+
+@pytest.mark.parametrize("name", sorted(KEY_ORACLES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flat_keys_sort_as_the_nested_ones(name, data):
+    order, oracle = KEY_ORACLES[name]
+    exp = st.tuples(*[st.integers(0, 4)] * KEY_NVARS)
+    exps = data.draw(st.lists(exp, unique=True, max_size=12))
+    assert sorted(exps, key=order.key) == sorted(exps, key=oracle)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 3), exp),
+                               unique=True, max_size=12))
+    want = sorted(terms, key=nested_pot(oracle))
+    assert sorted(terms, key=order.term_key) == want
+    assert sorted(terms, key=order.heap_key) == want[::-1]
+    # reduction against no reducers pops every term once, greatest first
+    v = dict.fromkeys(terms, QQ.one())
+    assert list(reduce_vec(v, {}, order, QQ)) == want[::-1]
 
 
 # ------------------------------------------------------------ ideals
@@ -130,12 +162,12 @@ def test_ideal_gb_matches_sympy(order_name, field, data):
 def test_coprime_criterion_needs_a_common_single_position():
     # x*e0 + e1 and y*e0 have coprime leading terms, yet their S-vector
     # y*e1 does not reduce to zero: the module contains y*e1.
-    key = pot_key(DegRevLex())
+    order = DegRevLex()
     g1 = {(0, (1, 0)): Fraction(1), (1, (0, 0)): Fraction(1)}
     g2 = {(0, (0, 1)): Fraction(1)}
-    gb = buchberger_vec([g1, g2], key, QQ)
+    gb = buchberger_vec([g1, g2], order, QQ)
     assert {(1, (0, 1)): Fraction(1)} in gb
-    _assert_reduced_gb(gb, [g1, g2], key, QQ)
+    _assert_reduced_gb(gb, [g1, g2], order, QQ)
 
 
 @pytest.mark.parametrize("field", [QQ, F3], ids=["QQ", "F3"])
@@ -143,15 +175,15 @@ def test_coprime_criterion_needs_a_common_single_position():
 @given(data=st.data())
 def test_module_gb_properties(field, data):
     gens = data.draw(_vectors(field, N_POS, 2, 3, 4))
-    key = pot_key(DegRevLex())
-    gb = buchberger_vec(gens, key, field)
-    _assert_reduced_gb(gb, gens, key, field)
+    order = DegRevLex()
+    gb = buchberger_vec(gens, order, field)
+    _assert_reduced_gb(gb, gens, order, field)
     perm = data.draw(st.permutations(range(len(gens))))
     scales = data.draw(st.lists(_coeff(field), min_size=len(gens),
                                 max_size=len(gens)))
     moved = [{t: field.mul(c, a) for t, a in gens[i].items()}
              for i, c in zip(perm, scales)]
-    assert buchberger_vec(moved, key, field) == gb
+    assert buchberger_vec(moved, order, field) == gb
 
 
 # ------------------------------------------------------- expressions

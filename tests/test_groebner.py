@@ -5,8 +5,8 @@ from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly, DegRevLex, poly_str, exp_divides
 from logaq.groebner import buchberger, PresentedAlgebra, AlgebraMap
 
-from helpers import (Lex, monomials_upto, poly_vector, truncated_ideal_span,
-                     span_rank, in_span)
+from helpers import (Lex, poly_vector, truncated_ideal_span, span_rank,
+                     in_span)
 
 
 def P(names, rels_str=(), field=QQ, order=None):

@@ -1,0 +1,37 @@
+"""Every import in the package and its tests is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted([*(ROOT / "src" / "logaq").glob("*.py"),
+                *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source):
+    """(line, name) of each name an import binds that no Name node reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            bound += [(node.lineno, a.asname or a.name)
+                      for a in node.names if a.name != "*"]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_scan_finds_an_unused_import():
+    assert unused_imports("import os\nfrom a import b, c as d\nd()\n") \
+        == [(1, "os"), (2, "b")]
+    assert unused_imports("def f():\n    from a import b\n") == [(2, "b")]
+
+
+@pytest.mark.parametrize("path", FILES,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from logaq.fields import QQ
 from logaq.inputspec import (parse_input, print_input, build_morphism,
                              parse_poly, ParseError, SemanticError)
-from logaq.cli import corpus_instances, corpus_dir
+from logaq.cli import corpus_instances
 
 
 GOOD = """

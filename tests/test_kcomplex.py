@@ -2,12 +2,11 @@
 
 import pytest
 
-from logaq.fields import QQ, PrimeField
+from logaq.fields import PrimeField
 from logaq.monoids import choose_log_factorization, FactorizationOptions
 from logaq.aqclassic import coefficient_module
-from logaq.kcomplex import (build_k, check_prop12, closed_form_dims,
-                            kdata_from_factorization, group_module)
-from logaq.modules import FpModule
+from logaq.kcomplex import (check_prop12, kdata_from_factorization,
+                            group_module)
 from logaq.cli import corpus_instances
 from logaq.inputspec import build_morphism
 

@@ -68,6 +68,11 @@ def test_orders():
     be = BlockElim(1)
     # any power of a first-block variable beats the second block
     assert be.key((1, 0)) > be.key((0, 5))
+    # keys are flat tuples of ints, greater for the greater monomial
+    assert drl.key((1, 2)) == (3, -2, -1)
+    assert be.key((1, 0, 2)) == (1, -1, 2, -2, 0)
+    # position over term: position 0 beats any monomial elsewhere
+    assert drl.term_key((0, (0, 0))) > drl.term_key((1, (5, 5)))
 
 
 def test_poly_str():
