@@ -65,7 +65,7 @@ def _load(path):
 def _morphism(spec, char):
     try:
         return build_morphism(spec, field_name=_field_name(char))
-    except SemanticError as e:
+    except (ParseError, SemanticError) as e:
         raise InputError(str(e))
 
 

@@ -1,50 +1,34 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Field elements are plain Python values (``Fraction`` for the rationals,
-``int`` in ``range(p)`` for F_p).  All arithmetic goes through the field
-object, so the same polynomial code serves both.
+Field elements are plain Python values.  A rational is an ``int`` when it
+is integral and a ``Fraction`` only when it is not, so a ``Fraction``
+never has denominator 1; an element of F_p is an ``int`` in
+``range(p)``.  Every operation of both fields keeps these forms.  Since
+``str``, ``==`` and ``hash`` agree between ``n`` and ``Fraction(n)``, the
+form never shows in output.
+
+The polynomial code does its arithmetic through the field object, so the
+same code serves both fields; the Groebner engine's per-term loop uses
+the operators directly (see gbcore).
 """
 
 from fractions import Fraction
 from math import isqrt
 
 
+def _exact(q):
+    """An int for an integral Fraction, else q itself."""
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
 class Field:
     characteristic = 0
     name = "?"
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def from_fraction(self, num, den=1):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return a == self.zero()
 
     def to_str(self, a):
         return str(a)
@@ -58,22 +42,22 @@ class Rationals(Field):
     name = "QQ"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def is_zero(self, a):
         return not a
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        return _exact(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _exact(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _exact(a * b)
 
     def neg(self, a):
         return -a
@@ -81,13 +65,16 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        if a.__class__ is int:
+            # 1 / a would be a float; only 1 and -1 have int inverses
+            return a if a in (1, -1) else Fraction(1, a)
+        return _exact(1 / a)
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, num, den=1):
-        return Fraction(num, den)
+        return _exact(Fraction(num, den))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

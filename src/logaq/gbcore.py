@@ -42,6 +42,7 @@ algorithm" (J. Symb. Comp. 6, 1988):
     basis, and the result is made monic.
 """
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 
@@ -97,21 +98,29 @@ def reducer_index(vecs, order):
 
 
 def _add_multiple(work, tail, shift, c, field):
-    """work += c * x^shift * tail in place; returns the terms new to work."""
-    fadd, fmul, is_zero = field.add, field.mul, field.is_zero
+    """work += c * x^shift * tail in place; returns the terms new to work.
+
+    Coefficients are plain ints and Fractions (see fields), so the loop
+    uses the operators: over F_p it reduces each term once mod p, over QQ
+    it turns a Fraction with denominator 1 back into an int.
+    """
+    p = field.characteristic
     new = []
     for (pos, e), a in tail:
         t = (pos, tuple(map(add, e, shift)))
         old = work.get(t)
+        s = c * a if old is None else old + c * a
+        if p:
+            s %= p
+        elif s.__class__ is Fraction and s.denominator == 1:
+            s = s.numerator
         if old is None:
-            work[t] = fmul(c, a)
+            work[t] = s
             new.append(t)
+        elif s:
+            work[t] = s
         else:
-            s = fadd(old, fmul(c, a))
-            if is_zero(s):
-                del work[t]
-            else:
-                work[t] = s
+            del work[t]
     return new
 
 
@@ -262,7 +271,6 @@ class TaggedGB:
     def __init__(self, columns, n_main, nvars, field, ring_order):
         self.n_main = n_main
         self.n_cols = len(columns)
-        self.nvars = nvars
         self.field = field
         self.order = ring_order
         zero_exp = (0,) * nvars

@@ -231,7 +231,12 @@ def parse_poly(text, varnames, field):
                     if t2[0] != "int":
                         raise ParseError("expected a denominator",
                                          t2[2], t2[3])
-                    coeff = field.mul(coeff, field.from_fraction(num, t2[1]))
+                    try:
+                        q = field.from_fraction(num, t2[1])
+                    except ZeroDivisionError:
+                        raise ParseError(f"denominator {t2[1]} is zero in "
+                                         f"{field.name}", t2[2], t2[3])
+                    coeff = field.mul(coeff, q)
                 else:
                     coeff = field.mul(coeff, field.from_int(num))
                 saw_factor = True

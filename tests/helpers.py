@@ -1,9 +1,10 @@
 """Shared test utilities: morphism construction from input text, the lex
 order, exact linear algebra over a field and an integer determinant,
 small oracles on polynomials, algebras, abelian groups and term orders,
-and the degree-truncated linear-algebra oracle used to cross-check
+the coefficient forms of the fields, and the degree-truncated linear-algebra oracle used to cross-check
 Groebner results."""
 
+from fractions import Fraction
 from itertools import product
 from operator import neg
 
@@ -11,6 +12,15 @@ from logaq.inputspec import parse_input, build_morphism
 from logaq.polynomials import Poly, exp_mul
 from logaq.intlinalg import IntMatrix, int_solve, NO_SOLUTION
 from logaq.abgroups import FpAbGroup
+
+
+def exact_form(c, field):
+    """Whether c has the form the field keeps its elements in: over QQ an
+    int when integral and a Fraction otherwise, never a float; over F_p
+    an int in range(p)."""
+    if field.characteristic:
+        return type(c) is int and c in range(field.characteristic)
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def morphism(text, field_name=None):

@@ -106,6 +106,26 @@ def test_overlong_integer_exit_2(capsys, tmp_path, name, old, new, where):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("field, relation, char, where", [
+    ("QQ", "1/0*x^2", None, "line 1, column 3: denominator 0 is zero in QQ"),
+    ("F3", "1/3*x^2", None, "line 1, column 3: denominator 3 is zero in F3"),
+    ("QQ", "x^2 + 1/3*y", "3",
+     "line 1, column 9: denominator 3 is zero in F3"),
+], ids=["QQ", "F3", "char_override"])
+def test_zero_denominator_exit_2(capsys, tmp_path, field, relation, char,
+                                 where):
+    text = (corpus_dir() / "strict_ci.logaq").read_text()
+    assert '"x^2", "y^3"' in text
+    p = tmp_path / "zero.logaq"
+    p.write_text(text.replace('"QQ"', f'"{field}"')
+                 .replace('"x^2", "y^3"', f'"{relation}", "y^3"'))
+    code, _, err = run(capsys, "homology", str(p),
+                       *(["--char", char] if char else []))
+    assert code == 2
+    assert where in err
+    assert "Traceback" not in err
+
+
 def test_kcomplex_command(capsys):
     code, out, _ = run(capsys, "kcomplex", corpus_file("x2_cover"),
                        "--char", "2", "--format", "json")

@@ -2,8 +2,6 @@
 they replaced, ideal bases against sympy, module bases by their defining
 properties, and expressions from tagged bases."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +12,8 @@ from logaq.groebner import buchberger
 from logaq.polynomials import (Poly, DegRevLex, BlockElim, exp_divides,
                                exp_lcm)
 
-from helpers import Lex, nested_block_elim, nested_degrevlex, nested_pot
+from helpers import (Lex, exact_form, nested_block_elim, nested_degrevlex,
+                     nested_pot)
 
 F3 = PrimeField(3)
 NVARS = 2
@@ -24,9 +23,16 @@ ORDERS = {"degrevlex": DegRevLex(), "lex": Lex()}
 
 def _coeff(field):
     if field is QQ:
-        return st.builds(Fraction, st.integers(-3, 3).filter(bool),
-                         st.integers(1, 3))
+        # both forms of a rational: ints, and Fractions only when not
+        # integral (see fields)
+        nonzero = st.integers(-3, 3).filter(bool)
+        return st.one_of(nonzero, st.builds(QQ.from_fraction, nonzero,
+                                            st.integers(1, 3)))
     return st.integers(1, field.characteristic - 1)
+
+
+def _assert_exact_coeffs(vecs, field):
+    assert all(exact_form(c, field) for v in vecs for c in v.values())
 
 
 def _vectors(field, n_pos, max_deg, max_terms, max_gens):
@@ -50,6 +56,7 @@ def _add_multiple(out, v, shift, c, field):
 
 
 def _assert_reduced_gb(gb, gens, order, field):
+    _assert_exact_coeffs(gb, field)
     lts = [vec_leading(g, order)[0] for g in gb]
     assert lts == sorted(lts, key=order.term_key)
     for g, lt in zip(gb, lts):
@@ -125,7 +132,7 @@ def _sympy_gb(polys, order_name, field):
         terms = sympy.Poly(g, *xs).terms()
         coeffs = {}
         for e, c in terms:
-            c = Fraction(int(c.p), int(c.q)) if field is QQ \
+            c = QQ.from_fraction(int(c.p), int(c.q)) if field is QQ \
                 else field.from_int(int(c))
             if not field.is_zero(c):
                 coeffs[tuple(e)] = c
@@ -149,6 +156,7 @@ def test_ideal_gb_matches_sympy(order_name, field, data):
     polys = [Poly(d, field) for d in data.draw(_polys(field))]
     order = ORDERS[order_name]
     ours = buchberger(polys, order, field)
+    _assert_exact_coeffs([p.coeffs for p in ours], field)
     want = _sympy_gb(polys, order_name, field)
 
     def by_leading(p):
@@ -163,10 +171,10 @@ def test_coprime_criterion_needs_a_common_single_position():
     # x*e0 + e1 and y*e0 have coprime leading terms, yet their S-vector
     # y*e1 does not reduce to zero: the module contains y*e1.
     order = DegRevLex()
-    g1 = {(0, (1, 0)): Fraction(1), (1, (0, 0)): Fraction(1)}
-    g2 = {(0, (0, 1)): Fraction(1)}
+    g1 = {(0, (1, 0)): 1, (1, (0, 0)): 1}
+    g2 = {(0, (0, 1)): 1}
     gb = buchberger_vec([g1, g2], order, QQ)
-    assert {(1, (0, 1)): Fraction(1)} in gb
+    assert {(1, (0, 1)): 1} in gb
     _assert_reduced_gb(gb, [g1, g2], order, QQ)
 
 
@@ -201,8 +209,10 @@ def test_tagged_express_reconstructs_target(field, data):
         for (_pos, e), c in m.items():
             _add_multiple(target, col, e, c, field)
     t = TaggedGB(cols, 2, NVARS, field, order)
+    _assert_exact_coeffs(t.gb, field)
     coeffs = t.express(target)
     assert coeffs is not None and len(coeffs) == len(cols)
+    _assert_exact_coeffs([p.coeffs for p in coeffs], field)
     back = {}
     for col, p in zip(cols, coeffs):
         for e, c in p.coeffs.items():
