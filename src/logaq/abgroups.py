@@ -6,7 +6,7 @@ form computations from intlinalg; the canonical solve there makes every
 choice of generators reproducible.
 """
 
-from .intlinalg import IntMatrix, snf, int_kernel, int_solve, NO_SOLUTION
+from .intlinalg import IntMatrix, snf, int_kernel
 
 
 class FpAbGroup:
@@ -68,15 +68,6 @@ class AbHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-
-    def is_well_defined(self):
-        for col in self.matrix.mul(self.source.relations).columns():
-            if int_solve(self.target.relations, col) is NO_SOLUTION:
-                return False
-        return True
-
-    def apply(self, vec):
-        return self.matrix.mul_vec(vec)
 
     def kernel(self):
         """(inclusion matrix, kernel group).

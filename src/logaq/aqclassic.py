@@ -102,10 +102,10 @@ def build_ls(r, b, r_to_b, base_nvars, front_gens=None, extra_gens=()):
 
 def u_mod_u0(data):
     """U/U_0 as an FpModule over B, generated by the syzygy columns."""
-    quotient = FpModule(data.r, data.n_cover, data.u0_cols)
-    rels_r = quotient.syzygies_of(data.u_cols)
-    rels_b = [[data.r_to_b.apply(p) for p in c] for c in rels_r]
-    return FpModule(data.b, len(data.u_cols), rels_b)
+    u = FpModule.free(data.r, data.n_cover).submodule(data.u_cols,
+                                                       data.u0_cols)
+    rels_b = [[data.r_to_b.apply(p) for p in c] for c in u.rel_cols]
+    return FpModule(data.b, u.n_gens, rels_b)
 
 
 def ls_complex(data):

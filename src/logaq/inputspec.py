@@ -22,10 +22,16 @@ from .monoids import FpMonoid, MonoidHom, PrelogRing, PrelogMorphism
 
 
 class ParseError(Exception):
-    """Syntax error with position information."""
+    """Syntax error with position information.
 
-    def __init__(self, message, line, col):
-        super().__init__(f"line {line}, column {col}: {message}")
+    `where` replaces "line N" for an error inside one polynomial string
+    of a spec, where the column counts within that string.
+    """
+
+    def __init__(self, message, line, col, where=None):
+        super().__init__(f"{where or f'line {line}'}, column {col}: "
+                         f"{message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -370,10 +376,25 @@ def parse_input(text):
     return spec
 
 
-def _build_prelog(desc, field, section):
+def _entry_poly(text, varnames, field, section, entry):
+    """parse_poly on the polynomial string of one spec entry; a
+    ParseError names the section and the entry."""
+    if not isinstance(text, str):
+        raise SemanticError(f"section {section!r}: {entry} must be a "
+                            "polynomial string")
     try:
-        relations = [parse_poly(s, desc.vars, field)
-                     for s in desc.relations]
+        return parse_poly(text, varnames, field)
+    except ParseError as e:
+        raise ParseError(e.message, e.line, e.col,
+                         where=f"section {section!r}, {entry}") from None
+
+
+def _build_prelog(desc, field, section):
+    # relations[i] is the i-th polynomial string; monoid relations in
+    # the same list are not counted
+    relations = [_entry_poly(s, desc.vars, field, section, f"relations[{i}]")
+                 for i, s in enumerate(desc.relations)]
+    try:
         algebra = PresentedAlgebra(desc.vars, field, relations,
                                    weights=desc.weights)
     except ValueError as e:
@@ -394,7 +415,8 @@ def _build_prelog(desc, field, section):
         if g not in desc.alpha:
             raise SemanticError(
                 f"section {section!r}: alpha is missing generator {g!r}")
-        alpha.append(parse_poly(desc.alpha[g], desc.vars, field))
+        alpha.append(_entry_poly(desc.alpha[g], desc.vars, field, section,
+                                 f"alpha.{g}"))
     extra = set(desc.alpha) - set(desc.gens)
     if extra:
         raise SemanticError(
@@ -426,7 +448,8 @@ def build_morphism(spec, field_name=None):
     for v in spec.source.vars:
         if v not in spec.ring_map:
             raise SemanticError(f"ring_map is missing variable {v!r}")
-        images.append(parse_poly(spec.ring_map[v], spec.target.vars, field))
+        images.append(_entry_poly(spec.ring_map[v], spec.target.vars, field,
+                                  "morphism", f"ring_map.{v}"))
     extra = set(spec.ring_map) - set(spec.source.vars)
     if extra:
         raise SemanticError(f"ring_map names unknown variables "

@@ -223,14 +223,8 @@ def _build_betas(back_complex, right_complex, kd, face, n_m):
     cols2 = []
     for col in back_complex.d2.image_cols:
         # col is already the syzygy cast to B over the back cover
-        xi = right_complex.c1.zero_column()
-        for c, img in zip(col, cols1):
-            if c.is_zero():
-                continue
-            for i, p in enumerate(img):
-                xi[i] = xi[i] + c * p
-        xi = [b_alg.nf(p) for p in xi]
-        if not w0_mod.is_zero_element(list(xi)):
+        xi = [b_alg.nf(p) for p in b1.apply(col)]
+        if not w0_mod.is_zero_element(xi):
             raise CommutationFailure(
                 "syzygy image has nonzero component in W0")
         eta = _int_preimage(res, xi, b_alg)
@@ -404,8 +398,8 @@ def check_compatibility_sequence(morphism):
 
     # cokernel comparison in every degree
     for i in range(3):
-        _p, ca = dg.alphas[i].cokernel()
-        _p, ce = data.inc_right[i].cokernel()
+        ca = dg.alphas[i].cokernel()
+        ce = data.inc_right[i].cokernel()
         out[f"coker_{i}_match"] = HomologyReport(ca).same_as(
             HomologyReport(ce))
 

@@ -12,7 +12,7 @@ check compares the conormal module against H1 of the log complex of the
 same morphism.
 """
 
-from .modules import FpModule, ModHom, HomologyReport, homology_at
+from .modules import FpModule, ModHom, HomologyReport
 from .aqclassic import kernel_ideal_gens
 from .kcomplex import group_module
 from .logls import log_homology, MonoidFace
@@ -50,7 +50,7 @@ def tor_over_c(s, n):
         cur = FpModule.free(c_alg, len(cols))
         d = ModHom(cur, prev, cols)
         diffs.append(d)
-        cols = prev.syzygies_of(cols) if cols else []
+        cols = prev.syzygies_of(cols)
         prev = cur
     # tensor with B: same ranks, coefficients cast along C -> B
     b_mods = [FpModule.free(b_alg, 1)]
@@ -61,14 +61,9 @@ def tor_over_c(s, n):
         b_diffs.append(ModHom(b_mods[i + 1], b_mods[i],
                               [[cast.apply(p) for p in col]
                                for col in d.image_cols]))
-    reports = []
-    for i in range(n + 1):
-        if i == 0:
-            _proj, coker = b_diffs[0].cokernel()
-            reports.append(HomologyReport(coker))
-        else:
-            reports.append(HomologyReport(
-                homology_at(b_diffs[i - 1], b_diffs[i])))
+    reports = [HomologyReport(b_diffs[0].cokernel())]
+    for low, high in zip(b_diffs, b_diffs[1:]):
+        reports.append(HomologyReport(low.kernel(high.image_cols)))
     return reports
 
 
@@ -88,10 +83,10 @@ def w_terms(s, n):
 def a_conormal(s):
     """a/a^2 (x) B: generated by the chosen generators of a, with the
     syzygies over C cast to B as relations."""
-    syz = FpModule.free(s.c_alg, 1).syzygies_of([[g] for g in s.a_gens])
+    a = FpModule.free(s.c_alg, 1).submodule([[g] for g in s.a_gens])
     cast = s.morphism.ring_map
-    rels = [[cast.apply(p) for p in col] for col in syz]
-    return FpModule(s.b_alg, len(s.a_gens), rels)
+    rels = [[cast.apply(p) for p in col] for col in a.rel_cols]
+    return FpModule(s.b_alg, a.n_gens, rels)
 
 
 def conormal_module(s):

@@ -5,10 +5,13 @@ relation columns (length-n lists of Poly).  All membership, kernel, and
 syzygy questions go through the vector Groebner engine; the ideal enters
 by augmenting the relation submodule with I * e_j for every position.
 
-Homology of a three-term complex, tensor products and pushouts are built
-from the same primitives, plus size proxies for reporting: exact k
-dimension when finite, free rank when the presentation visibly splits,
-graded Hilbert data, and the 0th Fitting ideal otherwise.
+Every subquotient (kernels, homology, U/U_0, a/a^2, Tor) is presented by
+`FpModule.submodule`, the one place whose column order fixes the tagged
+basis and hence every printed `relations` string.  Homology of a
+three-term complex, tensor products and pushouts are built from the same
+primitives, plus size proxies for reporting: exact k dimension when
+finite, free rank when the presentation visibly splits, graded Hilbert
+data, and the 0th Fitting ideal otherwise.
 """
 
 from .polynomials import Poly
@@ -101,6 +104,19 @@ class FpModule:
             if any(not p.is_zero() for p in col):
                 out.append(col)
         return out
+
+    def submodule(self, columns, modulo=()):
+        """The submodule the given elements generate, modulo the columns
+        `modulo`, presented on `columns`.
+
+        Its relations are the syzygies of `columns` modulo `modulo` plus
+        this module's relations, in that column order: the order fixes
+        the tagged basis, hence the printed relations.
+        """
+        quotient = FpModule(self.algebra, self.n_gens,
+                            list(modulo) + self.rel_cols)
+        return FpModule(self.algebra, len(columns),
+                        quotient.syzygies_of(columns))
 
     def express_in(self, columns, targets):
         """For each target, coefficients c with sum c_i * columns[i] =
@@ -287,11 +303,6 @@ class ModHom:
         return cls(module, module,
                    [module.gen_column(i) for i in range(module.n_gens)])
 
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target,
-                   [target.zero_column() for _ in range(source.n_gens)])
-
     def compose(self, other):
         """self after other."""
         return ModHom(other.source, self.target,
@@ -306,21 +317,15 @@ class ModHom:
     def is_zero_map(self):
         return all(self.target.is_zero_element(c) for c in self.image_cols)
 
-    def kernel(self):
-        """(inclusion hom, kernel module)."""
+    def kernel(self, modulo=()):
+        """The kernel, modulo the source columns `modulo`, presented on
+        the syzygies of the image columns."""
         ker_cols = self.target.syzygies_of(self.image_cols)
-        # each ker col is a column over source generators
-        rels = self.source.syzygies_of(ker_cols)
-        ker = FpModule(self.source.algebra, len(ker_cols), rels)
-        inc = ModHom(ker, self.source, ker_cols)
-        return inc, ker
+        return self.source.submodule(ker_cols, modulo)
 
     def cokernel(self):
-        coker = FpModule(self.target.algebra, self.target.n_gens,
-                         self.target.rel_cols + self.image_cols)
-        proj = ModHom(self.target, coker,
-                      [coker.gen_column(i) for i in range(coker.n_gens)])
-        return proj, coker
+        return FpModule(self.target.algebra, self.target.n_gens,
+                        self.target.rel_cols + self.image_cols)
 
 
 class Complex3:
@@ -352,28 +357,13 @@ class Complex3:
         return self.h0(), self.h1(), self.h2()
 
     def h0(self):
-        _proj, coker = self.d1.cokernel()
-        return coker
+        return self.d1.cokernel()
 
     def h2(self):
-        _inc, ker = self.d2.kernel()
-        return ker
+        return self.d2.kernel()
 
     def h1(self):
-        return homology_at(self.d1, self.d2)
-
-
-def homology_at(d_low, d_high):
-    """ker(d_low) / im(d_high) at the middle module of two composable
-    differentials, as an FpModule."""
-    mid = d_low.source
-    ker_cols = d_low.target.syzygies_of(d_low.image_cols)
-    # relations: coefficients c with  sum c_i ker_i  in  im(d_high) + rel;
-    # the column order fixes the tagged basis, hence the printed relations
-    quotient = FpModule(mid.algebra, mid.n_gens,
-                        d_high.image_cols + mid.rel_cols)
-    return FpModule(mid.algebra, len(ker_cols),
-                    quotient.syzygies_of(ker_cols))
+        return self.d1.kernel(self.d2.image_cols)
 
 
 def tensor_module(m, t):
@@ -503,23 +493,10 @@ class HomologyReport:
             if f0 is not None:
                 self.fitting = [alg.str_of(p) for p in f0]
 
-    def proxy(self):
-        """Comparable summary tuple; equal proxies mean the reports agree
-        on every invariant both sides can compute."""
-        if self.k_dimension is not None:
-            return ("dim", self.k_dimension)
-        if self.hilbert is not None:
-            num, den = self.hilbert
-            return ("hilbert", _shift_normalized(num), tuple(sorted(den)))
-        if self.free_rank is not None:
-            return ("free", self.free_rank)
-        if self.fitting is not None:
-            return ("fitting", tuple(self.fitting))
-        return ("presentation", self.n_gens, tuple(map(tuple, self.relations)))
-
     def same_as(self, other):
         """Field-wise proxy comparison: every invariant available on both
-        sides must agree, and at least one must be available."""
+        sides must agree.  When no invariant can be compared, equal
+        trimmed presentations agree and any others do not."""
         if self.k_dimension is not None or other.k_dimension is not None:
             return self.k_dimension == other.k_dimension
         compared = False
@@ -551,7 +528,8 @@ class HomologyReport:
             if self.fitting != other.fitting:
                 return False
             compared = True
-        return compared
+        return compared or (self.n_gens == other.n_gens
+                            and self.relations == other.relations)
 
     def to_dict(self):
         out = {

@@ -12,7 +12,7 @@ intermediate prelog ring whose monoid is free over the source and whose
 algebra is polynomial over the source, surjecting onto the target.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .intlinalg import IntMatrix
 from .abgroups import FpAbGroup, AbHom
@@ -38,10 +38,6 @@ class FpMonoid:
     @property
     def n_gens(self):
         return len(self.gen_names)
-
-    @classmethod
-    def free(cls, gen_names):
-        return cls(gen_names)
 
     def unit(self, i):
         """The word of the i-th generator."""
@@ -191,8 +187,6 @@ class Factorization:
     left: "PrelogMorphism"            # (A, M) -> (R, P0)
     right: "PrelogMorphism"           # (R, P0) -> (B, N)
     options: FactorizationOptions     # the options it was built with
-    x_names: list = dc_field(default_factory=list)
-    x_words: list = dc_field(default_factory=list)  # image word in N per x
 
 
 def choose_log_factorization(morphism, options=None):
@@ -213,13 +207,9 @@ def choose_log_factorization(morphism, options=None):
         covers = covers + [0]
     if options.reverse_x:
         covers = list(reversed(covers))
-    x_names = []
-    used = set(n.gen_names)
-    for k, gi in enumerate(covers):
-        name = f"x@{n.gen_names[gi]}" if covers.count(gi) == 1 \
-            else f"x@{n.gen_names[gi]}#{k}"
-        x_names.append(name)
-        used.add(name)
+    x_names = [f"x@{n.gen_names[gi]}" if covers.count(gi) == 1
+               else f"x@{n.gen_names[gi]}#{k}"
+               for k, gi in enumerate(covers)]
     x_words = [n.unit(gi) for gi in covers]
 
     p0 = m.free_adjunction(x_names)
@@ -257,5 +247,4 @@ def choose_log_factorization(morphism, options=None):
         mid, tgt,
         AlgebraMap(r_alg, b_alg, images), h)
 
-    return Factorization(morphism, mid, left, right, options, x_names,
-                         x_words)
+    return Factorization(morphism, mid, left, right, options)

@@ -91,7 +91,7 @@ def test_large_characteristic_exit_2(capsys, tmp_path, digits):
     ("log_point", "prop12 = true", "prop12 = " + "9" * 5000,
      "line 5, column 10: integer literal is too long"),
     ("toric_sum", 'alpha = { e = "t" }', f'alpha = {{ e = "{"9" * 5000}*t" }}',
-     "line 1, column 1: integer literal is too long"),
+     "section 'target', alpha.e, column 1: integer literal is too long"),
     ("log_point", 'name = "QQ"', f'name = "F{"9" * 5000}"', "below 2^31"),
 ], ids=["meta", "polynomial", "field"])
 def test_overlong_integer_exit_2(capsys, tmp_path, name, old, new, where):
@@ -107,10 +107,12 @@ def test_overlong_integer_exit_2(capsys, tmp_path, name, old, new, where):
 
 
 @pytest.mark.parametrize("field, relation, char, where", [
-    ("QQ", "1/0*x^2", None, "line 1, column 3: denominator 0 is zero in QQ"),
-    ("F3", "1/3*x^2", None, "line 1, column 3: denominator 3 is zero in F3"),
+    ("QQ", "1/0*x^2", None,
+     "section 'target', relations[0], column 3: denominator 0 is zero in QQ"),
+    ("F3", "1/3*x^2", None,
+     "section 'target', relations[0], column 3: denominator 3 is zero in F3"),
     ("QQ", "x^2 + 1/3*y", "3",
-     "line 1, column 9: denominator 3 is zero in F3"),
+     "section 'target', relations[0], column 9: denominator 3 is zero in F3"),
 ], ids=["QQ", "F3", "char_override"])
 def test_zero_denominator_exit_2(capsys, tmp_path, field, relation, char,
                                  where):
@@ -122,8 +124,33 @@ def test_zero_denominator_exit_2(capsys, tmp_path, field, relation, char,
     code, _, err = run(capsys, "homology", str(p),
                        *(["--char", char] if char else []))
     assert code == 2
+    assert err.startswith(f"error: {p}: ")
     assert where in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, old, new, where", [
+    (["print"], '"x^2", "y^3"', '"q*x^2", "y^3"',
+     "section 'target', relations[0], column 1: unknown variable 'q'"),
+    (["homology", "--char", "3"], '"x^2", "y^3"', '"x^2 + 1/3*y", "y^3"',
+     "section 'target', relations[0], column 9: denominator 3 is zero"),
+    (["print"], 'x = "x", y', 'x = "x + z", y',
+     "section 'morphism', ring_map.x, column 5: unknown variable 'z'"),
+    (["kcomplex", "--char", "2"], 'x = "x", y', 'x = 7, y',
+     "section 'morphism': ring_map.x must be a polynomial string"),
+], ids=["unknown_variable", "char_denominator", "ring_map", "not_a_string"])
+def test_polynomial_error_names_entry_and_file(capsys, tmp_path, command,
+                                               old, new, where):
+    # the position is the column within the polynomial string, never a
+    # line of the file that the string does not sit on
+    text = (corpus_dir() / "strict_ci.logaq").read_text()
+    assert old in text
+    p = tmp_path / "entry.logaq"
+    p.write_text(text.replace(old, new))
+    code, _, err = run(capsys, command[0], str(p), *command[1:])
+    assert code == 2
+    assert err.startswith(f"error: {p}: {where}")
+    assert "line 1" not in err
 
 
 def test_kcomplex_command(capsys):
@@ -164,10 +191,15 @@ def test_verify_all_passes(capsys):
 
 
 def test_threads_only_on_verify(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["homology", corpus_file("log_point"), "--threads", "2"])
-    assert e.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    # no subcommand takes --threads, and run_suite runs on one thread
+    for argv in (["homology", corpus_file("log_point"), "--threads", "2"],
+                 ["verify", "all", "--threads", "4"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        run_suite("jz", threads=2)
 
 
 def test_char_not_on_verify(capsys):
@@ -217,14 +249,6 @@ def test_run_suite_builds_one_kdata_per_diagram_and_prop12(monkeypatch):
     # integer data serves both QQ and F2
     assert calls == {"kdata_from_factorization": 37,
                      "choose_log_factorization": 37}
-
-
-def test_verify_threads_deterministic(capsys):
-    # every thread's instance has its own morphism and kept complex
-    _, a, _ = run(capsys, "verify", "all", "--format", "json")
-    _, b, _ = run(capsys, "verify", "all", "--threads", "4",
-                  "--format", "json")
-    assert a == b
 
 
 def test_verify_corrupted_golden_exit_1(capsys, tmp_path, monkeypatch):

@@ -143,6 +143,6 @@ def test_edge_identity_corpus():
             continue
         h1, con, agree = check_edge_identity(
             LogSurjection(build_morphism(spec)))
-        assert agree, (name, h1.proxy(), con.proxy())
+        assert agree, (name, h1.to_dict(), con.to_dict())
         count += 1
     assert count >= 3

@@ -1,14 +1,17 @@
 """Finitely presented modules: syzygies, homomorphism kernels,
 complexes, pushouts, tensor coefficients, and homology reports."""
 
-from logaq.fields import QQ
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly
 from logaq.groebner import PresentedAlgebra
-from logaq.modules import (FpModule, ModHom, Complex3, homology_at,
+from logaq.modules import (FpModule, ModHom, Complex3,
                            tensor_module, tensor_hom, tensor_complex,
                            pushout, HomologyReport)
 
-from helpers import oracle_syzygy_dim, syzygy_span_dim
+from helpers import oracle_syzygy_dim, syzygy_span_dim, poly_vector, span_rank
 
 
 def P(names, rels=()):
@@ -93,10 +96,8 @@ def test_hom_kernel_and_cokernel():
     b = FpModule.free(kx, 1)
     x = kx.var("x")
     f = ModHom(b, b, [[x]])
-    _inc, ker = f.kernel()
-    assert HomologyReport(ker).k_dimension == 0
-    _proj, coker = f.cokernel()
-    assert HomologyReport(coker).k_dimension == 1
+    assert HomologyReport(f.kernel()).k_dimension == 0
+    assert HomologyReport(f.cokernel()).k_dimension == 1
 
 
 def test_dim_examples():
@@ -108,8 +109,7 @@ def test_dim_examples():
     kt = P(["t"])
     f = ModHom(FpModule.free(kt, 1), FpModule.free(kt, 2),
                [[kt.one(), kt.var("t")]])
-    _proj, coker = f.cokernel()
-    rep = HomologyReport(coker)
+    rep = HomologyReport(f.cokernel())
     assert rep.k_dimension is None
     assert rep.free_rank == 1
     num, den = rep.hilbert
@@ -149,8 +149,76 @@ def test_homology_uses_target_relations():
     c0 = FpModule(b, 1, [[b.var("x")]])
     d1 = ModHom(f, c0, [[b.var("x")]])
     d2 = ModHom(FpModule.free(b, 0), f, [])
-    h = homology_at(d1, d2)
+    h = d1.kernel(d2.image_cols)
     assert h.k_dimension() == 2
+
+
+F3 = PrimeField(3)
+# k-basis of B = k[x, y]/(x^2, y^3), which is 6-dimensional
+FIN_BASIS = [(a, b) for a in range(2) for b in range(3)]
+
+
+def _fin_algebra(field):
+    return PresentedAlgebra(["x", "y"], field,
+                            [Poly.monomial((2, 0), field.one(), field),
+                             Poly.monomial((0, 3), field.one(), field)])
+
+
+def _fin_columns(field, length, max_size):
+    if field is QQ:
+        coeff = st.integers(-2, 2).filter(bool)
+    else:
+        coeff = st.integers(1, field.characteristic - 1)
+    poly = st.builds(lambda d: Poly(d, field),
+                     st.dictionaries(st.sampled_from(FIN_BASIS), coeff,
+                                     max_size=3))
+    return st.lists(st.lists(poly, min_size=length, max_size=length),
+                    max_size=max_size)
+
+
+def _k_rank(alg, *parts):
+    """dim_k of the B-span of the columns in `parts`: the rank of every
+    basis monomial times every column, on the k-coordinates of the
+    normal forms."""
+    f = alg.field
+    index = {e: i for i, e in enumerate(FIN_BASIS)}
+    rows = []
+    for col in (c for part in parts for c in part):
+        for e in FIN_BASIS:
+            m = Poly.monomial(e, f.one(), f)
+            rows.append([x for p in col
+                         for x in poly_vector(alg.nf(m * p), index, f)])
+    return span_rank(rows, f)
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["QQ", "F3"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_submodule_and_kernel_oracle(field, data):
+    """k-dimensions of `submodule` and `kernel(modulo)` over a finite
+    dimensional B, against ranks of B-spans by plain linear algebra."""
+    alg = _fin_algebra(field)
+    rels = data.draw(_fin_columns(field, 2, 2))
+    target = FpModule(alg, 2, rels)
+
+    # (B C + B N + B R) / (B N + B R)
+    gens = data.draw(_fin_columns(field, 2, 3))
+    modulo = data.draw(_fin_columns(field, 2, 2))
+    sub = target.submodule(gens, modulo)
+    assert sub.n_gens == len(gens)
+    assert sub.k_dimension() == (_k_rank(alg, gens, modulo, rels)
+                                 - _k_rank(alg, modulo, rels))
+
+    # f: B^m -> B^2 / R; ker f + B N over B N has dimension
+    # dim ker f - dim(ker f & B N), and each of those is a rank count
+    images = data.draw(_fin_columns(field, 2, 3).filter(bool))
+    m = len(images)
+    f = ModHom(FpModule.free(alg, m), target, images)
+    modulo = data.draw(_fin_columns(field, m, 2))
+    want = (len(FIN_BASIS) * m - _k_rank(alg, images, rels)
+            - _k_rank(alg, modulo)
+            + _k_rank(alg, [f.apply(c) for c in modulo], rels))
+    assert f.kernel(modulo).k_dimension() == want
 
 
 def test_rank_nullity():
@@ -189,8 +257,8 @@ def test_pushout_cokernel_identity():
     alpha = ModHom(s, l, [[b.one(), b.var("x")]])
     beta = ModHom(s, r, [[b.var("x")]])
     p, _il, ir = pushout(alpha, beta)
-    c1 = HomologyReport(alpha.cokernel()[1])
-    c2 = HomologyReport(ir.cokernel()[1])
+    c1 = HomologyReport(alpha.cokernel())
+    c2 = HomologyReport(ir.cokernel())
     assert c1.same_as(c2)
 
 
@@ -231,9 +299,10 @@ def test_report_proxies():
     b = P(["x"], ["x^2"])
     r1 = HomologyReport(FpModule.free(b, 1))
     r2 = HomologyReport(FpModule(b, 2, [[b.one(), b.var("x")]]))
-    assert r1.proxy() == r2.proxy() == ("dim", 2)
+    assert r1.k_dimension == r2.k_dimension == 2
     assert r1.same_as(r2)
     kt = P(["t"])
     free1 = HomologyReport(FpModule.free(kt, 1))
     assert free1.k_dimension is None
     assert free1.free_rank == 1
+    assert not free1.same_as(r1)
