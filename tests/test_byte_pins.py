@@ -6,6 +6,11 @@ with residue coefficients, over F2 and with `--alt-choices`, `kcomplex`
 with self and residue coefficients and over F2, and `print`; `conormal`
 and `tor` on the instances whose ring and monoid maps are both
 surjective.  Every command but `print` writes its `--format json` form.
+
+The parametric families that grow past the corpus are pinned too:
+`homology`, `tor` and `conormal` on the toric sum maps N^n -> N over F3,
+and `homology` on strict complete intersections k[x..] -> k[x..]/(x_i^d_i)
+over QQ.  Their input texts are generated here.
 """
 
 import hashlib
@@ -289,4 +294,101 @@ def test_json_output_matches_pinned_digests(capsys):
         got = hashlib.sha256(out.encode()).hexdigest()
         if code != 0 or got != want:
             moved.append((name, key, code))
+    assert not moved
+
+
+def _ci_text(degrees):
+    """k[x..] -> k[x..]/(x_i^{d_i}) over QQ, strict."""
+    vs = "xyzw"[:len(degrees)]
+    rels = ", ".join(f'"{v}^{d}"' for v, d in zip(vs, degrees))
+    ring_map = ", ".join(f'{v} = "{v}"' for v in vs)
+    return f"""[meta]
+strict = true
+prop12 = true
+
+[field]
+name = "QQ"
+
+[source]
+vars = [{", ".join(vs)}]
+relations = []
+gens = []
+alpha = {{}}
+
+[target]
+vars = [{", ".join(vs)}]
+relations = [{rels}]
+gens = []
+alpha = {{}}
+
+[morphism]
+ring_map = {{ {ring_map} }}
+monoid_map = {{}}
+"""
+
+
+def _toric_text(n):
+    """The sum map (k[u_1..u_n], N^n) -> (k[t], N) over F3."""
+    vs, gs = "uvwxy"[:n], "abcdf"[:n]
+    alpha = ", ".join(f'{g} = "{v}"' for g, v in zip(gs, vs))
+    ring_map = ", ".join(f'{v} = "t"' for v in vs)
+    monoid_map = ", ".join(f"{g} = [1]" for g in gs)
+    return f"""[meta]
+surjection = true
+prop12 = true
+alt = true
+
+[field]
+name = "F3"
+
+[source]
+vars = [{", ".join(vs)}]
+relations = []
+gens = [{", ".join(gs)}]
+alpha = {{ {alpha} }}
+
+[target]
+vars = [t]
+relations = []
+gens = [e]
+alpha = {{ e = "t" }}
+
+[morphism]
+ring_map = {{ {ring_map} }}
+monoid_map = {{ {monoid_map} }}
+"""
+
+
+FAMILY_DIGESTS = {
+    ("ci", (2, 2, 3), "homology"):
+        "4dc87676fa89fd8f1782253ed8770a3474398a2293b9b4b9d8e5ec2fd230460c",
+    ("ci", (2, 3, 2, 2), "homology"):
+        "c7e7c7976bae2f8944a3f29ee41b32f239391f911a1445b9d945ca0f5bb9faf8",
+    ("toric", 3, "conormal"):
+        "8936f01c1dffc6eee40d8832c2e20fa1f3f606b46ab1944da92cf909ad17df03",
+    ("toric", 3, "homology"):
+        "139b45f2bd4dbbb0f0c1dc411f5452cbdc5b72f535db3cd751d4f401833479f1",
+    ("toric", 3, "tor"):
+        "0933715a73c91ad3d0961eb4552637fc616b9875685698af4160bb514a69c2a5",
+    ("toric", 4, "conormal"):
+        "e7f94e2e8838c2c849387b902e5c4b42fa2631348443db3720248586bfbb3d38",
+    ("toric", 4, "homology"):
+        "1e8fbe325bf1852fd4b50c50e87a94cbbb7469f5a511fa148bc0e193c44b29df",
+    ("toric", 4, "tor"):
+        "fd7981e56dbfbf3669374dfaed2f54e152d65869ac9dd9973826adbbf6563b3c",
+}
+
+
+def test_family_outputs_match_pinned_digests(tmp_path, capsys):
+    texts = {("toric", n): _toric_text(n) for n in (3, 4)}
+    texts.update({("ci", d): _ci_text(d) for d in ((2, 2, 3), (2, 3, 2, 2))})
+    moved = []
+    for (family, size, cmd), want in FAMILY_DIGESTS.items():
+        path = tmp_path / f"{family}.logaq"
+        path.write_text(texts[family, size])
+        code = main([cmd, str(path), *JSON])
+        out = capsys.readouterr().out
+        got = hashlib.sha256(out.encode()).hexdigest()
+        if code != 0 or got != want:
+            moved.append((family, size, cmd, code, got))
     assert not moved
