@@ -137,16 +137,16 @@ def residue_module(b):
 
 
 def coefficient_module(b, name):
-    if name in (None, "self"):
+    if name == "self":
         return FpModule.free(b, 1)
     if name == "residue":
         return residue_module(b)
     raise ValueError(f"unknown coefficient option {name!r}")
 
 
-def aq_classical(a_to_b, coefficients=None):
+def aq_classical(a_to_b, coefficients="self"):
     """(H0, H1, H2) HomologyReports of the classical complex with the
-    named coefficient module (None, "self" or "residue")."""
+    named coefficient module ("self" or "residue")."""
     r, r_to_b, n_a = adjoin_target_vars(a_to_b)
     data = build_ls(r, a_to_b.target, r_to_b, n_a)
     c = ls_complex(data)

@@ -6,7 +6,9 @@ the ring order.  Since earlier positions dominate outright, every
 position prefix is an elimination block; appending tag positions behind
 the main block therefore tracks coefficients: Groebner elements with
 empty main part are syzygies, and reducing a tagged vector to zero reads
-off its expression in the original columns.
+off its expression in the original columns.  A module's relations enter
+the same basis untagged, so syzygies and expressions are taken modulo
+them.
 
 Whatever compares terms here takes the ring's monomial order (see
 polynomials), which alone decides how terms compare: `order.term_key(t)`
@@ -72,8 +74,7 @@ def vec_from_polys(col):
 def polys_from_vec(v, n_pos, field):
     cols = [dict() for _ in range(n_pos)]
     for (pos, exp), c in v.items():
-        if pos < n_pos:
-            cols[pos][exp] = c
+        cols[pos][exp] = c
     return [Poly(d, field) for d in cols]
 
 
@@ -256,19 +257,23 @@ def buchberger_vec(gens, order, field):
 
 
 class TaggedGB:
-    """Groebner basis of tagged columns, for syzygies and expressions.
+    """Groebner basis of tagged columns, for syzygies and expressions
+    modulo relations.
 
-    `columns` are vectors supported in positions < n_main; column i is
-    tagged with the unit vector in position n_main + i before the basis
-    is computed.  Main positions dominate the tags, so:
+    `columns` and `relations` are vectors supported in positions
+    < n_main; column i is tagged with the unit vector in position
+    n_main + i before the basis is computed, and the relations enter
+    untagged.  Main positions dominate the tags, so:
 
-      * elements with empty main part, restricted to the tags, generate
-        the syzygy module of the columns;
+      * elements with empty main part generate the syzygy module of the
+        columns modulo the relations;
       * reducing (v, 0-tags) leaves tag coordinates that express v in the
-        columns whenever the main part reduces to zero.
+        columns, modulo the relations, whenever the main part reduces to
+        zero.
     """
 
-    def __init__(self, columns, n_main, nvars, field, ring_order):
+    def __init__(self, columns, relations, n_main, nvars, field,
+                 ring_order):
         self.n_main = n_main
         self.n_cols = len(columns)
         self.field = field
@@ -279,7 +284,7 @@ class TaggedGB:
             v = dict(col)
             v[(n_main + i, zero_exp)] = field.one()
             tagged.append(v)
-        self.gb = buchberger_vec(tagged, ring_order, field)
+        self.gb = buchberger_vec(tagged + relations, ring_order, field)
         self._basis = reducer_index(self.gb, ring_order)
 
     def main_part(self, v):
@@ -300,8 +305,9 @@ class TaggedGB:
     def express(self, v):
         """Coefficients writing v in the columns, or None.
 
-        Returns a list of Polys c_i with v = sum c_i * column_i; canonical
-        because the tagged reduction is a full normal form.
+        Returns a list of Polys c_i with v = sum c_i * column_i modulo the
+        relations; canonical because the tagged reduction is a full
+        normal form.
         """
         nf = reduce_vec(dict(v), self._basis, self.order, self.field)
         if self.main_part(nf):

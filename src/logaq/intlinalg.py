@@ -223,25 +223,8 @@ def int_kernel(a):
     return IntMatrix.from_columns(cols, a.ncols)
 
 
-class NoSolution:
-    """Marker value: the integer system has no solution."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoSolution"
-
-
-NO_SOLUTION = NoSolution()
-
-
 def int_solve(a, b):
-    """Canonical integer solution of a.x = b, or NO_SOLUTION.
+    """Canonical integer solution of a.x = b, or None.
 
     Canonicalization: transform via SNF, set free coordinates to zero,
     transform back.
@@ -256,10 +239,10 @@ def int_solve(a, b):
         if i < r:
             d = res.d.rows[i][i]
             if ub[i] % d:
-                return NO_SOLUTION
+                return None
             y[i] = ub[i] // d
         elif ub[i]:
-            return NO_SOLUTION
+            return None
     return res.v.mul_vec(y)
 
 

@@ -13,7 +13,7 @@ as an independent cross-check.
 
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, lattice_basis, int_solve, NO_SOLUTION
+from .intlinalg import IntMatrix, lattice_basis, int_solve
 from .abgroups import FpAbGroup
 from .modules import FpModule, ModHom, Complex3, tensor_complex
 
@@ -60,7 +60,7 @@ def w0_coordinates(inc, p_rels, vec):
     stacked = IntMatrix.from_columns(inc.columns() + p_rels.columns(),
                                      inc.nrows)
     sol = int_solve(stacked, list(vec))
-    if sol is NO_SOLUTION:
+    if sol is None:
         return None
     return sol[: inc.ncols]
 

@@ -306,10 +306,9 @@ def assemble_log_ls(diagram):
     return LogLsData(diagram, cx, inc_right)
 
 
-def log_ls(morphism, options=None):
+def log_ls(morphism, options=FactorizationOptions()):
     """Factor the morphism and assemble its log complex; computed once
     per options and kept on the morphism."""
-    options = options or FactorizationOptions()
     data = morphism._log_ls.get(options)
     if data is None:
         fac = choose_log_factorization(morphism, options)
@@ -318,12 +317,12 @@ def log_ls(morphism, options=None):
     return data
 
 
-def log_homology(morphism, coefficients=None, options=None):
+def log_homology(morphism, coefficients="self",
+                 options=FactorizationOptions()):
     """(H0, H1, H2) HomologyReports of the log complex with the named
-    coefficient module (None, "self" or "residue"), kept on the
-    morphism per options and name."""
-    options = options or FactorizationOptions()
-    key = (options, coefficients or "self")
+    coefficient module ("self" or "residue"), kept on the morphism per
+    options and name."""
+    key = (options, coefficients)
     reports = morphism._log_reports.get(key)
     if reports is None:
         data = log_ls(morphism, options)

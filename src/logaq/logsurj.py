@@ -42,16 +42,14 @@ def tor_over_c(s, n):
     c_alg = s.c_alg
     b_alg = s.b_alg
     cast = s.morphism.ring_map
-    # free resolution ... -> C^{r_2} -> C^{r_1} -> C -> B -> 0
-    diffs = []
-    prev = FpModule.free(c_alg, 1)
-    cols = [[g] for g in s.a_gens]
-    for _step in range(n + 1):
-        cur = FpModule.free(c_alg, len(cols))
-        d = ModHom(cur, prev, cols)
+    # free resolution C^{r_{n+1}} -> ... -> C^{r_1} -> C -> B -> 0
+    d = ModHom(FpModule.free(c_alg, len(s.a_gens)), FpModule.free(c_alg, 1),
+               [[g] for g in s.a_gens])
+    diffs = [d]
+    for _step in range(n):
+        cols = d.target.syzygies_of(d.image_cols)
+        d = ModHom(FpModule.free(c_alg, len(cols)), d.source, cols)
         diffs.append(d)
-        cols = prev.syzygies_of(cols)
-        prev = cur
     # tensor with B: same ranks, coefficients cast along C -> B
     b_mods = [FpModule.free(b_alg, 1)]
     for d in diffs:

@@ -38,23 +38,21 @@ class FpModule:
     def free(cls, algebra, n):
         return cls(algebra, n)
 
-    def _ideal_aug_vecs(self):
-        out = []
+    def _relation_vecs(self):
+        """The relation columns, then I * e_j for every position j."""
+        out = [vec_from_polys(c) for c in self.rel_cols]
         for j in range(self.n_gens):
             for g in self.algebra.gb():
                 out.append(vec_from_polys(
                     [g if i == j else None for i in range(self.n_gens)]))
         return out
 
-    def rel_vecs(self):
-        return [vec_from_polys(c) for c in self.rel_cols]
-
     def rel_gb(self):
         """Reduced GB of the full relation submodule (ideal included)."""
         if self._rel_gb is None:
-            self._rel_gb = buchberger_vec(
-                self.rel_vecs() + self._ideal_aug_vecs(),
-                self.algebra.order, self.algebra.field)
+            self._rel_gb = buchberger_vec(self._relation_vecs(),
+                                          self.algebra.order,
+                                          self.algebra.field)
         return self._rel_gb
 
     def _reduce(self, col):
@@ -85,10 +83,10 @@ class FpModule:
         return col
 
     def _tagged(self, columns):
-        vecs = [vec_from_polys(c) for c in columns]
-        extras = self.rel_vecs() + self._ideal_aug_vecs()
-        return TaggedGB(vecs + extras, self.n_gens, self.algebra.nvars,
-                        self.algebra.field, self.algebra.order), len(columns)
+        alg = self.algebra
+        return TaggedGB([vec_from_polys(c) for c in columns],
+                        self._relation_vecs(), self.n_gens, alg.nvars,
+                        alg.field, alg.order)
 
     def syzygies_of(self, columns):
         """Generating relations among the given elements, modulo this module.
@@ -97,21 +95,17 @@ class FpModule:
         """
         if not columns:
             return []
-        t, k = self._tagged(columns)
-        out = []
-        for s in t.syzygies():
-            col = polys_from_vec(s, t.n_cols, self.algebra.field)[:k]
-            if any(not p.is_zero() for p in col):
-                out.append(col)
-        return out
+        t = self._tagged(columns)
+        return [polys_from_vec(s, t.n_cols, self.algebra.field)
+                for s in t.syzygies()]
 
     def submodule(self, columns, modulo=()):
         """The submodule the given elements generate, modulo the columns
         `modulo`, presented on `columns`.
 
         Its relations are the syzygies of `columns` modulo `modulo` plus
-        this module's relations, in that column order: the order fixes
-        the tagged basis, hence the printed relations.
+        this module's relations.  Only `columns` are tagged, so their
+        order alone fixes the tagged basis, hence the printed relations.
         """
         quotient = FpModule(self.algebra, self.n_gens,
                             list(modulo) + self.rel_cols)
@@ -124,12 +118,8 @@ class FpModule:
         tagged basis serves every target."""
         if not targets:
             return []
-        t, k = self._tagged(columns)
-        out = []
-        for target in targets:
-            co = t.express(vec_from_polys(target))
-            out.append(None if co is None else co[:k])
-        return out
+        t = self._tagged(columns)
+        return [t.express(vec_from_polys(target)) for target in targets]
 
     def k_dimension(self):
         """dim_k of the module, or None if infinite."""

@@ -189,14 +189,13 @@ class Factorization:
     options: FactorizationOptions     # the options it was built with
 
 
-def choose_log_factorization(morphism, options=None):
+def choose_log_factorization(morphism, options=FactorizationOptions()):
     """Factor (A, M) -> (B, N) through a free-over-the-source middle.
 
     P0 = M + free monoid on covers of the N generators, mapping onto N;
     R = A[one variable per new monoid generator, one per B variable],
     mapping onto B.  Deterministic given the options.
     """
-    options = options or FactorizationOptions()
     src, tgt = morphism.source, morphism.target
     a_alg, b_alg = src.algebra, tgt.algebra
     m, n = src.monoid, tgt.monoid

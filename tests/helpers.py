@@ -1,5 +1,6 @@
-"""Shared test utilities: morphism construction from input text, the lex
-order, exact linear algebra over a field and an integer determinant,
+"""Shared test utilities: morphism construction from input text, the
+input texts of the complete-intersection and toric sum-map families, the
+lex order, exact linear algebra over a field and an integer determinant,
 small oracles on polynomials, algebras, abelian groups and term orders,
 the coefficient forms of the fields, and the degree-truncated linear-algebra oracle used to cross-check
 Groebner results."""
@@ -10,7 +11,7 @@ from operator import neg
 
 from logaq.inputspec import parse_input, build_morphism
 from logaq.polynomials import Poly, exp_mul
-from logaq.intlinalg import IntMatrix, int_solve, NO_SOLUTION
+from logaq.intlinalg import IntMatrix, int_solve
 from logaq.abgroups import FpAbGroup
 
 
@@ -25,6 +26,68 @@ def exact_form(c, field):
 
 def morphism(text, field_name=None):
     return build_morphism(parse_input(text), field_name=field_name)
+
+
+def ci_text(degrees):
+    """k[x..] -> k[x..]/(x_i^{d_i}) over QQ, strict."""
+    vs = "xyzw"[:len(degrees)]
+    rels = ", ".join(f'"{v}^{d}"' for v, d in zip(vs, degrees))
+    ring_map = ", ".join(f'{v} = "{v}"' for v in vs)
+    return f"""[meta]
+strict = true
+prop12 = true
+
+[field]
+name = "QQ"
+
+[source]
+vars = [{", ".join(vs)}]
+relations = []
+gens = []
+alpha = {{}}
+
+[target]
+vars = [{", ".join(vs)}]
+relations = [{rels}]
+gens = []
+alpha = {{}}
+
+[morphism]
+ring_map = {{ {ring_map} }}
+monoid_map = {{}}
+"""
+
+
+def toric_text(n):
+    """The sum map (k[u_1..u_n], N^n) -> (k[t], N) over F3."""
+    vs, gs = "uvwxy"[:n], "abcdf"[:n]
+    alpha = ", ".join(f'{g} = "{v}"' for g, v in zip(gs, vs))
+    ring_map = ", ".join(f'{v} = "t"' for v in vs)
+    monoid_map = ", ".join(f"{g} = [1]" for g in gs)
+    return f"""[meta]
+surjection = true
+prop12 = true
+alt = true
+
+[field]
+name = "F3"
+
+[source]
+vars = [{", ".join(vs)}]
+relations = []
+gens = [{", ".join(gs)}]
+alpha = {{ {alpha} }}
+
+[target]
+vars = [t]
+relations = []
+gens = [e]
+alpha = {{ e = "t" }}
+
+[morphism]
+ring_map = {{ {ring_map} }}
+monoid_map = {{ {monoid_map} }}
+"""
 
 
 def total_degree(p):
@@ -58,7 +121,7 @@ def group_from_invariants(torsion, rank=0):
 def group_elements_equal(group, a, b):
     """Whether the integer vectors a and b are equal in the group."""
     diff = [x - y for x, y in zip(a, b)]
-    return int_solve(group.relations, diff) is not NO_SOLUTION
+    return int_solve(group.relations, diff) is not None
 
 
 class Lex:

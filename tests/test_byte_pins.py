@@ -10,12 +10,14 @@ surjective.  Every command but `print` writes its `--format json` form.
 The parametric families that grow past the corpus are pinned too:
 `homology`, `tor` and `conormal` on the toric sum maps N^n -> N over F3,
 and `homology` on strict complete intersections k[x..] -> k[x..]/(x_i^d_i)
-over QQ.  Their input texts are generated here.
+over QQ.  Their input texts come from `helpers`.
 """
 
 import hashlib
 
 from logaq.cli import main, corpus_dir, corpus_instances
+
+from helpers import ci_text, toric_text
 
 JSON = ["--format", "json"]
 ARGS = {
@@ -297,68 +299,6 @@ def test_json_output_matches_pinned_digests(capsys):
     assert not moved
 
 
-def _ci_text(degrees):
-    """k[x..] -> k[x..]/(x_i^{d_i}) over QQ, strict."""
-    vs = "xyzw"[:len(degrees)]
-    rels = ", ".join(f'"{v}^{d}"' for v, d in zip(vs, degrees))
-    ring_map = ", ".join(f'{v} = "{v}"' for v in vs)
-    return f"""[meta]
-strict = true
-prop12 = true
-
-[field]
-name = "QQ"
-
-[source]
-vars = [{", ".join(vs)}]
-relations = []
-gens = []
-alpha = {{}}
-
-[target]
-vars = [{", ".join(vs)}]
-relations = [{rels}]
-gens = []
-alpha = {{}}
-
-[morphism]
-ring_map = {{ {ring_map} }}
-monoid_map = {{}}
-"""
-
-
-def _toric_text(n):
-    """The sum map (k[u_1..u_n], N^n) -> (k[t], N) over F3."""
-    vs, gs = "uvwxy"[:n], "abcdf"[:n]
-    alpha = ", ".join(f'{g} = "{v}"' for g, v in zip(gs, vs))
-    ring_map = ", ".join(f'{v} = "t"' for v in vs)
-    monoid_map = ", ".join(f"{g} = [1]" for g in gs)
-    return f"""[meta]
-surjection = true
-prop12 = true
-alt = true
-
-[field]
-name = "F3"
-
-[source]
-vars = [{", ".join(vs)}]
-relations = []
-gens = [{", ".join(gs)}]
-alpha = {{ {alpha} }}
-
-[target]
-vars = [t]
-relations = []
-gens = [e]
-alpha = {{ e = "t" }}
-
-[morphism]
-ring_map = {{ {ring_map} }}
-monoid_map = {{ {monoid_map} }}
-"""
-
-
 FAMILY_DIGESTS = {
     ("ci", (2, 2, 3), "homology"):
         "4dc87676fa89fd8f1782253ed8770a3474398a2293b9b4b9d8e5ec2fd230460c",
@@ -380,8 +320,8 @@ FAMILY_DIGESTS = {
 
 
 def test_family_outputs_match_pinned_digests(tmp_path, capsys):
-    texts = {("toric", n): _toric_text(n) for n in (3, 4)}
-    texts.update({("ci", d): _ci_text(d) for d in ((2, 2, 3), (2, 3, 2, 2))})
+    texts = {("toric", n): toric_text(n) for n in (3, 4)}
+    texts.update({("ci", d): ci_text(d) for d in ((2, 2, 3), (2, 3, 2, 2))})
     moved = []
     for (family, size, cmd), want in FAMILY_DIGESTS.items():
         path = tmp_path / f"{family}.logaq"

@@ -202,25 +202,40 @@ def test_module_gb_properties(field, data):
 def test_tagged_express_reconstructs_target(field, data):
     order = DegRevLex()
     cols = data.draw(_vectors(field, 2, 2, 2, 3))
+    rels = data.draw(st.one_of(st.just([]), _vectors(field, 2, 2, 2, 2)))
     multipliers = data.draw(st.lists(_vectors(field, 1, 1, 2, 1),
-                                     min_size=len(cols), max_size=len(cols)))
+                                     min_size=len(cols) + len(rels),
+                                     max_size=len(cols) + len(rels)))
     target = {}
-    for col, (m,) in zip(cols, multipliers):
+    for col, (m,) in zip(cols + rels, multipliers):
         for (_pos, e), c in m.items():
             _add_multiple(target, col, e, c, field)
-    t = TaggedGB(cols, 2, NVARS, field, order)
+    rel_index = reducer_index(buchberger_vec(rels, order, field), order)
+
+    def in_relations(v):
+        return reduce_vec(v, rel_index, order, field) == {}
+
+    t = TaggedGB(cols, rels, 2, NVARS, field, order)
     _assert_exact_coeffs(t.gb, field)
+    assert all(pos < 2 + len(cols) for g in t.gb for pos, _e in g)
     coeffs = t.express(target)
     assert coeffs is not None and len(coeffs) == len(cols)
     _assert_exact_coeffs([p.coeffs for p in coeffs], field)
-    back = {}
+    back = dict(target)
     for col, p in zip(cols, coeffs):
         for e, c in p.coeffs.items():
-            _add_multiple(back, col, e, c, field)
-    assert back == target
-    # every syzygy is one
+            _add_multiple(back, col, e, field.neg(c), field)
+    assert in_relations(back)
+    # every syzygy is one modulo the relations
     for s in t.syzygies():
         total = {}
         for (i, e), c in s.items():
             _add_multiple(total, cols[i], e, c, field)
-        assert total == {}
+        assert in_relations(total)
+    # the same answers as tagging the relations too and dropping their
+    # tags afterwards
+    ref = TaggedGB(cols + rels, [], 2, NVARS, field, order)
+    kept = [{term: c for term, c in s.items() if term[0] < len(cols)}
+            for s in ref.syzygies()]
+    assert t.syzygies() == [s for s in kept if s]
+    assert ref.express(target)[:len(cols)] == coeffs

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
 from logaq.intlinalg import (IntMatrix, snf, int_kernel, int_solve,
-                             NO_SOLUTION, lattice_basis)
+                             lattice_basis)
 
 from helpers import det, field_kernel, field_rank, field_solve
 
@@ -78,8 +78,11 @@ def test_int_kernel_is_kernel():
 
 def test_int_solve_examples():
     assert int_solve(IntMatrix([[2]]), [4]) == [2]
-    assert int_solve(IntMatrix([[2]]), [3]) is NO_SOLUTION
+    assert int_solve(IntMatrix([[2]]), [3]) is None
     assert int_solve(IntMatrix([[1, 1]]), [5]) == [5, 0]
+    # with no unknowns the solution is the empty list, never None
+    assert int_solve(IntMatrix.from_columns([], 1), [0]) == []
+    assert int_solve(IntMatrix.from_columns([], 1), [1]) is None
 
 
 def test_int_solve_random():
@@ -89,7 +92,7 @@ def test_int_solve_random():
         x = [rng.randint(-4, 4) for _ in range(a.ncols)]
         b = a.mul_vec(x)
         sol = int_solve(a, b)
-        assert sol is not NO_SOLUTION
+        assert sol is not None
         assert a.mul_vec(sol) == b
 
 
@@ -112,7 +115,7 @@ def test_lattice_basis_random():
         assert lb.nrows == a.nrows and lb.ncols == snf(a).rank
         for x, y in ((a, lb), (lb, a)):
             for col in x.columns():
-                assert int_solve(y, col) is not NO_SOLUTION
+                assert int_solve(y, col) is not None
 
 
 def test_field_kernel_examples():

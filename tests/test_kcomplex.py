@@ -92,7 +92,7 @@ def test_closed_form_alt_choice_stable():
     mor = build_morphism(spec)
     t = coefficient_module(mor.target.algebra, "residue")
     base = None
-    for opt in (None, FactorizationOptions(extra_x=True),
+    for opt in (FactorizationOptions(), FactorizationOptions(extra_x=True),
                 FactorizationOptions(extra_x=True, reverse_x=True)):
         # each option's own KData
         fac = choose_log_factorization(mor, opt)

@@ -106,16 +106,15 @@ def test_memoized_reports_match_fresh_morphisms():
     # every corpus instance under every option: reports kept on a morphism
     # that has already computed all options and both coefficient names
     # equal those computed afresh on a new morphism for one option
-    opts = [None] + ALT_OPTIONS
-    coeffs = (None, "residue")
+    opts = [FactorizationOptions()] + ALT_OPTIONS
+    coeffs = ("self", "residue")
     for name, spec in corpus_instances():
         shared = build_morphism(spec)
         first = {(o, c): log_homology(shared, c, o)
                  for o in opts for c in coeffs}
-        # None names the default options and the "self" coefficients
+        # the defaults are the default options and "self" coefficients
         assert log_ls(shared, FactorizationOptions()) is log_ls(shared)
-        assert log_homology(shared, "self", FactorizationOptions()) \
-            is first[None, None]
+        assert log_homology(shared) is first[opts[0], "self"]
         for o in opts:
             fresh = build_morphism(spec)
             for c in coeffs:
@@ -147,7 +146,7 @@ def test_kept_complex_does_not_keep_its_morphism_alive():
     # it keeps at once, not at the next cyclic collection
     m = mor("toric_sum")
     check_compatibility_sequence(m)
-    for opt in [None] + ALT_OPTIONS:
+    for opt in [FactorizationOptions()] + ALT_OPTIONS:
         log_homology(m, options=opt)
     ref = weakref.ref(m)
     gc.disable()

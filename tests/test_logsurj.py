@@ -6,11 +6,11 @@ import pytest
 from logaq.logsurj import (LogSurjection, tor_over_c, w_terms,
                            a_conormal, conormal_module,
                            check_edge_identity)
-from logaq.modules import HomologyReport
+from logaq.modules import FpModule, HomologyReport
 from logaq.cli import corpus_instances
 from logaq.inputspec import build_morphism
 
-from helpers import morphism
+from helpers import morphism, toric_text
 
 
 def surj(name, field_name=None):
@@ -63,6 +63,23 @@ def test_tor_line():
     s = LogSurjection(morphism(LINE_TO_K))
     reports = tor_over_c(s, 4)
     assert [r.k_dimension for r in reports] == [1, 1, 0, 0, 0]
+
+
+def test_tor_resolves_only_the_steps_it_reads(monkeypatch):
+    # toric sum map n=5 over F3 at depth 2: the cokernel and two kernels
+    # need three differentials, and the third comes from the second's
+    # syzygies; the 4 columns of the third are never resolved further
+    calls = []
+    syzygies_of = FpModule.syzygies_of
+
+    def counted(self, columns):
+        out = syzygies_of(self, columns)
+        calls.append((len(columns), len(out)))
+        return out
+    monkeypatch.setattr(FpModule, "syzygies_of", counted)
+    tor_over_c(LogSurjection(morphism(toric_text(5))), 2)
+    assert len(calls) == 6
+    assert (4, 1) not in calls
 
 
 def test_tor_depth_limit():
