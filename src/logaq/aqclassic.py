@@ -15,32 +15,9 @@ log pipeline can reuse it with its own factorization.
 
 from dataclasses import dataclass
 
-from .polynomials import Poly
-from .groebner import PresentedAlgebra, AlgebraMap
+from .groebner import PresentedAlgebra, AlgebraMap, adjoin_target_vars
 from .modules import (FpModule, ModHom, Complex3, tensor_complex,
                       HomologyReport)
-
-
-def adjoin_target_vars(a_to_b):
-    """Surjection R = A[one var per B variable] -> B extending A -> B.
-
-    Returns (R, r_to_b, base_nvars) where the first base_nvars variables
-    of R are the A variables (not contributing to Omega_{R|A}).
-    """
-    a, b = a_to_b.source, a_to_b.target
-    f = a.field
-    n_a = a.nvars
-    names = list(a.varnames) + [f"y@{v}" for v in b.varnames]
-    n = len(names)
-
-    def lift(p):
-        return Poly({exp + (0,) * (n - n_a): c
-                     for exp, c in p.coeffs.items()}, f)
-
-    r = PresentedAlgebra(names, f, [lift(g) for g in a.relations])
-    images = list(a_to_b.images) + [b.var(v) for v in b.varnames]
-    r_to_b = AlgebraMap(r, b, images)
-    return r, r_to_b, n_a
 
 
 def kernel_ideal_gens(r_to_b):
@@ -131,24 +108,21 @@ def ls_complex(data):
     return cx
 
 
-def residue_module(b):
-    """B modulo all variables: the residue field at the origin."""
-    return FpModule(b, 1, [[b.var(v)] for v in b.varnames])
-
-
 def coefficient_module(b, name):
+    """The cyclic coefficient module B/J: J = 0 for "self", J = the
+    variables (the residue field at the origin) for "residue"."""
     if name == "self":
         return FpModule.free(b, 1)
     if name == "residue":
-        return residue_module(b)
+        return FpModule(b, 1, [[b.var(v)] for v in b.varnames])
     raise ValueError(f"unknown coefficient option {name!r}")
 
 
 def aq_classical(a_to_b, coefficients="self"):
     """(H0, H1, H2) HomologyReports of the classical complex with the
     named coefficient module ("self" or "residue")."""
-    r, r_to_b, n_a = adjoin_target_vars(a_to_b)
-    data = build_ls(r, a_to_b.target, r_to_b, n_a)
+    r, r_to_b = adjoin_target_vars(a_to_b, [])
+    data = build_ls(r, a_to_b.target, r_to_b, a_to_b.source.nvars)
     c = ls_complex(data)
     t = coefficient_module(a_to_b.target, coefficients)
     h0, h1, h2 = tensor_complex(c, t).homology()

@@ -51,10 +51,13 @@ def _field_name(char):
 
 def _load(path):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
         raise InputError(str(e))
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                         f"{e.start})")
     try:
         return parse_input(text)
     except (ParseError, SemanticError) as e:

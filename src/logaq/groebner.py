@@ -4,7 +4,9 @@ A presented algebra is k[x_1..x_n]/I with a fixed monomial order and
 weights; the reduced Groebner basis of I is cached, and every element of
 the quotient gets the canonical normal-form representative.  Algebra
 maps carry validity checks, surjectivity witnesses, and kernels via
-block elimination on the graph ideal.
+block elimination on the graph ideal.  `adjoin_target_vars` builds the
+one ring extension R -> B that the classical and the log factorizations
+share.
 """
 
 from .polynomials import Poly, DegRevLex, BlockElim, exp_divides, poly_str
@@ -77,15 +79,6 @@ class PresentedAlgebra:
     def lt_exponents(self):
         """Leading exponents of the reduced Groebner basis of the ideal."""
         return [g.leading(self.order)[0] for g in self.gb()]
-
-    def k_dimension(self):
-        """Dimension over k of the quotient, or None if infinite.
-
-        Counts the staircase under the leading-term ideal; finite exactly
-        when every variable has a pure power among the leading terms (or
-        the ring is trivial).
-        """
-        return staircase_dimension(self.lt_exponents(), self.nvars)
 
     def str_of(self, p):
         return poly_str(self.nf(p), self.varnames, self.order)
@@ -249,3 +242,21 @@ class AlgebraMap:
     def is_surjective(self):
         return self.surjectivity_witness() is not None
 
+
+def adjoin_target_vars(a_to_b, extra):
+    """The surjection R = A[extra, y@v for each B variable v] -> B
+    extending A -> B, as (R, R -> B).
+
+    `extra` lists (name, image in B) pairs.  R's variables are A's, then
+    the extra ones, then the y@v, so its first A.nvars variables are A's.
+    """
+    a, b = a_to_b.source, a_to_b.target
+    names = (list(a.varnames) + [name for name, _ in extra]
+             + [f"y@{v}" for v in b.varnames])
+    pad = (0,) * (len(names) - a.nvars)
+    r = PresentedAlgebra(names, a.field,
+                         [Poly({exp + pad: c for exp, c in g.coeffs.items()},
+                               a.field) for g in a.relations])
+    images = (list(a_to_b.images) + [image for _, image in extra]
+              + [b.var(v) for v in b.varnames])
+    return r, AlgebraMap(r, b, images)

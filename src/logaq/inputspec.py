@@ -315,8 +315,10 @@ def _string_list(v, what):
 def _split_relations(v, section):
     """Ring relations are strings; monoid relations are pairs of
     exponent lists.  Both may appear in the same list."""
+    if not isinstance(v, list):
+        raise SemanticError(f"section {section!r}: relations must be a list")
     ring, monoid = [], []
-    for item in v or []:
+    for item in v:
         if isinstance(item, str):
             ring.append(item)
         elif (isinstance(item, list) and len(item) == 2

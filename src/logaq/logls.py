@@ -23,7 +23,7 @@ from .intlinalg import snf
 from .polynomials import Poly
 from .groebner import AlgebraMap
 from .modules import (FpModule, ModHom, Complex3, tensor_complex,
-                      HomologyReport, pushout)
+                      HomologyReport, pushout, tensor_module)
 from .aqclassic import (build_ls, ls_complex, kernel_ideal_gens,
                         coefficient_module, aq_classical)
 from .monoids import choose_log_factorization, FactorizationOptions
@@ -405,7 +405,6 @@ def check_compatibility_sequence(morphism):
     # dimension count with residue coefficients
     b_alg = morphism.target.algebra
     t = coefficient_module(b_alg, "residue")
-    from .modules import tensor_module
     backs = [dg.back_complex.c0, dg.back_complex.c1]
     fronts = [dg.front_complex.c0, dg.front_complex.c1]
     rights = [dg.right_complex.c0, dg.right_complex.c1]

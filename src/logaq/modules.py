@@ -11,14 +11,18 @@ basis and hence every printed `relations` string.  Homology of a
 three-term complex, tensor products and pushouts are built from the same
 primitives, plus size proxies for reporting: exact k dimension when
 finite, free rank when the presentation visibly splits, graded Hilbert
-data, and the 0th Fitting ideal otherwise.
+data, and the 0th Fitting ideal otherwise.  Tensoring assumes a cyclic
+coefficient module B/J, the only kind the pipelines build.
 """
+
+from itertools import combinations
 
 from .polynomials import Poly
 from .gbcore import (TaggedGB, buchberger_vec, reducer_index, reduce_vec,
                      vec_from_polys, polys_from_vec, vec_is_zero,
                      vec_leading)
-from .groebner import staircase_dimension, monomial_ideal_numerator
+from .groebner import (buchberger, staircase_dimension,
+                       monomial_ideal_numerator)
 
 
 class FpModule:
@@ -357,61 +361,33 @@ class Complex3:
 
 
 def tensor_module(m, t):
-    """m tensor_A t, by the block construction on presentations.
-
-    Generator (i, j) is m_i tensor t_j, flattened as i * t.n_gens + j.
-    """
-    alg = m.algebra
-    if t.n_gens == 1 and not t.rel_cols:
+    """m tensor_A B/J for the cyclic coefficient module t = B/J: m with
+    J * e_i appended to its relations, for each generator of J in turn
+    and i = 0, 1, ...  With J = 0 this is m itself, relation basis kept."""
+    if t.n_gens != 1:
+        raise ValueError("coefficient module must have one generator")
+    if not t.rel_cols:
         return m
-    n = m.n_gens * t.n_gens
-
-    def idx(i, j):
-        return i * t.n_gens + j
-
-    rels = []
-    for c in m.rel_cols:
-        for j in range(t.n_gens):
-            col = [alg.zero()] * n
-            for i, p in enumerate(c):
-                col[idx(i, j)] = p
-            rels.append(col)
-    for c in t.rel_cols:
+    alg = m.algebra
+    rels = list(m.rel_cols)
+    for (g,) in t.rel_cols:
         for i in range(m.n_gens):
-            col = [alg.zero()] * n
-            for j, p in enumerate(c):
-                col[idx(i, j)] = p
+            col = [alg.zero()] * m.n_gens
+            col[i] = g
             rels.append(col)
-    return FpModule(alg, n, rels)
+    return FpModule(alg, m.n_gens, rels)
 
 
-def tensor_hom(f, t, src, tgt):
-    """f tensor id_t from src to tgt, the tensor_modules of its source
-    and target."""
-    if t.n_gens == 1 and not t.rel_cols:
-        return f
-    alg = f.source.algebra
-    cols = []
-    for i in range(f.source.n_gens):
-        img = f.image_cols[i]
-        for j in range(t.n_gens):
-            col = [alg.zero()] * tgt.n_gens
-            for i2, p in enumerate(img):
-                col[i2 * t.n_gens + j] = p
-            cols.append(col)
-    return ModHom(src, tgt, cols)
+def tensor_hom(f, src, tgt):
+    """f tensor id between src and tgt, the tensor_modules of its source
+    and target: tensoring with a cyclic module keeps f's columns."""
+    return ModHom(src, tgt, f.image_cols)
 
 
 def tensor_complex(c, t):
     """The three-term complex tensored with the coefficient module t."""
-    if t.n_gens == 1 and not t.rel_cols:
-        return c
-    c2 = tensor_module(c.c2, t)
-    c1 = tensor_module(c.c1, t)
-    c0 = tensor_module(c.c0, t)
-    d2 = tensor_hom(c.d2, t, c2, c1)
-    d1 = tensor_hom(c.d1, t, c1, c0)
-    return Complex3(d2, d1)
+    c2, c1, c0 = (tensor_module(m, t) for m in (c.c2, c.c1, c.c0))
+    return Complex3(tensor_hom(c.d2, c2, c1), tensor_hom(c.d1, c1, c0))
 
 
 def poly_det(mat, algebra):
@@ -436,7 +412,6 @@ def fitting0(m):
     """Reduced Groebner basis of the 0th Fitting ideal (plus the ring
     ideal) of the module a trimmed presentation m presents, as a
     canonical iso-proxy for small presentations."""
-    from .groebner import buchberger
     alg = m.algebra
     n = m.n_gens
     cols = m.rel_cols
@@ -444,7 +419,6 @@ def fitting0(m):
         return buchberger([alg.one()], alg.order, alg.field)
     if len(cols) < n or n > 4:
         return None
-    from itertools import combinations
     gens = list(alg.relations)
     for pick in combinations(range(len(cols)), n):
         mat = [[cols[c][i] for c in pick] for i in range(n)]

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .intlinalg import IntMatrix
 from .abgroups import FpAbGroup, AbHom
 from .polynomials import Poly
-from .groebner import PresentedAlgebra, AlgebraMap
+from .fields import QQ
+from .groebner import PresentedAlgebra, AlgebraMap, adjoin_target_vars
 
 
 class FpMonoid:
@@ -47,12 +48,10 @@ class FpMonoid:
         # internal word-problem oracle; the field is irrelevant because
         # the ideal is generated by differences of monomials
         if self._word_algebra is None:
-            from .fields import QQ
             self._word_algebra = self.monoid_algebra(QQ)
         return self._word_algebra
 
     def words_equal(self, u, v):
-        from .fields import QQ
         alg = self._algebra()
         pu = Poly.monomial(tuple(u), QQ.one(), QQ)
         pv = Poly.monomial(tuple(v), QQ.one(), QQ)
@@ -197,9 +196,8 @@ def choose_log_factorization(morphism, options=FactorizationOptions()):
     mapping onto B.  Deterministic given the options.
     """
     src, tgt = morphism.source, morphism.target
-    a_alg, b_alg = src.algebra, tgt.algebra
+    a_alg = src.algebra
     m, n = src.monoid, tgt.monoid
-    f = a_alg.field
 
     covers = list(range(n.n_gens))
     if options.extra_x and n.n_gens:
@@ -217,33 +215,18 @@ def choose_log_factorization(morphism, options=FactorizationOptions()):
                   [morphism.monoid_map.images[i] for i in range(m.n_gens)]
                   + x_words)
 
-    r_names = list(a_alg.varnames) + x_names + [f"y@{v}"
-                                                for v in b_alg.varnames]
-    nr = len(r_names)
-    n_a = a_alg.nvars
-
-    def lift_a(p):
-        return Poly({exp + (0,) * (nr - n_a): c
-                     for exp, c in p.coeffs.items()}, f)
-
-    r_alg = PresentedAlgebra(r_names, f, [lift_a(g) for g in a_alg.relations])
+    # R = A[x@..., y@...] -> B: x@ to alpha_B of the cover, y@ to the B
+    # variable itself
+    r_alg, r_to_b = adjoin_target_vars(
+        morphism.ring_map,
+        [(nm, tgt.alpha_of(w)) for nm, w in zip(x_names, x_words)])
+    a_to_r = AlgebraMap(a_alg, r_alg, [r_alg.var(v) for v in a_alg.varnames])
     # structure map of (R, P0): alpha_A on M, the new variables on X
-    r_alpha = ([lift_a(p) for p in src.alpha]
-               + [r_alg.var(nm) for nm in x_names])
-    mid = PrelogRing(r_alg, p0, r_alpha)
-
+    mid = PrelogRing(r_alg, p0, [a_to_r.apply(p) for p in src.alpha]
+                     + [r_alg.var(nm) for nm in x_names])
     left = PrelogMorphism(
-        src, mid,
-        AlgebraMap(a_alg, r_alg, [r_alg.var(v) for v in a_alg.varnames]),
+        src, mid, a_to_r,
         MonoidHom(m, p0, [p0.unit(i) for i in range(m.n_gens)]))
-
-    # R -> B: A variables via the ring map, x@ to alpha_B of the cover,
-    # y@ to the B variable itself
-    images = ([morphism.ring_map.images[i] for i in range(n_a)]
-              + [tgt.alpha_of(w) for w in x_words]
-              + [b_alg.var(v) for v in b_alg.varnames])
-    right = PrelogMorphism(
-        mid, tgt,
-        AlgebraMap(r_alg, b_alg, images), h)
+    right = PrelogMorphism(mid, tgt, r_to_b, h)
 
     return Factorization(morphism, mid, left, right, options)

@@ -28,9 +28,18 @@ def morphism(text, field_name=None):
     return build_morphism(parse_input(text), field_name=field_name)
 
 
+def _names(pool, n):
+    """The first n one-letter names of the pool; raises rather than
+    silently build a smaller instance."""
+    if n > len(pool):
+        raise ValueError(f"{n} names asked of the {len(pool)}-name pool "
+                         f"{pool!r}")
+    return pool[:n]
+
+
 def ci_text(degrees):
     """k[x..] -> k[x..]/(x_i^{d_i}) over QQ, strict."""
-    vs = "xyzw"[:len(degrees)]
+    vs = _names("xyzw", len(degrees))
     rels = ", ".join(f'"{v}^{d}"' for v, d in zip(vs, degrees))
     ring_map = ", ".join(f'{v} = "{v}"' for v in vs)
     return f"""[meta]
@@ -60,7 +69,7 @@ monoid_map = {{}}
 
 def toric_text(n):
     """The sum map (k[u_1..u_n], N^n) -> (k[t], N) over F3."""
-    vs, gs = "uvwxy"[:n], "abcdf"[:n]
+    vs, gs = _names("uvwxy", n), _names("abcdf", n)
     alpha = ", ".join(f'{g} = "{v}"' for g, v in zip(gs, vs))
     ring_map = ", ".join(f'{v} = "t"' for v in vs)
     monoid_map = ", ".join(f"{g} = [1]" for g in gs)

@@ -15,6 +15,8 @@ over QQ.  Their input texts come from `helpers`.
 
 import hashlib
 
+import pytest
+
 from logaq.cli import main, corpus_dir, corpus_instances
 
 from helpers import ci_text, toric_text
@@ -332,3 +334,13 @@ def test_family_outputs_match_pinned_digests(tmp_path, capsys):
         if code != 0 or got != want:
             moved.append((family, size, cmd, code, got))
     assert not moved
+
+
+def test_family_texts_refuse_sizes_past_their_names():
+    # a size past the name pool would silently pin a smaller instance
+    assert "vars = [x, y, z, w]" in ci_text((2,) * 4)
+    assert "vars = [u, v, w, x, y]" in toric_text(5)
+    with pytest.raises(ValueError):
+        ci_text((2,) * 5)
+    with pytest.raises(ValueError):
+        toric_text(6)

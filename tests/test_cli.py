@@ -153,6 +153,29 @@ def test_polynomial_error_names_entry_and_file(capsys, tmp_path, command,
     assert "line 1" not in err
 
 
+@pytest.mark.parametrize("relations", ["{ x = 1 }", "5", '"y^2"'],
+                         ids=["table", "integer", "string"])
+def test_relations_must_be_a_list(capsys, tmp_path, relations):
+    text = (corpus_dir() / "strict_ci.logaq").read_text()
+    old = 'relations = ["x^2", "y^3"]'
+    assert old in text
+    p = tmp_path / "relations.logaq"
+    p.write_text(text.replace(old, f"relations = {relations}"))
+    code, _, err = run(capsys, "homology", str(p))
+    assert code == 2
+    assert err == f"error: {p}: section 'target': relations must be a list\n"
+
+
+def test_non_utf8_file_exit_2(capsys, tmp_path):
+    p = tmp_path / "utf16.logaq"
+    p.write_bytes((corpus_dir() / "strict_ci.logaq").read_text()
+                  .encode("utf-16"))
+    code, _, err = run(capsys, "homology", str(p))
+    assert code == 2
+    assert err == (f"error: {p}: not UTF-8 text (invalid start byte at "
+                   "byte 0)\n")
+
+
 def test_kcomplex_command(capsys):
     code, out, _ = run(capsys, "kcomplex", corpus_file("x2_cover"),
                        "--char", "2", "--format", "json")

@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is used."""
+"""Every import in the package and its tests is used, and the package
+imports at module level only."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "logaq").glob("*.py"),
-                *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "logaq").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source):
@@ -25,6 +26,14 @@ def unused_imports(source):
     return [(line, name) for line, name in bound if name not in read]
 
 
+def nested_imports(source):
+    """Line of each import statement that is not at module level."""
+    tree = ast.parse(source)
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and node not in tree.body]
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") \
         == [(1, "os"), (2, "b")]
@@ -35,3 +44,14 @@ def test_scan_finds_an_unused_import():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_a_nested_import():
+    assert nested_imports("import os\ndef f():\n    from a import b\n"
+                          "    return b\n") == [3]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_at_module_level(path):
+    assert nested_imports(path.read_text()) == []

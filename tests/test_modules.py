@@ -264,13 +264,23 @@ def test_pushout_cokernel_identity():
 
 def test_tensor():
     b = P(["x"], ["x^2"])
+    x, zero = b.var("x"), b.zero()
     f2 = FpModule.free(b, 2)
-    t = FpModule(b, 1, [[b.var("x")]])
+    t = FpModule(b, 1, [[x]])
     m = tensor_module(f2, t)
     assert m.k_dimension() == 2
-    # tensoring a map with the rank-1 free module is the identity path
+    # J * e_i appended for each generator of J, positions in order
+    assert m.rel_cols == [[x, zero], [zero, x]]
+    # B itself as coefficients returns the module, relation basis kept
+    assert tensor_module(f2, FpModule.free(b, 1)) is f2
+    # a tensored map keeps its columns
     f = ModHom(f2, f2, [f2.gen_column(1), f2.gen_column(0)])
-    assert tensor_hom(f, FpModule.free(b, 1), f2, f2) is f
+    g = tensor_hom(f, m, m)
+    assert g.source is g.target is m
+    assert g.image_cols == f.image_cols
+    # only a cyclic coefficient module B/J is supported
+    with pytest.raises(ValueError):
+        tensor_module(f2, f2)
 
 
 def test_tensor_complex_coefficients():
