@@ -19,6 +19,18 @@ keys of its own.
 
 Ring-level Groebner bases are the one-position case.
 
+Syzygies of an ideal's generators need no tagged basis when the
+generators, together with a Groebner basis of the ring's relations, are
+themselves a Groebner basis, as every cover of the log and classical
+complexes is.  Then `lift_syzygies` reads them off one division per
+S-pair (Schreyer's theorem; Eisenbud, Commutative Algebra, Thm 15.10)
+and one small Buchberger run on the lifts.  Its output is the tagged
+one: main positions dominate the tags, so the tag-only elements of a
+tagged basis are the reduced Groebner basis of the syzygy module, which
+is unique for the order and sorted the same way.  When a division
+leaves a remainder it returns None and the tagged basis is the
+fallback.
+
 Strategy, after Gebauer and Moeller, "On an installation of Buchberger's
 algorithm" (J. Symb. Comp. 6, 1988):
 
@@ -254,6 +266,107 @@ def buchberger_vec(gens, order, field):
             v[t] = field.mul(inv, c)
         out.append(v)
     return out
+
+
+def _divide(v, reducers, order, field):
+    """Quotients of a division of v that leaves no remainder, or None.
+
+    `reducers` maps a leading position to entries (leading exponent,
+    tail items, leading coefficient, index).  Returns [(index, shift,
+    coefficient)] with v = sum coefficient * x^shift * element[index],
+    taking terms in descending order, or None at the first term that no
+    leading term divides.
+    """
+    key = order.heap_key
+    work = dict(v)
+    heap = [(key(t), t) for t in work]
+    heapify(heap)
+    quotients = []
+    while heap:
+        lt = heappop(heap)[1]
+        c = work.pop(lt, None)
+        if c is None:
+            continue        # cancelled after it was pushed
+        pos, exp = lt
+        for gexp, tail, glc, k in reducers.get(pos, ()):
+            if _divides(gexp, exp):
+                break
+        else:
+            return None
+        shift = tuple(map(sub, exp, gexp))
+        q = field.div(c, glc)
+        quotients.append((k, shift, q))
+        for t in _add_multiple(work, tail, shift, field.neg(q), field):
+            heappush(heap, (key(t), t))
+    return quotients
+
+
+def lift_syzygies(columns, relations, order, field):
+    """Reduced Groebner basis of the syzygies of `columns` modulo the
+    Groebner basis `relations`, by Schreyer's theorem, or None.
+
+    The elements are the nonzero columns, then the relations; a zero
+    column i gives the unit syzygy e_i.  Each element makes S-pairs only
+    with later elements in its leading position whose multiplier
+    lcm / (its leading term) is minimal under divisibility, ties to the
+    earliest: these are the leading terms of the Schreyer lifts, so the
+    kept lifts generate every syzygy.  Pairs of two relations lift
+    within the relations alone and are left out.  Each kept S-vector is
+    divided with its quotients recorded; the syzygy is the S-pair's
+    multipliers less the quotients, on the column coordinates only.
+
+    Returns None when some S-vector leaves a remainder (the elements are
+    not a Groebner basis) or when no column is nonzero.  Otherwise the
+    result is `buchberger_vec` of the lifts over positions 0..len-1,
+    which equals `TaggedGB(columns, relations, ...).syzygies()`.
+    """
+    m = len(columns)
+    elems = []      # per element: (leading term, reducer entry, index)
+    units = []
+    for k, v in enumerate(columns):
+        if v:
+            lt, _lc = vec_leading(v, order)
+            elems.append((lt, _reducer(v, lt), k))
+        else:
+            units.append(k)
+    n_cols = len(elems)
+    if not n_cols:
+        return None
+    zero_exp = (0,) * len(elems[0][0][1])
+    one = field.one()
+    syz = [{(k, zero_exp): one} for k in units]
+    for k, v in enumerate(relations):
+        lt, _lc = vec_leading(v, order)
+        elems.append((lt, _reducer(v, lt), m + k))
+    reducers = {}
+    for lt, entry, k in elems:
+        reducers.setdefault(lt[0], []).append((*entry, k))
+
+    for a in range(n_cols):
+        (pos, ea), ra, ka = elems[a]
+        mults = [(tuple(max(x, y) - x for x, y in zip(ea, eb)), b)
+                 for b, ((pb, eb), _rb, _kb) in enumerate(elems[a + 1:], a + 1)
+                 if pb == pos]
+        for n, (mult, b) in enumerate(mults):
+            if any(_divides(q, mult) and (q != mult or n2 < n)
+                   for n2, (q, _b) in enumerate(mults)):
+                continue
+            (_pb, eb), rb, kb = elems[b]
+            lcm = tuple(map(add, ea, mult))
+            quotients = _divide(_s_vector(ra, rb, lcm, field), reducers,
+                                order, field)
+            if quotients is None:
+                return None
+            terms = [(ka, mult, field.inv(ra[2])),
+                     (kb, tuple(map(sub, lcm, eb)),
+                      field.neg(field.inv(rb[2])))]
+            terms += [(k, shift, field.neg(q)) for k, shift, q in quotients]
+            s = {}
+            for k, shift, c in terms:
+                if k < m:
+                    _add_multiple(s, [((k, zero_exp), one)], shift, c, field)
+            syz.append(s)
+    return buchberger_vec(syz, order, field)
 
 
 class TaggedGB:

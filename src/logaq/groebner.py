@@ -76,10 +76,6 @@ class PresentedAlgebra:
     def is_graded(self):
         return all(g.is_homogeneous(self.weights) for g in self.relations)
 
-    def lt_exponents(self):
-        """Leading exponents of the reduced Groebner basis of the ideal."""
-        return [g.leading(self.order)[0] for g in self.gb()]
-
     def str_of(self, p):
         return poly_str(self.nf(p), self.varnames, self.order)
 
@@ -159,10 +155,12 @@ class AlgebraMap:
         self._graph_ring = None
 
     def is_well_defined(self):
-        return all(self.target.is_zero(self._apply_raw(g))
+        return all(self.target.is_zero(self.substitute(g))
                    for g in self.source.relations)
 
-    def _apply_raw(self, p):
+    def substitute(self, p):
+        """p with the images put in for the source variables, not yet
+        reduced modulo the target's ideal."""
         f = self.source.field
         n = self.target.nvars
         out = Poly.zero(f)
@@ -175,7 +173,7 @@ class AlgebraMap:
         return out
 
     def apply(self, p):
-        return self.target.nf(self._apply_raw(p))
+        return self.target.nf(self.substitute(p))
 
     def _graph(self):
         """Product presentation k[target vars | source vars] with the graph

@@ -18,8 +18,8 @@ coefficient module B/J, the only kind the pipelines build.
 from itertools import combinations
 
 from .polynomials import Poly
-from .gbcore import (TaggedGB, buchberger_vec, reducer_index, reduce_vec,
-                     vec_from_polys, polys_from_vec, vec_is_zero,
+from .gbcore import (TaggedGB, buchberger_vec, lift_syzygies, reducer_index,
+                     reduce_vec, vec_from_polys, polys_from_vec, vec_is_zero,
                      vec_leading)
 from .groebner import (buchberger, staircase_dimension,
                        monomial_ideal_numerator)
@@ -95,12 +95,24 @@ class FpModule:
     def syzygies_of(self, columns):
         """Generating relations among the given elements, modulo this module.
 
-        Returns columns of length len(columns) over the algebra.
+        Returns columns of length len(columns) over the algebra: the
+        reduced Groebner basis of their syzygy module.  When the module is
+        the ring itself, `lift_syzygies` reads it off the ideal's S-pairs
+        (Schreyer).  When it cannot (the columns and the ring's Groebner
+        basis are together no Groebner basis, or every column is zero),
+        and for every other module, a tagged basis gives the same list.
         """
         if not columns:
             return []
+        alg = self.algebra
+        if self.n_gens == 1 and not self.rel_cols:
+            syz = lift_syzygies([vec_from_polys(c) for c in columns],
+                                self._relation_vecs(), alg.order, alg.field)
+            if syz is not None:
+                return [polys_from_vec(s, len(columns), alg.field)
+                        for s in syz]
         t = self._tagged(columns)
-        return [polys_from_vec(s, t.n_cols, self.algebra.field)
+        return [polys_from_vec(s, t.n_cols, alg.field)
                 for s in t.syzygies()]
 
     def submodule(self, columns, modulo=()):

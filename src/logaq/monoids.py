@@ -221,8 +221,9 @@ def choose_log_factorization(morphism, options=FactorizationOptions()):
         morphism.ring_map,
         [(nm, tgt.alpha_of(w)) for nm, w in zip(x_names, x_words)])
     a_to_r = AlgebraMap(a_alg, r_alg, [r_alg.var(v) for v in a_alg.varnames])
-    # structure map of (R, P0): alpha_A on M, the new variables on X
-    mid = PrelogRing(r_alg, p0, [a_to_r.apply(p) for p in src.alpha]
+    # structure map of (R, P0): alpha_A on M, the new variables on X;
+    # PrelogRing reduces the images, so they are only substituted here
+    mid = PrelogRing(r_alg, p0, [a_to_r.substitute(p) for p in src.alpha]
                      + [r_alg.var(nm) for nm in x_names])
     left = PrelogMorphism(
         src, mid, a_to_r,

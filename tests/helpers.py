@@ -1,9 +1,10 @@
 """Shared test utilities: morphism construction from input text, the
 input texts of the complete-intersection and toric sum-map families, the
 lex order, exact linear algebra over a field and an integer determinant,
-small oracles on polynomials, algebras, abelian groups and term orders,
-the coefficient forms of the fields, and the degree-truncated linear-algebra oracle used to cross-check
-Groebner results."""
+small oracles on polynomials, algebras (the leading exponents of an
+ideal's basis among them), abelian groups and term orders, the
+coefficient forms of the fields, and the degree-truncated linear-algebra
+oracle used to cross-check Groebner results."""
 
 from fractions import Fraction
 from itertools import product
@@ -39,7 +40,7 @@ def _names(pool, n):
 
 def ci_text(degrees):
     """k[x..] -> k[x..]/(x_i^{d_i}) over QQ, strict."""
-    vs = _names("xyzw", len(degrees))
+    vs = _names("xyzwvs", len(degrees))
     rels = ", ".join(f'"{v}^{d}"' for v, d in zip(vs, degrees))
     ring_map = ", ".join(f'{v} = "{v}"' for v in vs)
     return f"""[meta]
@@ -69,7 +70,7 @@ monoid_map = {{}}
 
 def toric_text(n):
     """The sum map (k[u_1..u_n], N^n) -> (k[t], N) over F3."""
-    vs, gs = _names("uvwxy", n), _names("abcdf", n)
+    vs, gs = _names("uvwxyzrs", n), _names("abcdfghj", n)
     alpha = ", ".join(f'{g} = "{v}"' for g, v in zip(gs, vs))
     ring_map = ", ".join(f'{v} = "t"' for v in vs)
     monoid_map = ", ".join(f"{g} = [1]" for g in gs)
@@ -108,6 +109,11 @@ def total_degree(p):
 def mul_monomial(p, exp):
     """p times the monomial x^exp."""
     return Poly({exp_mul(e, exp): c for e, c in p.coeffs.items()}, p.field)
+
+
+def lt_exponents(algebra):
+    """Leading exponents of the reduced Groebner basis of the ideal."""
+    return [g.leading(algebra.order)[0] for g in algebra.gb()]
 
 
 def is_trivial(algebra):

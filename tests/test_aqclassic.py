@@ -1,8 +1,17 @@
-"""The classical three-term complex and its homology in degrees 0-2."""
+"""The classical three-term complex and its homology in degrees 0-2, and
+the cover syzygies of build_ls without a tagged basis."""
 
+import pytest
+
+from logaq import aqclassic, logls, modules
+from logaq.cli import ALT_OPTIONS, corpus_dir
 from logaq.fields import QQ
 from logaq.groebner import PresentedAlgebra, AlgebraMap
 from logaq.aqclassic import aq_classical
+from logaq.logls import log_homology
+from logaq.monoids import FactorizationOptions
+
+from helpers import ci_text, morphism, toric_text
 
 
 def amap(src_names, src_rels, tgt_names, tgt_rels, images):
@@ -68,3 +77,41 @@ def test_residue_vs_self_differ():
     res = aq_classical(f, "residue")
     assert full[2].k_dimension != res[2].k_dimension \
         or full[1].k_dimension != res[1].k_dimension
+
+
+COVER_INPUTS = {name: (corpus_dir() / f"{name}.logaq").read_text()
+                for name in ("strict_ci", "toric_sum", "mixed_cover")}
+COVER_INPUTS["ci (2, 3, 2, 2)"] = ci_text((2, 3, 2, 2))
+COVER_INPUTS["toric 4"] = toric_text(4)
+
+
+@pytest.mark.parametrize("name", sorted(COVER_INPUTS))
+def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
+    # every cover, with the ring's basis, is a Groebner basis, so its
+    # syzygies come from the Schreyer lift; a tagged basis built inside
+    # build_ls means the lift was lost
+    depth, calls, built = [0], [0], []
+    real_build, real_tagged = aqclassic.build_ls, modules.TaggedGB
+
+    def build_ls(*args, **kwargs):
+        depth[0] += 1
+        calls[0] += 1
+        try:
+            return real_build(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def tagged(*args):
+        if depth[0]:
+            built.append(args)
+        return real_tagged(*args)
+    for module in (aqclassic, logls):
+        monkeypatch.setattr(module, "build_ls", build_ls)
+    monkeypatch.setattr(modules, "TaggedGB", tagged)
+
+    mor = morphism(COVER_INPUTS[name])
+    for opts in [FactorizationOptions(), *ALT_OPTIONS]:
+        log_homology(mor, options=opts)
+    aq_classical(mor.ring_map)
+    assert calls[0] >= 2 * (1 + len(ALT_OPTIONS)) + 1
+    assert not built

@@ -8,9 +8,10 @@ and `tor` on the instances whose ring and monoid maps are both
 surjective.  Every command but `print` writes its `--format json` form.
 
 The parametric families that grow past the corpus are pinned too:
-`homology`, `tor` and `conormal` on the toric sum maps N^n -> N over F3,
-and `homology` on strict complete intersections k[x..] -> k[x..]/(x_i^d_i)
-over QQ.  Their input texts come from `helpers`.
+`homology`, `tor` and `conormal` on the toric sum maps N^n -> N over F3
+(n = 3, 4, and `homology` at n = 6), and `homology` on strict complete
+intersections k[x..] -> k[x..]/(x_i^d_i) over QQ, up to five variables.
+Their input texts come from `helpers`.
 """
 
 import hashlib
@@ -306,6 +307,8 @@ FAMILY_DIGESTS = {
         "4dc87676fa89fd8f1782253ed8770a3474398a2293b9b4b9d8e5ec2fd230460c",
     ("ci", (2, 3, 2, 2), "homology"):
         "c7e7c7976bae2f8944a3f29ee41b32f239391f911a1445b9d945ca0f5bb9faf8",
+    ("ci", (2, 2, 2, 2, 2), "homology"):
+        "ef49275c423f36c01e59efc60a55b9e4e075320f37869379acdd3d5f94215124",
     ("toric", 3, "conormal"):
         "8936f01c1dffc6eee40d8832c2e20fa1f3f606b46ab1944da92cf909ad17df03",
     ("toric", 3, "homology"):
@@ -318,12 +321,15 @@ FAMILY_DIGESTS = {
         "1e8fbe325bf1852fd4b50c50e87a94cbbb7469f5a511fa148bc0e193c44b29df",
     ("toric", 4, "tor"):
         "fd7981e56dbfbf3669374dfaed2f54e152d65869ac9dd9973826adbbf6563b3c",
+    ("toric", 6, "homology"):
+        "1677c008375be351cca09239a253ebdc5b113a0e6f871cf798da425f6cc1cf32",
 }
 
 
 def test_family_outputs_match_pinned_digests(tmp_path, capsys):
-    texts = {("toric", n): toric_text(n) for n in (3, 4)}
-    texts.update({("ci", d): ci_text(d) for d in ((2, 2, 3), (2, 3, 2, 2))})
+    texts = {("toric", n): toric_text(n) for n in (3, 4, 6)}
+    texts.update({("ci", d): ci_text(d)
+                  for d in ((2, 2, 3), (2, 3, 2, 2), (2, 2, 2, 2, 2))})
     moved = []
     for (family, size, cmd), want in FAMILY_DIGESTS.items():
         path = tmp_path / f"{family}.logaq"
@@ -338,9 +344,10 @@ def test_family_outputs_match_pinned_digests(tmp_path, capsys):
 
 def test_family_texts_refuse_sizes_past_their_names():
     # a size past the name pool would silently pin a smaller instance
-    assert "vars = [x, y, z, w]" in ci_text((2,) * 4)
-    assert "vars = [u, v, w, x, y]" in toric_text(5)
+    assert "vars = [x, y, z, w, v, s]" in ci_text((2,) * 6)
+    assert "vars = [u, v, w, x, y, z, r, s]" in toric_text(8)
+    assert "gens = [a, b, c, d, f, g, h, j]" in toric_text(8)
     with pytest.raises(ValueError):
-        ci_text((2,) * 5)
+        ci_text((2,) * 7)
     with pytest.raises(ValueError):
-        toric_text(6)
+        toric_text(9)

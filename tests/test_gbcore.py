@@ -1,13 +1,14 @@
 """The vector Buchberger engine: flat term keys against the nested ones
 they replaced, ideal bases against sympy, module bases by their defining
-properties, and expressions from tagged bases."""
+properties, expressions from tagged bases, and Schreyer lifts of ideal
+syzygies against the tagged basis."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
-from logaq.gbcore import (TaggedGB, buchberger_vec, reduce_vec,
-                          reducer_index, vec_leading)
+from logaq.gbcore import (TaggedGB, buchberger_vec, lift_syzygies,
+                          reduce_vec, reducer_index, vec_leading)
 from logaq.groebner import buchberger
 from logaq.polynomials import (Poly, DegRevLex, BlockElim, exp_divides,
                                exp_lcm)
@@ -15,6 +16,7 @@ from logaq.polynomials import (Poly, DegRevLex, BlockElim, exp_divides,
 from helpers import (Lex, exact_form, nested_block_elim, nested_degrevlex,
                      nested_pot)
 
+F2 = PrimeField(2)
 F3 = PrimeField(3)
 NVARS = 2
 N_POS = 3
@@ -239,3 +241,50 @@ def test_tagged_express_reconstructs_target(field, data):
             for s in ref.syzygies()]
     assert t.syzygies() == [s for s in kept if s]
     assert ref.express(target)[:len(cols)] == coeffs
+
+
+# ---------------------------------------------------- Schreyer lifts
+
+def _ideal_vecs(field, nvars, min_size, max_size):
+    """One-position vectors of degree <= 2 with at most 3 terms."""
+    exp = st.tuples(*[st.integers(0, 2)] * nvars).filter(
+        lambda e: sum(e) <= 2)
+    vec = st.dictionaries(exp, _coeff(field), min_size=1, max_size=3).map(
+        lambda d: {(0, e): c for e, c in d.items()})
+    return st.lists(vec, min_size=min_size, max_size=max_size)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "F2", "F3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lift_syzygies_match_the_tagged_basis(field, data):
+    order = DegRevLex()
+    nvars = data.draw(st.integers(1, 3))
+    ring = buchberger_vec(data.draw(_ideal_vecs(field, nvars, 0, 2)),
+                          order, field)
+    cover = data.draw(_ideal_vecs(field, nvars, 1, 3))
+    is_gb = data.draw(st.booleans())
+    if is_gb:
+        # a Groebner basis of the ideal plus the ring's: together with
+        # the ring's basis it stays one, so the lift must not give up
+        cover = buchberger_vec(cover + ring, order, field)
+    extra = data.draw(st.one_of(st.just([]), st.just([{}]),
+                                _ideal_vecs(field, nvars, 1, 1)))
+    cover = extra + cover
+    syz = lift_syzygies(cover, ring, order, field)
+    if is_gb and not any(extra):
+        assert syz is not None
+    if syz is not None:
+        _assert_exact_coeffs(syz, field)
+        assert syz == TaggedGB(cover, ring, 1, nvars, field,
+                               order).syzygies()
+
+
+def test_lift_gives_up_off_a_groebner_basis():
+    # x + y and x share their leading term x; their S-pair leaves y
+    order = DegRevLex()
+    x_plus_y = {(0, (1, 0)): 1, (0, (0, 1)): 1}
+    x = {(0, (1, 0)): 1}
+    assert lift_syzygies([x_plus_y, x], [], order, QQ) is None
+    # so does a cover with no nonzero column
+    assert lift_syzygies([{}, {}], [x], order, QQ) is None

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly
 from logaq.groebner import PresentedAlgebra
+from logaq.gbcore import polys_from_vec
+from logaq import modules
 from logaq.modules import (FpModule, ModHom, Complex3,
                            tensor_module, tensor_hom, tensor_complex,
                            pushout, HomologyReport)
@@ -44,6 +46,53 @@ def test_syzygy_examples():
     assert {kxy.str_of(a), kxy.str_of(b)} in ({"y", "-x"}, {"-y", "x"})
 
     assert free.syzygies_of([[kxy.one()]]) == []
+
+
+def _count_tagged_builds(monkeypatch):
+    built = []
+    real = modules.TaggedGB
+
+    def tagged(*args):
+        built.append(args)
+        return real(*args)
+    monkeypatch.setattr(modules, "TaggedGB", tagged)
+    return built
+
+
+def _tagged_syzygies(module, columns):
+    t = module._tagged(columns)
+    return [polys_from_vec(s, len(columns), module.algebra.field)
+            for s in t.syzygies()]
+
+
+def test_syzygies_fall_back_off_a_groebner_basis(monkeypatch):
+    # x + y and x are no Groebner basis: their S-pair leaves y, so the
+    # Schreyer lift gives up and the tagged basis answers
+    kxy = P(["x", "y"])
+    free = FpModule.free(kxy, 1)
+    cols = [[pp(kxy, "x + y")], [pp(kxy, "x")]]
+    built = _count_tagged_builds(monkeypatch)
+    syz = free.syzygies_of(cols)
+    assert len(built) == 1
+    assert syz == _tagged_syzygies(free, cols)
+    (a, b), = syz
+    assert kxy.is_zero(a * cols[0][0] + b * cols[1][0])
+
+
+@pytest.mark.parametrize("zero_at", [0, 1, 3])
+def test_zero_columns_lift_to_unit_syzygies(monkeypatch, zero_at):
+    # a zero column has the unit syzygy, and the other columns, with
+    # the ring's x^2, still lift without a tagged basis
+    kxy = P(["x", "y"], ["x^2"])
+    free = FpModule.free(kxy, 1)
+    cols = [[pp(kxy, s)] for s in ("x*y", "y^2", "x^2 + x*y")]
+    cols.insert(zero_at, [kxy.zero()])
+    built = _count_tagged_builds(monkeypatch)
+    syz = free.syzygies_of(cols)
+    assert not built
+    unit = [kxy.one() if i == zero_at else kxy.zero() for i in range(4)]
+    assert unit in syz
+    assert syz == _tagged_syzygies(free, cols)
 
 
 def test_express_in_many_targets():
