@@ -172,8 +172,6 @@ def cmd_conormal(args):
 
 def cmd_tor(args):
     mor = _morphism(args.file, args.char)
-    if args.depth < 0 or args.depth > 4:
-        raise InputError("depth must be between 0 and 4")
     try:
         s = LogSurjection(mor)
         reports = tor_over_c(s, args.depth)

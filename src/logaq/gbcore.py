@@ -19,17 +19,16 @@ keys of its own.
 
 Ring-level Groebner bases are the one-position case.
 
-Syzygies of an ideal's generators need no tagged basis when the
-generators, together with a Groebner basis of the ring's relations, are
-themselves a Groebner basis, as every cover of the log and classical
-complexes is.  Then `lift_syzygies` reads them off one division per
-S-pair (Schreyer's theorem; Eisenbud, Commutative Algebra, Thm 15.10)
-and one small Buchberger run on the lifts.  Its output is the tagged
-one: main positions dominate the tags, so the tag-only elements of a
-tagged basis are the reduced Groebner basis of the syzygy module, which
-is unique for the order and sorted the same way.  When a division
-leaves a remainder it returns None and the tagged basis is the
-fallback.
+A tagged basis is built one of two ways.  A Buchberger run on the
+tagged columns and the relations always works.  When the columns,
+together with relations that are a Groebner basis, are themselves a
+Groebner basis, as every cover of the log and classical complexes is,
+Schreyer's lift is cheaper: one reduction per S-pair leaves the lifted
+syzygy in the tags (Eisenbud, Commutative Algebra, Thm 15.10), and one
+small Buchberger run on the lifts completes the basis.  Both give the
+same answers, since the tag-only elements are the reduced Groebner basis
+of the syzygy module, unique for the order, and expressions are full
+normal forms.
 
 Strategy, after Gebauer and Moeller, "On an installation of Buchberger's
 algorithm" (J. Symb. Comp. 6, 1988):
@@ -61,10 +60,6 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 
 from .polynomials import Poly, exp_lcm
-
-
-def vec_is_zero(v):
-    return not v
 
 
 def vec_leading(v, order):
@@ -268,105 +263,15 @@ def buchberger_vec(gens, order, field):
     return out
 
 
-def _divide(v, reducers, order, field):
-    """Quotients of a division of v that leaves no remainder, or None.
-
-    `reducers` maps a leading position to entries (leading exponent,
-    tail items, leading coefficient, index).  Returns [(index, shift,
-    coefficient)] with v = sum coefficient * x^shift * element[index],
-    taking terms in descending order, or None at the first term that no
-    leading term divides.
-    """
-    key = order.heap_key
-    work = dict(v)
-    heap = [(key(t), t) for t in work]
-    heapify(heap)
-    quotients = []
-    while heap:
-        lt = heappop(heap)[1]
-        c = work.pop(lt, None)
-        if c is None:
-            continue        # cancelled after it was pushed
-        pos, exp = lt
-        for gexp, tail, glc, k in reducers.get(pos, ()):
-            if _divides(gexp, exp):
-                break
-        else:
-            return None
-        shift = tuple(map(sub, exp, gexp))
-        q = field.div(c, glc)
-        quotients.append((k, shift, q))
-        for t in _add_multiple(work, tail, shift, field.neg(q), field):
-            heappush(heap, (key(t), t))
-    return quotients
-
-
-def lift_syzygies(columns, relations, order, field):
-    """Reduced Groebner basis of the syzygies of `columns` modulo the
-    Groebner basis `relations`, by Schreyer's theorem, or None.
-
-    The elements are the nonzero columns, then the relations; a zero
-    column i gives the unit syzygy e_i.  Each element makes S-pairs only
-    with later elements in its leading position whose multiplier
-    lcm / (its leading term) is minimal under divisibility, ties to the
-    earliest: these are the leading terms of the Schreyer lifts, so the
-    kept lifts generate every syzygy.  Pairs of two relations lift
-    within the relations alone and are left out.  Each kept S-vector is
-    divided with its quotients recorded; the syzygy is the S-pair's
-    multipliers less the quotients, on the column coordinates only.
-
-    Returns None when some S-vector leaves a remainder (the elements are
-    not a Groebner basis) or when no column is nonzero.  Otherwise the
-    result is `buchberger_vec` of the lifts over positions 0..len-1,
-    which equals `TaggedGB(columns, relations, ...).syzygies()`.
-    """
-    m = len(columns)
-    elems = []      # per element: (leading term, reducer entry, index)
-    units = []
-    for k, v in enumerate(columns):
-        if v:
-            lt, _lc = vec_leading(v, order)
-            elems.append((lt, _reducer(v, lt), k))
-        else:
-            units.append(k)
-    n_cols = len(elems)
-    if not n_cols:
-        return None
-    zero_exp = (0,) * len(elems[0][0][1])
-    one = field.one()
-    syz = [{(k, zero_exp): one} for k in units]
-    for k, v in enumerate(relations):
-        lt, _lc = vec_leading(v, order)
-        elems.append((lt, _reducer(v, lt), m + k))
-    reducers = {}
-    for lt, entry, k in elems:
-        reducers.setdefault(lt[0], []).append((*entry, k))
-
-    for a in range(n_cols):
-        (pos, ea), ra, ka = elems[a]
-        mults = [(tuple(max(x, y) - x for x, y in zip(ea, eb)), b)
-                 for b, ((pb, eb), _rb, _kb) in enumerate(elems[a + 1:], a + 1)
-                 if pb == pos]
-        for n, (mult, b) in enumerate(mults):
-            if any(_divides(q, mult) and (q != mult or n2 < n)
-                   for n2, (q, _b) in enumerate(mults)):
-                continue
-            (_pb, eb), rb, kb = elems[b]
-            lcm = tuple(map(add, ea, mult))
-            quotients = _divide(_s_vector(ra, rb, lcm, field), reducers,
-                                order, field)
-            if quotients is None:
-                return None
-            terms = [(ka, mult, field.inv(ra[2])),
-                     (kb, tuple(map(sub, lcm, eb)),
-                      field.neg(field.inv(rb[2])))]
-            terms += [(k, shift, field.neg(q)) for k, shift, q in quotients]
-            s = {}
-            for k, shift, c in terms:
-                if k < m:
-                    _add_multiple(s, [((k, zero_exp), one)], shift, c, field)
-            syz.append(s)
-    return buchberger_vec(syz, order, field)
+def _tag(columns, n_main, nvars, field):
+    """Column i with the unit vector in position n_main + i added."""
+    zero_exp = (0,) * nvars
+    out = []
+    for i, col in enumerate(columns):
+        v = dict(col)
+        v[(n_main + i, zero_exp)] = field.one()
+        out.append(v)
+    return out
 
 
 class TaggedGB:
@@ -383,22 +288,75 @@ class TaggedGB:
       * reducing (v, 0-tags) leaves tag coordinates that express v in the
         columns, modulo the relations, whenever the main part reduces to
         zero.
+
+    The constructor builds the basis by a Buchberger run, `lift` by
+    Schreyer's lift.  Either way the elements with empty main part are
+    the reduced Groebner basis of the syzygy module, and `express` takes
+    a full normal form, which every Groebner basis of the tagged module
+    gives alike: both builders answer every question the same.
     """
 
     def __init__(self, columns, relations, n_main, nvars, field,
                  ring_order):
+        tagged = _tag(columns, n_main, nvars, field)
+        gb = buchberger_vec(tagged + relations, ring_order, field)
+        self._adopt(gb, reducer_index(gb, ring_order), n_main, len(columns),
+                    field, ring_order)
+
+    @classmethod
+    def lift(cls, columns, relations, n_main, nvars, field, ring_order):
+        """The tagged basis by Schreyer's lift, or None when the nonzero
+        columns and the relations are no Groebner basis.
+
+        `relations` must be a Groebner basis.  A tagged column makes
+        S-pairs only with later elements in its leading position whose
+        multiplier lcm / (its leading term) is minimal under
+        divisibility, ties to the earliest: these are the leading terms
+        of the Schreyer lifts, so the kept lifts generate every syzygy.
+        Pairs of two relations lift within the relations alone and are
+        left out.  Each kept S-vector is reduced once by the led columns
+        and the relations: a main term left over means they are no
+        Groebner basis; otherwise the tags left are the lifted syzygy.
+        A zero column is already one.  The basis is the led columns, the
+        relations and the reduced Groebner basis of the syzygies.
+        """
+        led, syz = [], []
+        for col, v in zip(columns, _tag(columns, n_main, nvars, field)):
+            (led if col else syz).append(v)
+        elems = led + relations
+        entries, index = [], {}
+        for v in elems:
+            lt, _lc = vec_leading(v, ring_order)
+            entries.append((lt, _reducer(v, lt)))
+            index.setdefault(lt[0], []).append(entries[-1][1])
+        for a, ((pos, ea), ra) in enumerate(entries[:len(led)]):
+            mults = [(tuple(max(x, y) - x for x, y in zip(ea, eb)), rb)
+                     for (pb, eb), rb in entries[a + 1:] if pb == pos]
+            for n, (mult, rb) in enumerate(mults):
+                if any(_divides(q, mult) and (q != mult or n2 < n)
+                       for n2, (q, _rb) in enumerate(mults)):
+                    continue
+                s = reduce_vec(_s_vector(ra, rb, tuple(map(add, ea, mult)),
+                                         field), index, ring_order, field)
+                if s and next(iter(s))[0] < n_main:
+                    return None     # terms come in descending order
+                syz.append(s)
+        syz = buchberger_vec(syz, ring_order, field)
+        # the syzygies lead in tag positions, the elements in main ones
+        index.update(reducer_index(syz, ring_order))
+        t = cls.__new__(cls)
+        t._adopt(elems + syz, index, n_main, len(columns), field,
+                 ring_order)
+        return t
+
+    def _adopt(self, gb, basis, n_main, n_cols, field, ring_order):
+        """Keep the basis `gb` and its reducer index `basis`."""
+        self.gb = gb
+        self._basis = basis
         self.n_main = n_main
-        self.n_cols = len(columns)
+        self.n_cols = n_cols
         self.field = field
         self.order = ring_order
-        zero_exp = (0,) * nvars
-        tagged = []
-        for i, col in enumerate(columns):
-            v = dict(col)
-            v[(n_main + i, zero_exp)] = field.one()
-            tagged.append(v)
-        self.gb = buchberger_vec(tagged + relations, ring_order, field)
-        self._basis = reducer_index(self.gb, ring_order)
 
     def main_part(self, v):
         return {t: c for t, c in v.items() if t[0] < self.n_main}
@@ -409,11 +367,8 @@ class TaggedGB:
 
     def syzygies(self):
         """Generators of the syzygy module, as vectors over tag positions."""
-        out = []
-        for g in self.gb:
-            if not self.main_part(g):
-                out.append(self.tag_part(g))
-        return out
+        return [self.tag_part(g) for g in self.gb
+                if all(pos >= self.n_main for pos, _e in g)]
 
     def express(self, v):
         """Coefficients writing v in the columns, or None.

@@ -36,9 +36,9 @@ class LogSurjection:
 
 
 def tor_over_c(s, n):
-    """HomologyReports of Tor_i^C(B, B) for i = 0..n, with n <= 4."""
-    if n > 4:
-        raise ValueError("Tor depth limited to 4")
+    """HomologyReports of Tor_i^C(B, B) for i = 0..n, with 0 <= n <= 4."""
+    if not 0 <= n <= 4:
+        raise ValueError("depth must be between 0 and 4")
     c_alg = s.c_alg
     b_alg = s.b_alg
     cast = s.morphism.ring_map

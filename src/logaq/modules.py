@@ -18,9 +18,8 @@ coefficient module B/J, the only kind the pipelines build.
 from itertools import combinations
 
 from .polynomials import Poly
-from .gbcore import (TaggedGB, buchberger_vec, lift_syzygies, reducer_index,
-                     reduce_vec, vec_from_polys, polys_from_vec, vec_is_zero,
-                     vec_leading)
+from .gbcore import (TaggedGB, buchberger_vec, reducer_index, reduce_vec,
+                     vec_from_polys, polys_from_vec, vec_leading)
 from .groebner import (buchberger, staircase_dimension,
                        monomial_ideal_numerator)
 
@@ -73,7 +72,7 @@ class FpModule:
                               self.algebra.field)
 
     def is_zero_element(self, col):
-        return vec_is_zero(self._reduce(col))
+        return not self._reduce(col)
 
     def elements_equal(self, a, b):
         return self.is_zero_element([x - y for x, y in zip(a, b)])
@@ -87,32 +86,33 @@ class FpModule:
         return col
 
     def _tagged(self, columns):
+        """The tagged basis of `columns` modulo this module (see TaggedGB).
+
+        Without relation columns the module's relations are gb(I) * e_j,
+        already a Groebner basis, so Schreyer's lift is tried first; it
+        gives way to a Buchberger run when the columns and those
+        relations are together no Groebner basis.  With relation
+        columns the Buchberger run is taken at once: lifting would first
+        need a Groebner basis of the relations, and that costs more than
+        it saves.
+        """
         alg = self.algebra
-        return TaggedGB([vec_from_polys(c) for c in columns],
-                        self._relation_vecs(), self.n_gens, alg.nvars,
-                        alg.field, alg.order)
+        args = ([vec_from_polys(c) for c in columns], self._relation_vecs(),
+                self.n_gens, alg.nvars, alg.field, alg.order)
+        t = None if self.rel_cols else TaggedGB.lift(*args)
+        return TaggedGB(*args) if t is None else t
 
     def syzygies_of(self, columns):
         """Generating relations among the given elements, modulo this module.
 
         Returns columns of length len(columns) over the algebra: the
-        reduced Groebner basis of their syzygy module.  When the module is
-        the ring itself, `lift_syzygies` reads it off the ideal's S-pairs
-        (Schreyer).  When it cannot (the columns and the ring's Groebner
-        basis are together no Groebner basis, or every column is zero),
-        and for every other module, a tagged basis gives the same list.
+        reduced Groebner basis of their syzygy module, read off the
+        tagged basis, whichever way `_tagged` built it.
         """
         if not columns:
             return []
-        alg = self.algebra
-        if self.n_gens == 1 and not self.rel_cols:
-            syz = lift_syzygies([vec_from_polys(c) for c in columns],
-                                self._relation_vecs(), alg.order, alg.field)
-            if syz is not None:
-                return [polys_from_vec(s, len(columns), alg.field)
-                        for s in syz]
         t = self._tagged(columns)
-        return [polys_from_vec(s, t.n_cols, alg.field)
+        return [polys_from_vec(s, t.n_cols, self.algebra.field)
                 for s in t.syzygies()]
 
     def submodule(self, columns, modulo=()):

@@ -3,8 +3,9 @@ input texts of the complete-intersection and toric sum-map families, the
 lex order, exact linear algebra over a field and an integer determinant,
 small oracles on polynomials, algebras (the leading exponents of an
 ideal's basis among them), abelian groups and term orders, the
-coefficient forms of the fields, and the degree-truncated linear-algebra
-oracle used to cross-check Groebner results."""
+coefficient forms of the fields, the degree-truncated linear-algebra
+oracle used to cross-check Groebner results, and a spy on how tagged
+bases are built."""
 
 from fractions import Fraction
 from itertools import product
@@ -27,6 +28,47 @@ def exact_form(c, field):
 
 def morphism(text, field_name=None):
     return build_morphism(parse_input(text), field_name=field_name)
+
+
+def record_tagged_builds(monkeypatch, *scopes):
+    """Spy on `FpModule._tagged`, the one place a tagged basis is built.
+
+    Returns a list that gets (module, whether a Buchberger run built the
+    basis) for each tagged basis built while a function in `scopes`
+    runs, or at any time when there is none.  A scope is an (owner,
+    attribute name) pair, rebound for the test.  Schreyer's lift builds
+    its basis without calling `TaggedGB.__init__`, so a Buchberger run
+    is a build that calls it.
+    """
+    from logaq.gbcore import TaggedGB
+    from logaq.modules import FpModule
+    builds, runs, depth = [], [0], [0]
+    real_init, real_tagged = TaggedGB.__init__, FpModule._tagged
+
+    def init(self, *args):
+        runs[0] += 1
+        real_init(self, *args)
+
+    def tagged(module, columns):
+        before = runs[0]
+        t = real_tagged(module, columns)
+        if depth[0] or not scopes:
+            builds.append((module, runs[0] > before))
+        return t
+
+    def scoped(real):
+        def run(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return run
+    monkeypatch.setattr(TaggedGB, "__init__", init)
+    monkeypatch.setattr(FpModule, "_tagged", tagged)
+    for owner, name in scopes:
+        monkeypatch.setattr(owner, name, scoped(getattr(owner, name)))
+    return builds
 
 
 def _names(pool, n):

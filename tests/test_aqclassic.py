@@ -1,9 +1,9 @@
 """The classical three-term complex and its homology in degrees 0-2, and
-the cover syzygies of build_ls without a tagged basis."""
+the cover syzygies of build_ls without a Buchberger run."""
 
 import pytest
 
-from logaq import aqclassic, logls, modules
+from logaq import aqclassic, logls
 from logaq.cli import ALT_OPTIONS, corpus_dir
 from logaq.fields import QQ
 from logaq.groebner import PresentedAlgebra, AlgebraMap
@@ -11,7 +11,7 @@ from logaq.aqclassic import aq_classical
 from logaq.logls import log_homology
 from logaq.monoids import FactorizationOptions
 
-from helpers import ci_text, morphism, toric_text
+from helpers import ci_text, morphism, record_tagged_builds, toric_text
 
 
 def amap(src_names, src_rels, tgt_names, tgt_rels, images):
@@ -80,7 +80,8 @@ def test_residue_vs_self_differ():
 
 
 COVER_INPUTS = {name: (corpus_dir() / f"{name}.logaq").read_text()
-                for name in ("strict_ci", "toric_sum", "mixed_cover")}
+                for name in ("strict_ci", "toric_sum", "mixed_cover",
+                             "monoid_collapse")}
 COVER_INPUTS["ci (2, 3, 2, 2)"] = ci_text((2, 3, 2, 2))
 COVER_INPUTS["toric 4"] = toric_text(4)
 
@@ -88,30 +89,23 @@ COVER_INPUTS["toric 4"] = toric_text(4)
 @pytest.mark.parametrize("name", sorted(COVER_INPUTS))
 def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
     # every cover, with the ring's basis, is a Groebner basis, so its
-    # syzygies come from the Schreyer lift; a tagged basis built inside
-    # build_ls means the lift was lost
-    depth, calls, built = [0], [0], []
-    real_build, real_tagged = aqclassic.build_ls, modules.TaggedGB
+    # tagged basis comes from the Schreyer lift; a Buchberger run inside
+    # build_ls means the lift was lost.  monoid_collapse's front cover
+    # has a zero generator, which lifts too.
+    calls = [0]
+    real_build = aqclassic.build_ls
 
     def build_ls(*args, **kwargs):
-        depth[0] += 1
         calls[0] += 1
-        try:
-            return real_build(*args, **kwargs)
-        finally:
-            depth[0] -= 1
-
-    def tagged(*args):
-        if depth[0]:
-            built.append(args)
-        return real_tagged(*args)
+        return real_build(*args, **kwargs)
     for module in (aqclassic, logls):
         monkeypatch.setattr(module, "build_ls", build_ls)
-    monkeypatch.setattr(modules, "TaggedGB", tagged)
-
+    builds = record_tagged_builds(monkeypatch, (aqclassic, "build_ls"),
+                                  (logls, "build_ls"))
     mor = morphism(COVER_INPUTS[name])
     for opts in [FactorizationOptions(), *ALT_OPTIONS]:
         log_homology(mor, options=opts)
     aq_classical(mor.ring_map)
+    # front and back faces of each log complex, and the classical one
     assert calls[0] >= 2 * (1 + len(ALT_OPTIONS)) + 1
-    assert not built
+    assert builds and not any(b for _m, b in builds)

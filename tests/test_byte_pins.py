@@ -9,8 +9,9 @@ surjective.  Every command but `print` writes its `--format json` form.
 
 The parametric families that grow past the corpus are pinned too:
 `homology`, `tor` and `conormal` on the toric sum maps N^n -> N over F3
-(n = 3, 4, and `homology` at n = 6), and `homology` on strict complete
-intersections k[x..] -> k[x..]/(x_i^d_i) over QQ, up to five variables.
+(n = 3, 4, 6, and `tor` and `conormal` at n = 5), and `homology` on
+strict complete intersections k[x..] -> k[x..]/(x_i^d_i) over QQ, up to
+five variables.
 Their input texts come from `helpers`.
 """
 
@@ -321,13 +322,21 @@ FAMILY_DIGESTS = {
         "1e8fbe325bf1852fd4b50c50e87a94cbbb7469f5a511fa148bc0e193c44b29df",
     ("toric", 4, "tor"):
         "fd7981e56dbfbf3669374dfaed2f54e152d65869ac9dd9973826adbbf6563b3c",
+    ("toric", 5, "conormal"):
+        "634e6e50fa7e5c3ebeecba473390d05b340b997f5fce8a84080c8fa88b5444ff",
+    ("toric", 5, "tor"):
+        "222bc800b2014e53f6d2a7be95dabaa50f55f8759cb053109114cc208204dd19",
+    ("toric", 6, "conormal"):
+        "e2dff720ac5a5fc1017fc2ddc609dab33432e101ce867ef0c804fb3b3f81523f",
     ("toric", 6, "homology"):
         "1677c008375be351cca09239a253ebdc5b113a0e6f871cf798da425f6cc1cf32",
+    ("toric", 6, "tor"):
+        "aa80e154f88be807d87ff9332494e6d03d92f6515d0fe558fc76e0ed0dd48031",
 }
 
 
 def test_family_outputs_match_pinned_digests(tmp_path, capsys):
-    texts = {("toric", n): toric_text(n) for n in (3, 4, 6)}
+    texts = {("toric", n): toric_text(n) for n in (3, 4, 5, 6)}
     texts.update({("ci", d): ci_text(d)
                   for d in ((2, 2, 3), (2, 3, 2, 2), (2, 2, 2, 2, 2))})
     moved = []

@@ -201,6 +201,21 @@ def test_tor_command(capsys):
             for i in range(3)] == [2, 2, 0]
 
 
+@pytest.mark.parametrize("depth", ["5", "-1"])
+def test_tor_depth_out_of_range_exit_2(capsys, depth):
+    code, out, err = run(capsys, "tor", corpus_file("strict_hypersurface"),
+                         "--depth", depth, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == "error: depth must be between 0 and 4\n"
+
+
+def test_tor_reports_a_non_surjection_before_the_depth(capsys):
+    code, out, err = run(capsys, "tor", corpus_file("log_line"),
+                         "--depth", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: ring map is not surjective\n"
+
+
 def test_print_round_trip(capsys):
     code, out, _ = run(capsys, "print", corpus_file("torsion_kummer"))
     assert code == 0

@@ -1,14 +1,14 @@
 """The vector Buchberger engine: flat term keys against the nested ones
 they replaced, ideal bases against sympy, module bases by their defining
-properties, expressions from tagged bases, and Schreyer lifts of ideal
-syzygies against the tagged basis."""
+properties, expressions from tagged bases, and tagged bases built by
+Schreyer's lift against those built by Buchberger's algorithm."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
-from logaq.gbcore import (TaggedGB, buchberger_vec, lift_syzygies,
-                          reduce_vec, reducer_index, vec_leading)
+from logaq.gbcore import (TaggedGB, buchberger_vec, reduce_vec,
+                          reducer_index, vec_leading)
 from logaq.groebner import buchberger
 from logaq.polynomials import (Poly, DegRevLex, BlockElim, exp_divides,
                                exp_lcm)
@@ -245,12 +245,12 @@ def test_tagged_express_reconstructs_target(field, data):
 
 # ---------------------------------------------------- Schreyer lifts
 
-def _ideal_vecs(field, nvars, min_size, max_size):
-    """One-position vectors of degree <= 2 with at most 3 terms."""
+def _module_vecs(field, nvars, n_pos, min_size, max_size):
+    """Vectors over n_pos positions of degree <= 2 with at most 3 terms."""
     exp = st.tuples(*[st.integers(0, 2)] * nvars).filter(
         lambda e: sum(e) <= 2)
-    vec = st.dictionaries(exp, _coeff(field), min_size=1, max_size=3).map(
-        lambda d: {(0, e): c for e, c in d.items()})
+    term = st.tuples(st.integers(0, n_pos - 1), exp)
+    vec = st.dictionaries(term, _coeff(field), min_size=1, max_size=3)
     return st.lists(vec, min_size=min_size, max_size=max_size)
 
 
@@ -260,31 +260,50 @@ def _ideal_vecs(field, nvars, min_size, max_size):
 def test_lift_syzygies_match_the_tagged_basis(field, data):
     order = DegRevLex()
     nvars = data.draw(st.integers(1, 3))
-    ring = buchberger_vec(data.draw(_ideal_vecs(field, nvars, 0, 2)),
+    n_main = data.draw(st.integers(1, 2))
+    rels = buchberger_vec(data.draw(_module_vecs(field, nvars, n_main, 0, 2)),
                           order, field)
-    cover = data.draw(_ideal_vecs(field, nvars, 1, 3))
+    cover = data.draw(_module_vecs(field, nvars, n_main, 1, 3))
     is_gb = data.draw(st.booleans())
     if is_gb:
-        # a Groebner basis of the ideal plus the ring's: together with
-        # the ring's basis it stays one, so the lift must not give up
-        cover = buchberger_vec(cover + ring, order, field)
+        # a Groebner basis of the submodule plus the relations: with the
+        # relations it stays one, so the lift must not give up
+        cover = buchberger_vec(cover + rels, order, field)
     extra = data.draw(st.one_of(st.just([]), st.just([{}]),
-                                _ideal_vecs(field, nvars, 1, 1)))
+                                _module_vecs(field, nvars, n_main, 1, 1)))
     cover = extra + cover
-    syz = lift_syzygies(cover, ring, order, field)
+    args = (cover, rels, n_main, nvars, field, order)
+    lifted = TaggedGB.lift(*args)
     if is_gb and not any(extra):
-        assert syz is not None
-    if syz is not None:
-        _assert_exact_coeffs(syz, field)
-        assert syz == TaggedGB(cover, ring, 1, nvars, field,
-                               order).syzygies()
+        # a zero column is a syzygy already and needs no S-pair
+        assert lifted is not None
+    if lifted is None:
+        return
+    ref = TaggedGB(*args)
+    _assert_exact_coeffs(lifted.gb, field)
+    assert lifted.syzygies() == ref.syzygies()
+    # expressions: of combinations of the columns and relations, which
+    # lie in their span, and of vectors that may not
+    multipliers = data.draw(st.lists(_module_vecs(field, nvars, 1, 1, 1),
+                                     min_size=len(cover) + len(rels),
+                                     max_size=len(cover) + len(rels)))
+    target = {}
+    for col, (m,) in zip(cover + rels, multipliers):
+        for (_pos, e), c in m.items():
+            _add_multiple(target, col, e, c, field)
+    targets = [target, *data.draw(_module_vecs(field, nvars, n_main, 0, 2))]
+    assert lifted.express(target) is not None
+    for t in targets:
+        assert lifted.express(t) == ref.express(t)
 
 
 def test_lift_gives_up_off_a_groebner_basis():
-    # x + y and x share their leading term x; their S-pair leaves y
+    # x + y and x share their leading term x; their S-pair leaves y,
+    # which the Buchberger build takes into its basis
     order = DegRevLex()
     x_plus_y = {(0, (1, 0)): 1, (0, (0, 1)): 1}
     x = {(0, (1, 0)): 1}
-    assert lift_syzygies([x_plus_y, x], [], order, QQ) is None
-    # so does a cover with no nonzero column
-    assert lift_syzygies([{}, {}], [x], order, QQ) is None
+    args = ([x_plus_y, x], [], 1, 2, QQ, order)
+    assert TaggedGB.lift(*args) is None
+    syz, = TaggedGB(*args).syzygies()
+    assert syz == {(0, (1, 0)): 1, (1, (1, 0)): -1, (1, (0, 1)): -1}

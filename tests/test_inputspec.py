@@ -226,3 +226,151 @@ def test_table_key_order_is_irrelevant(orders):
     assert again == spec
     assert build_morphism(again).monoid_map.images \
         == build_morphism(canonical).monoid_map.images
+
+
+# ------------------------------------------------ round trip, generated
+#
+# Small valid specs as text.  The ring map sends some source variables
+# to 0, and every term of a source relation has one of them, so the map
+# respects the relations.  Each target generator's alpha is the image
+# of a source variable, or 0 or 1, and a source generator's alpha is the
+# matching product (plus a term the map kills), so the morphism
+# commutes with alpha.
+
+NAME_POOL = ["x", "y", "z", "s", "t", "u", "v", "w", "a", "b", "e", "f",
+             "x1", "y_2", "tt", "g0"]
+FIELDS = {"QQ": 0, "F2": 2, "F3": 3, "F7": 7}
+COMMENT = st.text(st.characters(codec="ascii", exclude_characters="\n\r"),
+                  max_size=12)
+
+
+def _coeff_text(p):
+    """A coefficient, multi-digit or fractional; over F_p the
+    denominator is a unit."""
+    num = st.integers(0, 999).map(str)
+    den = st.integers(1, 99).filter(lambda d: not p or d % p)
+    return st.one_of(num, st.builds(lambda n, d: f"{n}/{d}", num, den))
+
+
+@st.composite
+def _poly_text(draw, names, p, must=()):
+    """A signed sum of terms in `names`; each term has a factor from
+    `must` when it is not empty."""
+    text = draw(st.sampled_from(["", "-"]))
+    for n in range(draw(st.integers(1, 3))):
+        factors = []
+        if draw(st.booleans()) or not names:
+            factors.append(draw(_coeff_text(p)))
+        if must:
+            factors.append(draw(st.sampled_from(must)))
+        for name in draw(st.lists(st.sampled_from(names), max_size=2)
+                         if names else st.just([])):
+            e = draw(st.integers(1, 3))
+            factors.append(name if e == 1 else f"{name}^{e}")
+        if n:
+            text += draw(st.sampled_from([" + ", " - ", "+", "-"]))
+        text += "*".join(factors or ["1"])
+    return text
+
+
+def _draw_names(draw, max_size):
+    return draw(st.lists(st.sampled_from(NAME_POOL), unique=True,
+                         max_size=max_size))
+
+
+def _table(draw, items):
+    """{ k = v, ... } in a drawn key order, sometimes across lines with
+    comments after the commas."""
+    entries = [f"{k} = {v}" for k, v in draw(st.permutations(items))]
+    if not entries:
+        return "{}"
+    text = entries[0]
+    for entry in entries[1:]:
+        sep = f",  # {draw(COMMENT)}\n  " if draw(st.booleans()) else ", "
+        text += sep + entry
+    return "{ " + text + " }"
+
+
+def _list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+@st.composite
+def spec_texts(draw):
+    field = draw(st.sampled_from(sorted(FIELDS)))
+    p = FIELDS[field]
+    tvars, tgens = _draw_names(draw, 3), _draw_names(draw, 2)
+    svars, sgens = _draw_names(draw, 3), _draw_names(draw, 2)
+    killed = [v for v in svars if draw(st.booleans())]
+    live = [v for v in svars if v not in killed]
+    images = {v: "0" if v in killed else draw(_poly_text(tvars, p))
+              for v in svars}
+    trels = draw(st.lists(_poly_text(tvars, p, must=tvars), max_size=2)) \
+        if tvars else []
+    srels = draw(st.lists(_poly_text(svars, p, must=killed), max_size=2)) \
+        if killed else []
+    # each target generator is alpha of a live source variable, 0 or 1
+    origin = {f: draw(st.sampled_from(live + ["0", "1"])) for f in tgens}
+    talpha = {f: images[o] if o in live else o for f, o in origin.items()}
+    words, salpha = {}, {}
+    for g in sgens:
+        w = [draw(st.integers(0, 2)) for _ in tgens]
+        words[g] = _list(str(e) for e in w)
+        used = [(o, e) for o, e in zip(origin.values(), w)
+                if e and o != "1"]
+        alpha = "0" if any(o == "0" for o, _e in used) else "*".join(
+            [o if e == 1 else f"{o}^{e}" for o, e in used] or ["1"])
+        if killed and draw(st.booleans()):
+            extra = draw(_poly_text(svars, p, must=killed))
+            alpha += (" " if extra.startswith("-") else " + ") + extra
+        salpha[g] = alpha
+
+    def ring(vs, rels, gs, alpha):
+        entries = [("vars", _list(vs)), ("gens", _list(gs)),
+                   ("alpha", _table(draw, [(g, f'"{a}"')
+                                           for g, a in alpha.items()]))]
+        if rels or draw(st.booleans()):
+            entries.append(("relations", _list(f'"{r}"' for r in rels)))
+        if vs and draw(st.booleans()):
+            entries.append(("weights", _list(
+                str(draw(st.integers(1, 12))) for _ in vs)))
+        return entries
+    sections = {
+        "field": [("name", f'"{field}"')],
+        "source": ring(svars, srels, sgens, salpha),
+        "target": ring(tvars, trels, tgens, talpha),
+        "morphism": [
+            ("ring_map", _table(draw, [(v, f'"{i}"')
+                                       for v, i in images.items()])),
+            ("monoid_map", _table(draw, list(words.items())))],
+    }
+    meta = draw(st.dictionaries(
+        st.sampled_from(["strict", "prop12", "alt", "note", "n", "list"]),
+        st.one_of(st.just("true"), st.just('"a # b"'),
+                  st.integers(-999, 999).map(str),
+                  st.lists(st.integers(0, 99).map(str), max_size=3)
+                  .map(_list))))
+    if meta or draw(st.booleans()):
+        sections["meta"] = list(meta.items())
+    lines = []
+    for name in draw(st.permutations(sorted(sections))):
+        if draw(st.booleans()):
+            lines.append(f"# {draw(COMMENT)}")
+        lines.append(f"[{name}]")
+        for key, value in draw(st.permutations(sections[name])):
+            line = f"{key} = {value}"
+            if draw(st.booleans()):
+                line += f"  # {draw(COMMENT)}"
+            lines.append(line)
+        lines.append("")
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_texts())
+def test_generated_specs_round_trip(text):
+    spec = parse_input(text)
+    printed = print_input(spec)
+    again = parse_input(printed)
+    assert again == spec
+    assert print_input(again) == printed

@@ -16,6 +16,10 @@ from logaq.aqclassic import aq_classical
 from logaq.kcomplex import kdata_from_factorization, right_face
 from logaq.cli import corpus_instances, ALT_OPTIONS
 from logaq.inputspec import build_morphism
+from logaq import logls
+
+from helpers import ci_text, morphism, record_tagged_builds, toric_text
+
 
 def mor(name, field_name=None):
     return build_morphism(dict(corpus_instances())[name], field_name)
@@ -93,6 +97,20 @@ def test_alt_choice_independence():
         for opt in ALT_OPTIONS:
             alt = log_homology(m, options=opt)
             assert all(a.same_as(b) for a, b in zip(alt, base)), (name, opt)
+
+
+def test_build_alphas_express_by_the_lift(monkeypatch):
+    # the front's cover generators span a free module with no relation
+    # columns, and its syzygies are a reduced Groebner basis, so
+    # expressing the back's cast syzygies in them lifts
+    builds = record_tagged_builds(monkeypatch, (logls, "_build_alphas"))
+    morphisms = [build_morphism(spec) for _name, spec in corpus_instances()]
+    morphisms += [morphism(ci_text((2, 3, 2))), morphism(toric_text(4))]
+    for m in morphisms:
+        for opts in [FactorizationOptions(), *ALT_OPTIONS]:
+            log_homology(m, options=opts)
+    assert len(builds) >= len(morphisms)
+    assert not any(b for _m, b in builds)
 
 
 def test_residue_coefficients():

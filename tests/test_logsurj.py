@@ -10,7 +10,7 @@ from logaq.modules import FpModule, HomologyReport
 from logaq.cli import corpus_instances
 from logaq.inputspec import build_morphism
 
-from helpers import morphism, toric_text
+from helpers import morphism, record_tagged_builds, toric_text
 
 
 def surj(name, field_name=None):
@@ -82,10 +82,23 @@ def test_tor_resolves_only_the_steps_it_reads(monkeypatch):
     assert (4, 1) not in calls
 
 
+def test_tor_resolution_steps_lift(monkeypatch):
+    # the resolution's free modules over C have no relation columns, and
+    # each step's columns are a reduced Groebner basis, so every step
+    # lifts without a Buchberger run; the kernel's three generators have
+    # a Koszul resolution, so the fourth step has no columns to lift
+    s = LogSurjection(morphism(toric_text(4)))
+    builds = record_tagged_builds(monkeypatch)
+    tor_over_c(s, 4)
+    assert [b for m, b in builds if m.algebra is s.c_alg] == [False] * 3
+
+
 def test_tor_depth_limit():
     s = LogSurjection(morphism(LINE_TO_K))
-    with pytest.raises(ValueError):
-        tor_over_c(s, 5)
+    for depth in (-1, 5):
+        with pytest.raises(ValueError,
+                           match="^depth must be between 0 and 4$"):
+            tor_over_c(s, depth)
 
 
 def test_non_surjective_rejected():

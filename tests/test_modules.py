@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly
 from logaq.groebner import PresentedAlgebra
-from logaq.gbcore import polys_from_vec
-from logaq import modules
+from logaq.gbcore import TaggedGB, polys_from_vec, vec_from_polys
 from logaq.modules import (FpModule, ModHom, Complex3,
                            tensor_module, tensor_hom, tensor_complex,
                            pushout, HomologyReport)
 
-from helpers import oracle_syzygy_dim, syzygy_span_dim, poly_vector, span_rank
+from helpers import (oracle_syzygy_dim, poly_vector, record_tagged_builds,
+                     span_rank, syzygy_span_dim)
 
 
 def P(names, rels=()):
@@ -48,51 +48,73 @@ def test_syzygy_examples():
     assert free.syzygies_of([[kxy.one()]]) == []
 
 
-def _count_tagged_builds(monkeypatch):
-    built = []
-    real = modules.TaggedGB
-
-    def tagged(*args):
-        built.append(args)
-        return real(*args)
-    monkeypatch.setattr(modules, "TaggedGB", tagged)
-    return built
+def _buchberger_basis(module, columns):
+    alg = module.algebra
+    return TaggedGB([vec_from_polys(c) for c in columns],
+                    module._relation_vecs(), module.n_gens, alg.nvars,
+                    alg.field, alg.order)
 
 
-def _tagged_syzygies(module, columns):
-    t = module._tagged(columns)
+def _buchberger_syzygies(module, columns):
     return [polys_from_vec(s, len(columns), module.algebra.field)
-            for s in t.syzygies()]
+            for s in _buchberger_basis(module, columns).syzygies()]
 
 
 def test_syzygies_fall_back_off_a_groebner_basis(monkeypatch):
     # x + y and x are no Groebner basis: their S-pair leaves y, so the
-    # Schreyer lift gives up and the tagged basis answers
+    # Schreyer lift gives up and a Buchberger run builds the basis
     kxy = P(["x", "y"])
     free = FpModule.free(kxy, 1)
     cols = [[pp(kxy, "x + y")], [pp(kxy, "x")]]
-    built = _count_tagged_builds(monkeypatch)
+    builds = record_tagged_builds(monkeypatch)
     syz = free.syzygies_of(cols)
-    assert len(built) == 1
-    assert syz == _tagged_syzygies(free, cols)
+    assert [b for _m, b in builds] == [True]
+    assert syz == _buchberger_syzygies(free, cols)
     (a, b), = syz
     assert kxy.is_zero(a * cols[0][0] + b * cols[1][0])
 
 
-@pytest.mark.parametrize("zero_at", [0, 1, 3])
+@pytest.mark.parametrize("zero_at", [0, 1, 3, "all"])
 def test_zero_columns_lift_to_unit_syzygies(monkeypatch, zero_at):
     # a zero column has the unit syzygy, and the other columns, with
-    # the ring's x^2, still lift without a tagged basis
+    # the ring's x^2, still lift without a Buchberger run; so do
+    # columns that are all zero
     kxy = P(["x", "y"], ["x^2"])
     free = FpModule.free(kxy, 1)
-    cols = [[pp(kxy, s)] for s in ("x*y", "y^2", "x^2 + x*y")]
-    cols.insert(zero_at, [kxy.zero()])
-    built = _count_tagged_builds(monkeypatch)
+    if zero_at == "all":
+        cols = [[kxy.zero()]] * 2
+    else:
+        cols = [[pp(kxy, s)] for s in ("x*y", "y^2", "x^2 + x*y")]
+        cols.insert(zero_at, [kxy.zero()])
+    builds = record_tagged_builds(monkeypatch)
     syz = free.syzygies_of(cols)
-    assert not built
-    unit = [kxy.one() if i == zero_at else kxy.zero() for i in range(4)]
-    assert unit in syz
-    assert syz == _tagged_syzygies(free, cols)
+    assert [b for _m, b in builds] == [False]
+    for i, col in enumerate(cols):
+        if col[0].is_zero():
+            assert [kxy.one() if j == i else kxy.zero()
+                    for j in range(len(cols))] in syz
+    assert syz == _buchberger_syzygies(free, cols)
+
+
+def test_free_modules_of_several_generators_lift(monkeypatch):
+    # a module with no relation columns lifts in every position: its
+    # relations gb(I) * e_j are a Groebner basis already
+    kxy = P(["x", "y"], ["x^2"])
+    free = FpModule.free(kxy, 2)
+    cols = [[pp(kxy, "x"), pp(kxy, "y")], [kxy.zero(), pp(kxy, "y")],
+            [pp(kxy, "y"), kxy.zero()]]
+    target = [pp(kxy, "x*y"), pp(kxy, "y^2")]
+    builds = record_tagged_builds(monkeypatch)
+    syz = free.syzygies_of(cols)
+    got = free.express_in(cols, [target])
+    assert [b for _m, b in builds] == [False, False]
+    assert syz == _buchberger_syzygies(free, cols)
+    assert got[0] is not None
+    assert got == [_buchberger_basis(free, cols).express(
+        vec_from_polys(target))]
+    # relation columns take the Buchberger run
+    FpModule(kxy, 2, [cols[0]]).syzygies_of(cols[1:])
+    assert [b for _m, b in builds] == [False, False, True]
 
 
 def test_express_in_many_targets():
