@@ -85,7 +85,14 @@ class PresentedAlgebra:
 
 
 def staircase_dimension(lt_exps, nvars):
-    """Number of monomials outside the monomial ideal, or None if infinite."""
+    """Number of monomials outside the monomial ideal, or None if infinite.
+
+    Counted by runs: over each point of the box below the last
+    coordinate, the monomials outside the ideal are those whose last
+    exponent is below the smallest last exponent among the generators
+    dividing that point in the other coordinates.  The pure power of
+    the last variable is always among them.
+    """
     if any(all(e == 0 for e in exp) for exp in lt_exps):
         return 0
     if nvars == 0:
@@ -99,17 +106,14 @@ def staircase_dimension(lt_exps, nvars):
                 bounds[i] = exp[i]
     if any(b is None for b in bounds):
         return None
-    count = 0
-    stack = [(0, (0,) * nvars)]
-    while stack:
-        i, exp = stack.pop()
-        if i == nvars:
-            if not any(exp_divides(g, exp) for g in lt_exps):
-                count += 1
-            continue
-        for e in range(bounds[i]):
-            stack.append((i + 1, exp[:i] + (e,) + exp[i + 1:]))
-    return count
+    last = nvars - 1
+
+    def count(i, gens):
+        if i == last:
+            return min(g[last] for g in gens)
+        return sum(count(i + 1, [g for g in gens if g[i] <= e])
+                   for e in range(bounds[i]))
+    return count(0, lt_exps)
 
 
 def monomial_ideal_numerator(gens, weights):
@@ -173,6 +177,8 @@ class AlgebraMap:
         return out
 
     def apply(self, p):
+        if p.is_zero():
+            return p
         return self.target.nf(self.substitute(p))
 
     def _graph(self):

@@ -158,39 +158,59 @@ class FpModule:
 
     def trim(self):
         """Smaller presentation: eliminate generators that occur with an
-        invertible constant coefficient in some relation."""
+        invertible constant coefficient in some relation.
+
+        The pivot is the lowest generator with a nonzero constant entry
+        in the first column that has one.  Columns are kept sparse, as
+        {generator: normal form} on the original generator indices, and
+        renumbered at the end.  Eliminating generator j rewrites only
+        the columns with an entry at j, and in them only the positions
+        where the pivot column has one.  Entries are normal forms, so a
+        new entry p - c*q needs `nf` only when c and q are both
+        non-constant: otherwise it is a scalar combination of normal
+        forms, already one.
+        """
         alg = self.algebra
         f = alg.field
-        gens = list(range(self.n_gens))
-        cols = [[alg.nf(p) for p in c] for c in self.rel_cols]
+        cols = []
+        for c in self.rel_cols:
+            col = {}
+            for j, p in enumerate(c):
+                if not p.is_zero():
+                    p = alg.nf(p)
+                    if not p.is_zero():
+                        col[j] = p
+            cols.append(col)
+        gens = set(range(self.n_gens))
+        zero = alg.zero()
         while True:
             hit = None
             for ci, col in enumerate(cols):
-                for j, p in enumerate(col):
-                    if p.is_constant() and not p.is_zero():
-                        hit = (ci, j)
-                        break
-                if hit:
+                consts = [j for j, p in col.items() if p.is_constant()]
+                if consts:
+                    hit = ci, min(consts)
                     break
             if hit is None:
                 break
             ci, j = hit
             pivot = cols.pop(ci)
-            u = pivot[j].coeffs[(0,) * alg.nvars]
-            inv = f.inv(u)
-            new_cols = []
+            inv = f.inv(pivot.pop(j).coeffs[(0,) * alg.nvars])
+            gens.discard(j)
             for col in cols:
-                cj = col[j]
-                if cj.is_zero():
-                    new_cols.append([p for i, p in enumerate(col) if i != j])
+                if j not in col:
                     continue
-                adj = [alg.nf(p - cj.scale(inv) * pivot[i])
-                       for i, p in enumerate(col) if i != j]
-                new_cols.append(adj)
-            cols = new_cols
-            gens = [g for i, g in enumerate(gens) if i != j]
-        cols = [c for c in cols if any(not p.is_zero() for p in c)]
-        return FpModule(alg, len(gens), cols)
+                c = col.pop(j).scale(inv)
+                for i, q in pivot.items():
+                    p = col.get(i, zero) - c * q
+                    if not (c.is_constant() or q.is_constant()):
+                        p = alg.nf(p)
+                    if p.is_zero():
+                        col.pop(i, None)
+                    else:
+                        col[i] = p
+        gens = sorted(gens)
+        return FpModule(alg, len(gens), [[col.get(g, zero) for g in gens]
+                                         for col in cols if col])
 
     def free_rank(self):
         """Rank if the presentation visibly presents a free module.
@@ -450,7 +470,16 @@ def _shift_normalized(num):
 
 
 class HomologyReport:
-    """Canonical summary of a module: presentation plus size proxies."""
+    """Canonical summary of a module: presentation plus size proxies.
+
+    The printed presentation, the k dimension, the free rank and the
+    Fitting ideal come from the trimmed presentation, whose one relation
+    Groebner basis serves the k dimension and the free rank; the k
+    dimension is an isomorphism invariant, so any presentation gives
+    it.  The Hilbert data comes from the untrimmed module: its numerator
+    is printed as it stands, and that depends on the generator shifts
+    inferred from the relations given.
+    """
 
     def __init__(self, module):
         trimmed = module.trim()
@@ -458,7 +487,7 @@ class HomologyReport:
         alg = module.algebra
         self.relations = [[alg.str_of(p) for p in c]
                           for c in trimmed.rel_cols]
-        self.k_dimension = module.k_dimension()
+        self.k_dimension = trimmed.k_dimension()
         self.free_rank = trimmed.free_rank()
         self.hilbert = module.hilbert_data() \
             if self.k_dimension is None else None

@@ -4,15 +4,17 @@ lex order, exact linear algebra over a field and an integer determinant,
 small oracles on polynomials, algebras (the leading exponents of an
 ideal's basis among them), abelian groups and term orders, the
 coefficient forms of the fields, the degree-truncated linear-algebra
-oracle used to cross-check Groebner results, and a spy on how tagged
-bases are built."""
+oracle used to cross-check Groebner results, a spy on how tagged
+bases are built, and the dense presentation trim and box-walk staircase
+count that the sparse ones in `logaq` are checked against."""
 
 from fractions import Fraction
 from itertools import product
 from operator import neg
 
 from logaq.inputspec import parse_input, build_morphism
-from logaq.polynomials import Poly, exp_mul
+from logaq.polynomials import Poly, exp_divides, exp_mul
+from logaq.modules import FpModule
 from logaq.intlinalg import IntMatrix, int_solve
 from logaq.abgroups import FpAbGroup
 
@@ -428,3 +430,69 @@ def syzygy_span_dim(syzygies, gens, nvars, degree, field):
             if ok:
                 rows.append(row)
     return span_rank(rows, field)
+
+
+def dense_trim(module):
+    """`FpModule.trim` by dense columns: after each pivot every remaining
+    column is rebuilt and every entry of it normalized."""
+    alg = module.algebra
+    f = alg.field
+    gens = list(range(module.n_gens))
+    cols = [[alg.nf(p) for p in c] for c in module.rel_cols]
+    while True:
+        hit = None
+        for ci, col in enumerate(cols):
+            for j, p in enumerate(col):
+                if p.is_constant() and not p.is_zero():
+                    hit = (ci, j)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        ci, j = hit
+        pivot = cols.pop(ci)
+        u = pivot[j].coeffs[(0,) * alg.nvars]
+        inv = f.inv(u)
+        new_cols = []
+        for col in cols:
+            cj = col[j]
+            if cj.is_zero():
+                new_cols.append([p for i, p in enumerate(col) if i != j])
+                continue
+            adj = [alg.nf(p - cj.scale(inv) * pivot[i])
+                   for i, p in enumerate(col) if i != j]
+            new_cols.append(adj)
+        cols = new_cols
+        gens = [g for i, g in enumerate(gens) if i != j]
+    cols = [c for c in cols if any(not p.is_zero() for p in c)]
+    return FpModule(alg, len(gens), cols)
+
+
+def staircase_by_walk(lt_exps, nvars):
+    """`staircase_dimension` by testing every point of the bounding box
+    against every generator."""
+    if any(all(e == 0 for e in exp) for exp in lt_exps):
+        return 0
+    if nvars == 0:
+        return 1
+    bounds = [None] * nvars
+    for exp in lt_exps:
+        support = [i for i, e in enumerate(exp) if e]
+        if len(support) == 1:
+            i = support[0]
+            if bounds[i] is None or exp[i] < bounds[i]:
+                bounds[i] = exp[i]
+    if any(b is None for b in bounds):
+        return None
+    count = 0
+    stack = [(0, (0,) * nvars)]
+    while stack:
+        i, exp = stack.pop()
+        if i == nvars:
+            if not any(exp_divides(g, exp) for g in lt_exps):
+                count += 1
+            continue
+        for e in range(bounds[i]):
+            stack.append((i + 1, exp[:i] + (e,) + exp[i + 1:]))
+    return count

@@ -1,12 +1,15 @@
-"""Buchberger, normal forms, elimination kernels, and the
-degree-truncated linear-algebra oracle for membership soundness."""
+"""Buchberger, normal forms, elimination kernels, staircase counts, and
+the degree-truncated linear-algebra oracle for membership soundness."""
+
+from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly, DegRevLex, poly_str, exp_divides
-from logaq.groebner import buchberger, PresentedAlgebra, AlgebraMap
+from logaq.groebner import (buchberger, PresentedAlgebra, AlgebraMap,
+                            staircase_dimension)
 
 from helpers import (Lex, poly_vector, truncated_ideal_span, span_rank,
-                     in_span, lt_exponents)
+                     in_span, lt_exponents, staircase_by_walk)
 
 
 def P(names, rels_str=(), field=QQ, order=None):
@@ -154,3 +157,31 @@ def test_membership_oracle_char2():
     rows, basis, _ = truncated_ideal_span(alg.relations, 2, 6, f2)
     span_dim = span_rank(rows, f2)
     assert span_dim == len(basis) - _standard_count(alg, basis)
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """(generators, nvars): random exponents, pure powers of some of the
+    variables (a missing one makes the count infinite), redundant
+    multiples of earlier generators, and now and then the constant."""
+    nvars = draw(st.integers(0, 4))
+    exp = st.tuples(*[st.integers(0, 3)] * nvars)
+    gens = draw(st.lists(exp, max_size=5))
+    for i in range(nvars):
+        if draw(st.booleans()) or draw(st.booleans()):
+            e = draw(st.integers(1, 4))
+            gens.append(tuple(e if j == i else 0 for j in range(nvars)))
+    if gens and draw(st.booleans()):
+        g = draw(st.sampled_from(gens))
+        gens.append(tuple(a + b for a, b in zip(g, draw(exp))))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * nvars)
+    return draw(st.permutations(gens)), nvars
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_ideals())
+def test_staircase_counted_by_runs_matches_the_box_walk(ideal):
+    gens, nvars = ideal
+    assert staircase_dimension(gens, nvars) == \
+        staircase_by_walk(gens, nvars)

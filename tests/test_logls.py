@@ -7,12 +7,12 @@ import weakref
 import pytest
 
 from logaq.monoids import FactorizationOptions, choose_log_factorization
-from logaq.modules import Complex3
+from logaq.modules import Complex3, HomologyReport, tensor_complex
 from logaq.logls import (CommutationFailure, log_ls, log_homology,
                          check_strict_reduction,
                          check_compatibility_sequence, build_diagram1,
                          assemble_log_ls)
-from logaq.aqclassic import aq_classical
+from logaq.aqclassic import aq_classical, coefficient_module
 from logaq.kcomplex import kdata_from_factorization, right_face
 from logaq.cli import corpus_instances, ALT_OPTIONS
 from logaq.inputspec import build_morphism
@@ -118,6 +118,24 @@ def test_residue_coefficients():
     assert (h0.k_dimension, h1.k_dimension, h2.k_dimension) == (1, 1, 0)
     r0 = log_homology(mor("strict_plane_curve"), "residue")
     assert r0[0].k_dimension is not None
+
+
+def test_report_k_dimension_is_the_untrimmed_modules():
+    # the report reads the k dimension off the trimmed presentation, and
+    # builds no relation basis of the untrimmed module when it is finite
+    morphisms = [(name, build_morphism(spec))
+                 for name, spec in corpus_instances()]
+    morphisms.append(("ci (5, 5, 5, 3)", morphism(ci_text((5, 5, 5, 3)))))
+    for name, m in morphisms:
+        for coeffs in ("self", "residue"):
+            t = coefficient_module(m.target.algebra, coeffs)
+            homology = tensor_complex(log_ls(m).complex, t).homology()
+            for i, h in enumerate(homology):
+                report = HomologyReport(h)
+                assert report.k_dimension is None or h._rel_gb is None, \
+                    (name, coeffs, i)
+                assert report.k_dimension == h.k_dimension(), \
+                    (name, coeffs, i)
 
 
 def test_memoized_reports_match_fresh_morphisms():

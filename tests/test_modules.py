@@ -12,8 +12,8 @@ from logaq.modules import (FpModule, ModHom, Complex3,
                            tensor_module, tensor_hom, tensor_complex,
                            pushout, HomologyReport)
 
-from helpers import (oracle_syzygy_dim, poly_vector, record_tagged_builds,
-                     span_rank, syzygy_span_dim)
+from helpers import (dense_trim, exact_form, oracle_syzygy_dim, poly_vector,
+                     record_tagged_builds, span_rank, syzygy_span_dim)
 
 
 def P(names, rels=()):
@@ -224,6 +224,7 @@ def test_homology_uses_target_relations():
     assert h.k_dimension() == 2
 
 
+F2 = PrimeField(2)
 F3 = PrimeField(3)
 # k-basis of B = k[x, y]/(x^2, y^3), which is 6-dimensional
 FIN_BASIS = [(a, b) for a in range(2) for b in range(3)]
@@ -387,3 +388,57 @@ def test_report_proxies():
     assert free1.k_dimension is None
     assert free1.free_rank == 1
     assert not free1.same_as(r1)
+
+
+def test_trim_pivots_on_the_lowest_constant_of_the_first_such_column():
+    kxy = P(["x", "y"])
+    x, y, one, zero = kxy.var("x"), kxy.var("y"), kxy.one(), kxy.zero()
+    m = FpModule(kxy, 3, [[x, zero, zero], [one, one, zero], [x, y, zero]])
+    # e0 = -e1 by the second column, which leaves e1 and e2
+    got = m.trim()
+    assert got.n_gens == 2
+    assert got.rel_cols == [[-x, zero], [y - x, zero]]
+    assert got.rel_cols == dense_trim(m).rel_cols
+
+
+def _trim_algebras(field):
+    """k[x, y]/(x^2 - y, y^3), where products of normal forms need
+    reducing, and k[x, y] itself."""
+    one = field.one()
+    rels = [Poly({(2, 0): one, (0, 1): field.neg(one)}, field),
+            Poly.monomial((0, 3), one, field)]
+    return [PresentedAlgebra(["x", "y"], field, rels),
+            PresentedAlgebra(["x", "y"], field)]
+
+
+def _trim_entries(field):
+    """Zero, constant and non-constant entries, not all normal forms."""
+    if field is QQ:
+        coeff = st.integers(-3, 3).filter(bool)
+    else:
+        coeff = st.integers(1, field.characteristic - 1)
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return st.one_of(
+        st.just(Poly.zero(field)),
+        coeff.map(lambda c: Poly.constant(c, 2, field)),
+        st.dictionaries(exps, coeff, max_size=3).map(
+            lambda d: Poly(d, field)))
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "QQ"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_trim_matches_dense_trim(field, data):
+    """The sparse trim keeps the dense trim's pivots and so its columns,
+    entry for entry, with zero columns among the relations."""
+    alg = data.draw(st.sampled_from(_trim_algebras(field)))
+    n = data.draw(st.integers(0, 4))
+    entry = _trim_entries(field)
+    column = st.one_of(st.just([alg.zero()] * n),
+                       st.lists(entry, min_size=n, max_size=n))
+    m = FpModule(alg, n, data.draw(st.lists(column, max_size=5)))
+    got, want = m.trim(), dense_trim(m)
+    assert got.n_gens == want.n_gens
+    assert got.rel_cols == want.rel_cols
+    assert all(exact_form(c, field)
+               for col in got.rel_cols for p in col for c in p.coeffs.values())
