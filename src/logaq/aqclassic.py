@@ -20,20 +20,6 @@ from .modules import (FpModule, ModHom, Complex3, tensor_complex,
                       HomologyReport)
 
 
-def kernel_ideal_gens(r_to_b):
-    """Canonical generators of ker(R -> B) as elements of R: the reduced
-    elimination Groebner basis, in normal form, deduplicated."""
-    out = []
-    seen = set()
-    for g in r_to_b.kernel_generators():
-        q = r_to_b.source.nf(g)
-        if q.is_zero() or q in seen:
-            continue
-        seen.add(q)
-        out.append(q)
-    return out
-
-
 @dataclass
 class LsData:
     r: PresentedAlgebra
@@ -56,14 +42,15 @@ class LsData:
 def build_ls(r, b, r_to_b, base_nvars, front_gens=None, extra_gens=()):
     """LsData for the surjection R -> B.
 
-    `front_gens` overrides the canonical cover (reduced GB of I); any
-    `extra_gens` are placed first, so the cover contains a free summand
-    on them with tau extending the given values (needed when the log
-    pipeline supplies images of its monoid-side ideal generators).
+    `front_gens` overrides the canonical cover, the kernel generators
+    of R -> B; any `extra_gens` are placed first, so the cover contains
+    a free summand on them with tau extending the given values (needed
+    when the log pipeline supplies images of its monoid-side ideal
+    generators).  Both are normal forms in R, and are used as given.
     """
-    canonical = kernel_ideal_gens(r_to_b) if front_gens is None \
-        else [r.nf(p) for p in front_gens if not r.nf(p).is_zero()]
-    i_gens = [r.nf(p) for p in extra_gens] + canonical
+    if front_gens is None:
+        front_gens = r_to_b.kernel_generators()
+    i_gens = [*extra_gens, *front_gens]
     r_mod = FpModule.free(r, 1)
     u_cols = r_mod.syzygies_of([[p] for p in i_gens])
     m = len(i_gens)

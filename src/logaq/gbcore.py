@@ -57,9 +57,9 @@ algorithm" (J. Symb. Comp. 6, 1988):
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
+from operator import add, sub
 
-from .polynomials import Poly, exp_lcm
+from .polynomials import Poly, exp_divides, exp_lcm
 
 
 def vec_leading(v, order):
@@ -83,10 +83,6 @@ def polys_from_vec(v, n_pos, field):
     for (pos, exp), c in v.items():
         cols[pos][exp] = c
     return [Poly(d, field) for d in cols]
-
-
-def _divides(e1, e2):
-    return all(map(le, e1, e2))
 
 
 def _reducer(v, lt):
@@ -149,7 +145,7 @@ def reduce_vec(v, basis, order, field):
             continue        # cancelled after it was pushed
         pos, exp = lt
         for gexp, tail, glc in basis.get(pos, ()):
-            if _divides(gexp, exp):
+            if exp_divides(gexp, exp):
                 break
         else:
             result[lt] = c
@@ -212,12 +208,12 @@ def buchberger_vec(gens, order, field):
         # rules out the pairs whose lcm its lcm divides
         kept = []
         for n, (lcm, i, coprime) in enumerate(new):
-            if coprime or not any(_divides(q[0], lcm)
+            if coprime or not any(exp_divides(q[0], lcm)
                                   for q in new[n + 1:] + kept):
                 kept.append((lcm, i, coprime))
         # criterion B_k on the pending pairs
         live = [p for p in pairs
-                if elems[p[1]][0][0] != pos or not _divides(e, p[3])
+                if elems[p[1]][0][0] != pos or not exp_divides(e, p[3])
                 or exp_lcm(elems[p[1]][0][1], e) == p[3]
                 or exp_lcm(elems[p[2]][0][1], e) == p[3]]
         if len(live) < len(pairs):
@@ -228,7 +224,7 @@ def buchberger_vec(gens, order, field):
             if not coprime:
                 heappush(pairs, (key((pos, lcm)), i, h_idx, lcm))
         elems.append((lt, _reducer(h, lt), single))
-        same[:] = [i for i in same if not _divides(e, elems[i][0][1])]
+        same[:] = [i for i in same if not exp_divides(e, elems[i][0][1])]
         same.append(h_idx)
         reducers[pos] = [elems[i][1] for i in same]
 
@@ -248,7 +244,7 @@ def buchberger_vec(gens, order, field):
     for idx in active.values():
         exps = [elems[i][0][1] for i in idx]
         minimal += [elems[i] for i, e in zip(idx, exps)
-                    if not any(q != e and _divides(q, e) for q in exps)]
+                    if not any(q != e and exp_divides(q, e) for q in exps)]
     minimal.sort(key=lambda el: key(el[0]))
     index = {}
     for lt, entry, _single in minimal:
@@ -333,7 +329,7 @@ class TaggedGB:
             mults = [(tuple(max(x, y) - x for x, y in zip(ea, eb)), rb)
                      for (pb, eb), rb in entries[a + 1:] if pb == pos]
             for n, (mult, rb) in enumerate(mults):
-                if any(_divides(q, mult) and (q != mult or n2 < n)
+                if any(exp_divides(q, mult) and (q != mult or n2 < n)
                        for n2, (q, _rb) in enumerate(mults)):
                     continue
                 s = reduce_vec(_s_vector(ra, rb, tuple(map(add, ea, mult)),

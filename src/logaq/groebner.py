@@ -2,11 +2,15 @@
 
 A presented algebra is k[x_1..x_n]/I with a fixed monomial order and
 weights; the reduced Groebner basis of I is cached, and every element of
-the quotient gets the canonical normal-form representative.  Algebra
-maps carry validity checks, surjectivity witnesses, and kernels via
-block elimination on the graph ideal.  `adjoin_target_vars` builds the
-one ring extension R -> B that the classical and the log factorizations
-share.
+the quotient gets the canonical normal-form representative.  The code
+that makes an element puts it in normal form once (`AlgebraMap` its
+images and `apply` results, `kernel_generators` its generators), and
+consumers and `str_of` take it as it stands: a scalar combination of
+normal forms is one already.  Algebra maps carry validity checks,
+surjectivity witnesses, and kernels read off the reduced basis of the
+graph ideal under an order eliminating the target.  `adjoin_target_vars`
+builds the one ring extension R -> B that the classical and the log
+factorizations share.
 """
 
 from .polynomials import Poly, DegRevLex, BlockElim, exp_divides, poly_str
@@ -77,7 +81,9 @@ class PresentedAlgebra:
         return all(g.is_homogeneous(self.weights) for g in self.relations)
 
     def str_of(self, p):
-        return poly_str(self.nf(p), self.varnames, self.order)
+        """p printed as given, in the algebra's variables and order: pass
+        a normal form to print an element of the quotient."""
+        return poly_str(p, self.varnames, self.order)
 
     def __repr__(self):
         return (f"PresentedAlgebra({self.field.name}[{', '.join(self.varnames)}]"
@@ -208,22 +214,30 @@ class AlgebraMap:
         return ring, nt, ns
 
     def kernel_generators(self):
-        """Generators of the kernel, as a reduced Groebner basis in the
-        source polynomial ring (normal forms mod the source ideal)."""
-        ring, nt, ns = self._graph()
-        f = self.source.field
-        kept = []
-        for g in ring.gb():
-            if all(all(e == 0 for e in exp[:nt]) for exp in g.coeffs):
-                kept.append(Poly({exp[nt:]: c for exp, c in g.coeffs.items()},
-                                 f))
+        """Generators of the kernel, as normal forms modulo the source
+        ideal, zeros and repeats dropped, in order.
+
+        By the elimination theorem the elements of the graph ideal's
+        reduced basis that are free of target variables, projected to
+        the source, are the reduced basis of the kernel in the source
+        polynomial ring under the restriction of the elimination order.
+        That restriction is degrevlex, the order of every source algebra
+        in the package.  For a source with relations that basis holds
+        elements of the source ideal, whose normal forms are zero.
+        """
+        ring, nt, _ns = self._graph()
         out = []
-        for p in kept:
-            q = self.source.nf(p)
-            if not q.is_zero():
+        seen = set()
+        for g in ring.gb():
+            if any(any(exp[:nt]) for exp in g.coeffs):
+                continue
+            q = self.source.nf(Poly({exp[nt:]: c
+                                     for exp, c in g.coeffs.items()},
+                                    self.source.field))
+            if not q.is_zero() and q not in seen:
+                seen.add(q)
                 out.append(q)
-        return buchberger(out + list(self.source.relations),
-                          self.source.order, f)
+        return out
 
     def surjectivity_witness(self):
         """Preimages of the target variables, or None if not surjective.

@@ -149,7 +149,6 @@ class _Parser:
 
     def sections(self):
         out = {}
-        order = []
         while self.peek()[0] != "eof":
             self.expect_sym("[")
             name = self.expect_ident()
@@ -162,8 +161,7 @@ class _Parser:
             if name in out:
                 self.fail(f"duplicate section {name!r}")
             out[name] = entries
-            order.append(name)
-        return out, order
+        return out
 
     def value(self):
         t = self.peek()
@@ -352,9 +350,12 @@ def _ring_desc(entries, section):
 
 
 def parse_input(text):
-    """InputSpec from source text; every invariant is checked here."""
-    p = _Parser(_tokenize(text))
-    sections, _order = p.sections()
+    """InputSpec from source text; every invariant is checked here.
+
+    The spec is canonicalized once, after the morphism built from it
+    validates it, so that print_input gives its canonical text form.
+    """
+    sections = _Parser(_tokenize(text)).sections()
     for required in ("field", "source", "target", "morphism"):
         if required not in sections:
             raise SemanticError(f"missing section {required!r}")
@@ -374,7 +375,7 @@ def parse_input(text):
         raise SemanticError("ring_map and monoid_map must be tables")
     spec = InputSpec(fname, source, target, dict(ring_map),
                      dict(monoid_map), dict(sections.get("meta", {})))
-    build_morphism(spec)          # validates and canonicalizes in place
+    _canonicalize(spec, build_morphism(spec))
     return spec
 
 
@@ -434,7 +435,8 @@ def _build_prelog(desc, field, section):
 
 
 def build_morphism(spec, field_name=None):
-    """PrelogMorphism from a spec, canonicalizing its strings in place.
+    """PrelogMorphism from a spec, which it validates and leaves as it
+    is.
 
     `field_name` overrides the file's field (for cross-characteristic
     verification runs).
@@ -484,13 +486,14 @@ def build_morphism(spec, field_name=None):
         raise SemanticError(
             "ring_map and monoid_map do not commute with alpha")
 
-    if field_name is None:
-        _canonicalize(spec, src, tgt, ring_map)
     return morphism
 
 
-def _canonicalize(spec, src, tgt, ring_map):
-    # relations become the reduced Groebner basis, a stable normal form
+def _canonicalize(spec, morphism):
+    """Rewrite the spec's strings in place from the morphism built from
+    it: relations become the reduced Groebner basis, alpha and ring_map
+    images their normal forms."""
+    src, tgt = morphism.source, morphism.target
     spec.source.relations = [poly_str(p, src.algebra.varnames,
                                       src.algebra.order)
                              for p in src.algebra.gb()]
@@ -502,7 +505,8 @@ def _canonicalize(spec, src, tgt, ring_map):
     spec.target.alpha = {g: tgt.algebra.str_of(p)
                          for g, p in zip(spec.target.gens, tgt.alpha)}
     spec.ring_map = {v: tgt.algebra.str_of(p)
-                     for v, p in zip(spec.source.vars, ring_map.images)}
+                     for v, p in zip(spec.source.vars,
+                                     morphism.ring_map.images)}
     spec.monoid_map = {g: list(spec.monoid_map[g]) for g in spec.source.gens}
 
 

@@ -24,8 +24,8 @@ from .polynomials import Poly
 from .groebner import AlgebraMap
 from .modules import (FpModule, ModHom, Complex3, tensor_complex,
                       HomologyReport, pushout, tensor_module)
-from .aqclassic import (build_ls, ls_complex, kernel_ideal_gens,
-                        coefficient_module, aq_classical)
+from .aqclassic import (build_ls, ls_complex, coefficient_module,
+                        aq_classical)
 from .monoids import choose_log_factorization, FactorizationOptions
 from .kcomplex import (kdata_from_factorization, group_module,
                        right_face, w0_coordinates)
@@ -68,8 +68,7 @@ class MonoidFace:
         self.p_alg = p.monoid_algebra(field)
         self.p_rels = p.group_completion().relations
         self.h_alg = AlgebraMap(self.p_alg, n_alg,
-                                [n_alg.nf(_monomial(n_alg, w))
-                                 for w in images])
+                                [_monomial(n_alg, w) for w in images])
         self.p_to_b = AlgebraMap(self.p_alg, f.target.algebra,
                                  [f.target.alpha_of(w) for w in images])
         self.p_to_a = AlgebraMap(self.p_alg, f.source.algebra,
@@ -78,7 +77,7 @@ class MonoidFace:
     @cached_property
     def gens(self):
         """Binomial generators of ker(h_alg)."""
-        return kernel_ideal_gens(self.h_alg)
+        return self.h_alg.kernel_generators()
 
     @cached_property
     def words(self):
@@ -138,7 +137,7 @@ def build_diagram1(fac):
     extra = [face.p_to_a.apply(j) for j in face.gens]
     front_gens = None
     if fac.options.front_raw:
-        front_gens = list(reversed(kernel_ideal_gens(fac.right.ring_map)))
+        front_gens = fac.right.ring_map.kernel_generators()[::-1]
     front = build_ls(fac.mid.algebra, b_alg, fac.right.ring_map,
                      mor.source.algebra.nvars, front_gens=front_gens,
                      extra_gens=extra)
@@ -238,40 +237,29 @@ def _build_betas(back_complex, right_complex, kd, face, n_m):
 
 def _int_preimage(res, xi, b_alg):
     """Canonical eta with W1_cols * eta = xi over the algebra, where the
-    Smith form of the integer inclusion is given, or None."""
+    Smith form of the integer inclusion is given, or None.  xi holds
+    normal forms, so every integer combination of it is one too."""
     field = b_alg.field
-    n_w1 = res.v.nrows
-    uxi = []
-    for row in res.u.rows:
-        acc = b_alg.zero()
-        for a, p in zip(row, xi):
-            if a:
-                acc = acc + p.scale(field.from_int(a))
-        uxi.append(b_alg.nf(acc))
+
+    def times(mat, col):
+        out = []
+        for row in mat.rows:
+            acc = b_alg.zero()
+            for a, p in zip(row, col):
+                if a:
+                    acc = acc + p.scale(field.from_int(a))
+            out.append(acc)
+        return out
+
     d = res.invariant_factors
-    y = []
-    for i, p in enumerate(uxi):
+    y = [b_alg.zero()] * res.v.nrows
+    for i, p in enumerate(times(res.u, xi)):
         di = field.from_int(d[i]) if i < len(d) else field.zero()
-        if field.is_zero(di):
-            if not p.is_zero():
-                return None
-            if i < n_w1:
-                y.append(b_alg.zero())
-        else:
-            if i < n_w1:
-                y.append(p.scale(field.inv(di)))
-            elif not p.is_zero():
-                return None
-    while len(y) < n_w1:
-        y.append(b_alg.zero())
-    eta = []
-    for row in res.v.rows:
-        acc = b_alg.zero()
-        for a, p in zip(row, y):
-            if a:
-                acc = acc + p.scale(field.from_int(a))
-        eta.append(b_alg.nf(acc))
-    return eta
+        if not field.is_zero(di):
+            y[i] = p.scale(field.inv(di))
+        elif not p.is_zero():
+            return None
+    return times(res.v, y)
 
 
 @dataclass

@@ -13,7 +13,6 @@ same morphism.
 """
 
 from .modules import FpModule, ModHom, HomologyReport
-from .aqclassic import kernel_ideal_gens
 from .kcomplex import group_module
 from .logls import log_homology, MonoidFace
 
@@ -31,7 +30,7 @@ class LogSurjection:
             raise ValueError("ring map is not surjective")
         if not self.face.h_alg.is_surjective():
             raise ValueError("monoid map is not surjective")
-        self.a_gens = kernel_ideal_gens(morphism.ring_map)
+        self.a_gens = morphism.ring_map.kernel_generators()
         self.kergp_inc, self.kergp = morphism.monoid_map.gp().kernel()
 
 

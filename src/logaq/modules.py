@@ -66,11 +66,6 @@ class FpModule:
         return reduce_vec(vec_from_polys(col), self._rel_reducers, alg.order,
                           alg.field)
 
-    def nf(self, col):
-        """Canonical representative of an element (length-n list of Poly)."""
-        return polys_from_vec(self._reduce(col), self.n_gens,
-                              self.algebra.field)
-
     def is_zero_element(self, col):
         return not self._reduce(col)
 
@@ -235,46 +230,47 @@ class FpModule:
     def infer_shifts(self):
         """Generator degrees making all relation columns homogeneous.
 
-        Returns a list of nonnegative shifts with minimum 0, or None if
-        no consistent grading exists.  Components of the generator graph
-        not linked by any relation are normalized independently.
+        Along a column s_j + deg(entry j) is constant, which links
+        consecutive nonzero entries.  Each linked component starts at 0
+        at its lowest generator; then one global minimum is subtracted,
+        not one per component, so the shifts are nonnegative with
+        minimum 0.  None if the algebra is not graded, an entry is
+        inhomogeneous or two links conflict.
         """
         w = self.algebra.weights
         if not self.algebra.is_graded():
             return None
         n = self.n_gens
-        shifts = [None] * n
-        constraints = []
+        links = [[] for _ in range(n)]   # (generator, shift difference)
         for col in self.rel_cols:
-            entries = []
+            prev = None
             for j, p in enumerate(col):
                 if p.is_zero():
                     continue
                 degs = p.weighted_degrees(w)
                 if len(degs) != 1:
                     return None
-                entries.append((j, next(iter(degs))))
-            for (j1, d1), (j2, d2) in zip(entries, entries[1:]):
-                constraints.append((j1, j2, d1 - d2))
-        # propagate: shift[j2] - shift[j1] = d1 - d2  (s_j + d_j constant)
+                (d,) = degs
+                if prev is not None:
+                    i, di = prev
+                    links[i].append((j, di - d))
+                    links[j].append((i, d - di))
+                prev = j, d
+        shifts = [None] * n
         for start in range(n):
             if shifts[start] is not None:
                 continue
             shifts[start] = 0
-            changed = True
-            while changed:
-                changed = False
-                for j1, j2, diff in constraints:
-                    if shifts[j1] is not None and shifts[j2] is None:
-                        shifts[j2] = shifts[j1] + diff
-                        changed = True
-                    elif shifts[j2] is not None and shifts[j1] is None:
-                        shifts[j1] = shifts[j2] - diff
-                        changed = True
-        for j1, j2, diff in constraints:
-            if shifts[j2] - shifts[j1] != diff:
-                return None
-        m = min(shifts) if shifts else 0
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                for j, diff in links[i]:
+                    if shifts[j] is None:
+                        shifts[j] = shifts[i] + diff
+                        stack.append(j)
+                    elif shifts[j] != shifts[i] + diff:
+                        return None
+        m = min(shifts, default=0)
         return [s - m for s in shifts]
 
     def hilbert_data(self):

@@ -16,7 +16,7 @@ three flat tuples of ints:
     term, so that a min-heap pops the greatest term first.
 """
 
-from operator import neg
+from operator import le, neg
 
 
 class DegRevLex:
@@ -68,7 +68,7 @@ def exp_mul(e1, e2):
 
 
 def exp_divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def exp_lcm(e1, e2):
@@ -166,11 +166,6 @@ class Poly:
             base = base * base
             n >>= 1
         return result
-
-    def leading(self, order):
-        """(exponent, coefficient) of the leading term under `order`."""
-        exp = max(self.coeffs, key=order.key)
-        return exp, self.coeffs[exp]
 
     def terms_sorted(self, order):
         return sorted(self.coeffs.items(), key=lambda t: order.key(t[0]),

@@ -5,8 +5,10 @@ small oracles on polynomials, algebras (the leading exponents of an
 ideal's basis among them), abelian groups and term orders, the
 coefficient forms of the fields, the degree-truncated linear-algebra
 oracle used to cross-check Groebner results, a spy on how tagged
-bases are built, and the dense presentation trim and box-walk staircase
-count that the sparse ones in `logaq` are checked against."""
+bases are built, and the previous forms that code in `logaq` is checked
+against: the leading term of a polynomial, the dense presentation trim,
+the box-walk staircase count, the fixpoint shift inference and the
+kernel generators built by a second Buchberger run."""
 
 from fractions import Fraction
 from itertools import product
@@ -15,6 +17,7 @@ from operator import neg
 from logaq.inputspec import parse_input, build_morphism
 from logaq.polynomials import Poly, exp_divides, exp_mul
 from logaq.modules import FpModule
+from logaq.groebner import buchberger
 from logaq.intlinalg import IntMatrix, int_solve
 from logaq.abgroups import FpAbGroup
 
@@ -155,9 +158,15 @@ def mul_monomial(p, exp):
     return Poly({exp_mul(e, exp): c for e, c in p.coeffs.items()}, p.field)
 
 
+def leading(p, order):
+    """(exponent, coefficient) of the leading term of p under `order`."""
+    exp = max(p.coeffs, key=order.key)
+    return exp, p.coeffs[exp]
+
+
 def lt_exponents(algebra):
     """Leading exponents of the reduced Groebner basis of the ideal."""
-    return [g.leading(algebra.order)[0] for g in algebra.gb()]
+    return [leading(g, algebra.order)[0] for g in algebra.gb()]
 
 
 def is_trivial(algebra):
@@ -496,3 +505,69 @@ def staircase_by_walk(lt_exps, nvars):
         for e in range(bounds[i]):
             stack.append((i + 1, exp[:i] + (e,) + exp[i + 1:]))
     return count
+
+
+def infer_shifts_by_fixpoint(module):
+    """`FpModule.infer_shifts` as a fixpoint loop over all constraints:
+    each component is propagated from its lowest generator until nothing
+    changes, every constraint is checked at the end, and one global
+    minimum is subtracted."""
+    w = module.algebra.weights
+    if not module.algebra.is_graded():
+        return None
+    n = module.n_gens
+    shifts = [None] * n
+    constraints = []
+    for col in module.rel_cols:
+        entries = []
+        for j, p in enumerate(col):
+            if p.is_zero():
+                continue
+            degs = p.weighted_degrees(w)
+            if len(degs) != 1:
+                return None
+            entries.append((j, next(iter(degs))))
+        for (j1, d1), (j2, d2) in zip(entries, entries[1:]):
+            constraints.append((j1, j2, d1 - d2))
+    for start in range(n):
+        if shifts[start] is not None:
+            continue
+        shifts[start] = 0
+        changed = True
+        while changed:
+            changed = False
+            for j1, j2, diff in constraints:
+                if shifts[j1] is not None and shifts[j2] is None:
+                    shifts[j2] = shifts[j1] + diff
+                    changed = True
+                elif shifts[j2] is not None and shifts[j1] is None:
+                    shifts[j1] = shifts[j2] - diff
+                    changed = True
+    for j1, j2, diff in constraints:
+        if shifts[j2] - shifts[j1] != diff:
+            return None
+    m = min(shifts) if shifts else 0
+    return [s - m for s in shifts]
+
+
+def kernel_by_second_run(algebra_map):
+    """Kernel generators in two steps: the graph basis elements free of
+    target variables, normalized modulo the source ideal and run through
+    Buchberger's algorithm again with the source relations; then each
+    element of that basis in normal form, zeros and repeats dropped."""
+    ring, nt, _ns = algebra_map._graph()
+    source = algebra_map.source
+    kept = [Poly({exp[nt:]: c for exp, c in g.coeffs.items()}, source.field)
+            for g in ring.gb()
+            if all(all(e == 0 for e in exp[:nt]) for exp in g.coeffs)]
+    out = [q for q in (source.nf(p) for p in kept) if not q.is_zero()]
+    basis = buchberger(out + list(source.relations), source.order,
+                       source.field)
+    gens, seen = [], set()
+    for g in basis:
+        q = source.nf(g)
+        if q.is_zero() or q in seen:
+            continue
+        seen.add(q)
+        gens.append(q)
+    return gens

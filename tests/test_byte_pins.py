@@ -16,6 +16,9 @@ of the benchmark's growth family.  `homology --coefficients residue` is
 pinned on (3, 2, 3) and (2, 3, 2, 2), whose trimmed presentations pivot
 through non-constant entries.  A family pin's command string carries its
 extra CLI arguments.  Their input texts come from `helpers`.
+
+Reports print their entries as given, so one more test runs every
+pinned command and checks that each entry they report is a normal form.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ import hashlib
 import pytest
 
 from logaq.cli import main, corpus_dir, corpus_instances
+from logaq.modules import FpModule
 
 from helpers import ci_text, toric_text
 
@@ -370,3 +374,35 @@ def test_family_texts_refuse_sizes_past_their_names():
         ci_text((2,) * 7)
     with pytest.raises(ValueError):
         toric_text(9)
+
+
+def test_every_pinned_report_prints_normal_forms(tmp_path, capsys,
+                                                 monkeypatch):
+    """Reports print their relation entries as given, so every entry of
+    every trimmed presentation that a pinned command or a golden
+    `homology` reports must already be its own normal form."""
+    trimmed = []
+    real_trim = FpModule.trim
+
+    def trim(module):
+        t = real_trim(module)
+        trimmed.append(t)
+        return t
+    monkeypatch.setattr(FpModule, "trim", trim)
+    runs = [[cmd, str(corpus_dir() / f"{name}.logaq"), *opts]
+            for name, key in sorted(DIGESTS) for cmd, *opts in [ARGS[key]]]
+    runs += [["homology", str(corpus_dir() / f"{name}.logaq")]
+             for name, _spec in corpus_instances()]
+    text = {"ci": ci_text, "toric": toric_text}
+    for i, (family, size, cmd) in enumerate(FAMILY_DIGESTS):
+        path = tmp_path / f"{family}{i}.logaq"
+        path.write_text(text[family](size))
+        name, *opts = cmd.split()
+        runs.append([name, str(path), *opts, *JSON])
+    for argv in runs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(trimmed) > 400
+    bad = [p for t in trimmed for col in t.rel_cols for p in col
+           if t.algebra.nf(p) != p]
+    assert bad == []

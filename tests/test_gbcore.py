@@ -13,8 +13,8 @@ from logaq.groebner import buchberger
 from logaq.polynomials import (Poly, DegRevLex, BlockElim, exp_divides,
                                exp_lcm)
 
-from helpers import (Lex, exact_form, nested_block_elim, nested_degrevlex,
-                     nested_pot)
+from helpers import (Lex, exact_form, leading, nested_block_elim,
+                     nested_degrevlex, nested_pot)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -139,7 +139,7 @@ def _sympy_gb(polys, order_name, field):
             if not field.is_zero(c):
                 coeffs[tuple(e)] = c
         p = Poly(coeffs, field)
-        out.append(p.scale(field.inv(p.leading(ORDERS[order_name])[1])))
+        out.append(p.scale(field.inv(leading(p, ORDERS[order_name])[1])))
     return out
 
 
@@ -162,7 +162,7 @@ def test_ideal_gb_matches_sympy(order_name, field, data):
     want = _sympy_gb(polys, order_name, field)
 
     def by_leading(p):
-        return order.key(p.leading(order)[0])
+        return order.key(leading(p, order)[0])
     assert sorted(ours, key=by_leading) == ours
     assert ours == sorted(want, key=by_leading)
 

@@ -1,15 +1,19 @@
-"""Buchberger, normal forms, elimination kernels, staircase counts, and
-the degree-truncated linear-algebra oracle for membership soundness."""
+"""Buchberger, normal forms, elimination kernels (against the second
+Buchberger run they replaced), staircase counts, and the
+degree-truncated linear-algebra oracle for membership soundness."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly, DegRevLex, poly_str, exp_divides
+from logaq import groebner
 from logaq.groebner import (buchberger, PresentedAlgebra, AlgebraMap,
                             staircase_dimension)
 
 from helpers import (Lex, poly_vector, truncated_ideal_span, span_rank,
-                     in_span, lt_exponents, staircase_by_walk)
+                     in_span, lt_exponents, staircase_by_walk,
+                     kernel_by_second_run)
 
 
 def P(names, rels_str=(), field=QQ, order=None):
@@ -185,3 +189,61 @@ def test_staircase_counted_by_runs_matches_the_box_walk(ideal):
     gens, nvars = ideal
     assert staircase_dimension(gens, nvars) == \
         staircase_by_walk(gens, nvars)
+
+
+def _poly2(field):
+    """A polynomial in two variables, exponents below 3, up to 3 terms."""
+    coeff = st.integers(-2, 2).filter(bool) if field is QQ \
+        else st.integers(1, field.characteristic - 1)
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(exps, coeff.map(field.from_int),
+                           max_size=3).map(lambda d: Poly(d, field))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_generators_match_the_second_buchberger_run(field, data):
+    """Maps k[x, y]/I -> k[t, s]/J, with I drawn inside the kernel as
+    multiples of the free source's kernel generators, some of them the
+    generators themselves, so that elements of the graph basis fall
+    into the source ideal: the generators read off the graph basis equal
+    those a second Buchberger run with the source relations gives."""
+    tgt = PresentedAlgebra(["t", "s"], field,
+                           data.draw(st.lists(_poly2(field), max_size=2)))
+    images = data.draw(st.lists(_poly2(field), min_size=2, max_size=2))
+    free = kernel_by_second_run(AlgebraMap(P(["x", "y"], field=field), tgt,
+                                           images))
+    rels = []
+    if free:
+        one = Poly.constant(field.one(), 2, field)
+        picks = st.tuples(st.sampled_from(free),
+                          st.one_of(st.just(one), _poly2(field)))
+        rels = [g * q for g, q in data.draw(st.lists(picks, max_size=3))]
+    f = AlgebraMap(PresentedAlgebra(["x", "y"], field, rels), tgt, images)
+    assert f.is_well_defined()
+    got = f.kernel_generators()
+    assert got == kernel_by_second_run(f)
+    assert all(f.source.nf(g) == g and f.apply(g).is_zero() for g in got)
+
+
+def test_second_kernel_call_runs_no_buchberger(monkeypatch):
+    """A fresh map runs Buchberger's algorithm once for its graph and
+    once for the source ideal, and a second call runs it no more."""
+    src = P(["x", "y", "z"], ["x^2 - y^3"])
+    tgt = P(["t"])
+    t = tgt.var("t")
+    f = AlgebraMap(src, tgt, [t ** 3, t ** 2, t])
+    runs = []
+    real = groebner.buchberger_vec
+
+    def spy(*args):
+        runs.append(args)
+        return real(*args)
+    monkeypatch.setattr(groebner, "buchberger_vec", spy)
+    first = f.kernel_generators()
+    assert len(runs) == 2
+    assert f.kernel_generators() == first
+    assert len(runs) == 2
+    assert [poly_str(g, src.varnames, src.order) for g in first] \
+        == ["z^2 - y", "y*z - x", "y^2 - x*z"]

@@ -1,5 +1,8 @@
 """The input description language: parsing, validation diagnostics,
-and the canonical-printing round trip."""
+the canonical-printing round trip, and canonicalization in
+`parse_input` alone."""
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +47,23 @@ def test_parse_valid():
 def test_round_trip_direct():
     spec = parse_input(GOOD)
     assert parse_input(print_input(spec)) == spec
+
+
+def test_build_morphism_leaves_the_spec_and_parse_input_canonicalizes():
+    spec = parse_input(GOOD)
+    # a hand edit that is valid but not in canonical form
+    spec.target.relations = ["t^5 + t^4", "t^4"]
+    spec.target.alpha = {"f": "t + t^4 - t^4"}
+    spec.ring_map = {"s": "t*t + t^6"}
+    edited = copy.deepcopy(spec)
+    m = build_morphism(spec)
+    assert m.is_well_defined()
+    assert spec == edited
+    again = parse_input(print_input(spec))
+    assert again.target.relations == ["t^4"]
+    assert again.target.alpha == {"f": "t"}
+    assert again.ring_map == {"s": "t^2"}
+    assert again == parse_input(GOOD)
 
 
 def test_round_trip_corpus():

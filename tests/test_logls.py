@@ -1,5 +1,6 @@
-"""The assembled log complex: worked examples, strict reduction, and
-the structural checks of the pushout construction."""
+"""The assembled log complex: worked examples, strict reduction, the
+structural checks of the pushout construction, and the kernels the
+pipelines take."""
 
 import gc
 import weakref
@@ -7,18 +8,21 @@ import weakref
 import pytest
 
 from logaq.monoids import FactorizationOptions, choose_log_factorization
+from logaq.groebner import AlgebraMap
 from logaq.modules import Complex3, HomologyReport, tensor_complex
 from logaq.logls import (CommutationFailure, log_ls, log_homology,
                          check_strict_reduction,
                          check_compatibility_sequence, build_diagram1,
                          assemble_log_ls)
 from logaq.aqclassic import aq_classical, coefficient_module
+from logaq.logsurj import LogSurjection
 from logaq.kcomplex import kdata_from_factorization, right_face
 from logaq.cli import corpus_instances, ALT_OPTIONS
 from logaq.inputspec import build_morphism
 from logaq import logls
 
-from helpers import ci_text, morphism, record_tagged_builds, toric_text
+from helpers import (ci_text, kernel_by_second_run, morphism,
+                     record_tagged_builds, toric_text)
 
 
 def mor(name, field_name=None):
@@ -191,3 +195,32 @@ def test_kept_complex_does_not_keep_its_morphism_alive():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_kernel_generators_match_the_second_buchberger_run(monkeypatch):
+    """Every kernel the pipelines take on the corpus, under the default
+    and the alternative factorizations, in the classical complex and in
+    the surjection data, equals the kernel built by normalizing the
+    graph basis, running Buchberger's algorithm again with the source
+    relations and normalizing once more."""
+    taken = []
+    real = AlgebraMap.kernel_generators
+
+    def spy(self):
+        gens = real(self)
+        taken.append((self, gens))
+        return gens
+    monkeypatch.setattr(AlgebraMap, "kernel_generators", spy)
+    for _name, spec in corpus_instances():
+        m = build_morphism(spec)
+        for options in (FactorizationOptions(), *ALT_OPTIONS):
+            log_homology(m, options=options)
+        aq_classical(m.ring_map)
+        try:
+            LogSurjection(m)
+        except ValueError:
+            pass
+    assert len(taken) > 100
+    assert any(f.source.relations for f, _gens in taken)
+    assert [gens for _f, gens in taken] \
+        == [kernel_by_second_run(f) for f, _gens in taken]

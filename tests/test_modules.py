@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
-from logaq.polynomials import Poly
-from logaq.groebner import PresentedAlgebra
+from logaq.polynomials import Poly, poly_str
+from logaq.groebner import PresentedAlgebra, buchberger
 from logaq.gbcore import TaggedGB, polys_from_vec, vec_from_polys
 from logaq.modules import (FpModule, ModHom, Complex3,
                            tensor_module, tensor_hom, tensor_complex,
                            pushout, HomologyReport)
 
-from helpers import (dense_trim, exact_form, oracle_syzygy_dim, poly_vector,
-                     record_tagged_builds, span_rank, syzygy_span_dim)
+from helpers import (dense_trim, exact_form, infer_shifts_by_fixpoint,
+                     oracle_syzygy_dim, poly_vector, record_tagged_builds,
+                     span_rank, syzygy_span_dim)
 
 
 def P(names, rels=()):
@@ -442,3 +443,85 @@ def test_trim_matches_dense_trim(field, data):
     assert got.rel_cols == want.rel_cols
     assert all(exact_form(c, field)
                for col in got.rel_cols for p in col for c in p.coeffs.values())
+
+
+@pytest.mark.parametrize("relation, want", [
+    ("z", ["z", "y^3 - x^2"]),
+    ("x^2 + y", ["x^2 + y", "y^3 + y"]),
+])
+def test_fitting0_prints_the_reduced_basis_as_it_stands(relation, want):
+    """Over QQ[x, y, z]/(x^2 - y^3), which no grading makes homogeneous,
+    a cyclic module with one relation reports the reduced basis of
+    F0 + I itself, not its normal forms modulo I (which read '0' and
+    repeat an element)."""
+    alg = P(["x", "y", "z"], ["x^2 - y^3"])
+    p = pp(alg, relation)
+    report = HomologyReport(FpModule(alg, 1, [[p]]))
+    assert report.k_dimension is None and report.free_rank is None
+    assert report.hilbert is None
+    assert report.fitting == want
+    basis = buchberger([p, *alg.relations], alg.order, alg.field)
+    assert report.fitting == [poly_str(g, alg.varnames, alg.order)
+                              for g in basis]
+    assert "0" not in report.fitting
+    assert len(set(report.fitting)) == len(report.fitting)
+
+
+def test_infer_shifts_subtracts_one_global_minimum():
+    """Generators 0 and 1 are linked, generator 2 is linked to neither:
+    each component starts at 0 at its lowest generator, and then one
+    minimum is subtracted from all of them.  Conflicting links give
+    None."""
+    kx = P(["x"])
+    x, zero = kx.var("x"), kx.zero()
+    m = FpModule(kx, 3, [[x * x, x, zero]])
+    assert m.infer_shifts() == [0, 1, 0]
+    m = FpModule(kx, 3, [[x, x * x, zero]])
+    assert m.infer_shifts() == [1, 0, 1]
+    # two columns that link generators 0 and 1 with different differences
+    m = FpModule(kx, 3, [[x, x, zero], [x * x, x, zero]])
+    assert m.infer_shifts() is None
+
+
+def _graded_columns(data, alg, n):
+    """Relation columns over k[x, y] weighted (1, 2): each is homogeneous
+    for generator shifts drawn first, unless one of its entries is made
+    inconsistent or inhomogeneous; some columns are zero."""
+    f = alg.field
+    x, y = alg.var("x"), alg.var("y")
+    shifts = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cols = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        top = data.draw(st.integers(3, 6))
+        kinds = ["zero", "fit", "fit", "off"]
+        if data.draw(st.integers(0, 4)) == 0:
+            kinds.append("mixed")
+        col = []
+        for j in range(n):
+            kind = data.draw(st.sampled_from(kinds))
+            d = top - shifts[j]
+            if kind == "fit":
+                b = data.draw(st.integers(0, d // 2))
+                col.append(x ** (d - 2 * b) * y ** b)
+            elif kind == "off":
+                col.append(x ** (d + data.draw(st.integers(1, 2))))
+            elif kind == "mixed":
+                col.append(x + y)
+            else:
+                col.append(Poly.zero(f))
+        cols.append(col)
+    return cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_infer_shifts_matches_the_fixpoint_loop(data):
+    """The one-pass propagation against the fixpoint loop it replaced,
+    on consistent, inconsistent, inhomogeneous, disconnected and zero
+    columns over a graded algebra, and on an ungraded one."""
+    graded = PresentedAlgebra(["x", "y"], QQ, [pp(P(["x", "y"]), "y - x^2")],
+                              weights=[1, 2])
+    alg = data.draw(st.sampled_from([graded, P(["x", "y"], ["y - x^2"])]))
+    n = data.draw(st.integers(0, 5))
+    m = FpModule(alg, n, _graded_columns(data, alg, n))
+    assert m.infer_shifts() == infer_shifts_by_fixpoint(m)
