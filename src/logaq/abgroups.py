@@ -21,10 +21,6 @@ class FpAbGroup:
         self.relations = relations
         self._snf = None
 
-    @classmethod
-    def free(cls, n):
-        return cls(n)
-
     def _rel_snf(self):
         if self._snf is None:
             self._snf = snf(self.relations)

@@ -8,27 +8,28 @@ cover F -> I, and form
 
 with U the syzygies of the chosen ideal generators and U_0 the Koszul
 ones.  Homology with coefficients in a B-module T gives the classical
-Andre-Quillen homology in degrees 0-2.  The same builder accepts an
-externally supplied (R, R->B) and extra leading cover generators so the
-log pipeline can reuse it with its own factorization.
+Andre-Quillen homology in degrees 0-2.  The caller picks R -> B and the
+cover, so the log pipeline reuses `build_ls` with its own; every term
+over R is base changed to B by `AlgebraMap.apply_cols`.
 """
 
 from dataclasses import dataclass
 
-from .groebner import PresentedAlgebra, AlgebraMap, adjoin_target_vars
-from .modules import (FpModule, ModHom, Complex3, tensor_complex,
-                      HomologyReport)
+from .groebner import AlgebraMap, adjoin_target_vars
+from .modules import (FpModule, ModHom, Complex3, CommutationFailure,
+                      tensor_complex, HomologyReport)
 
 
 @dataclass
 class LsData:
-    r: PresentedAlgebra
-    b: PresentedAlgebra
     r_to_b: AlgebraMap
     base_nvars: int
     i_gens: list          # tau: F -> I on the free basis of F
     u_cols: list          # syzygies of i_gens, columns over F
-    u0_cols: list         # Koszul columns tau(e_i) e_j - tau(e_j) e_i
+
+    @property
+    def r(self):
+        return self.r_to_b.source
 
     @property
     def n_cover(self):
@@ -39,59 +40,45 @@ class LsData:
         return self.r.nvars - self.base_nvars
 
 
-def build_ls(r, b, r_to_b, base_nvars, front_gens=None, extra_gens=()):
-    """LsData for the surjection R -> B.
-
-    `front_gens` overrides the canonical cover, the kernel generators
-    of R -> B; any `extra_gens` are placed first, so the cover contains
-    a free summand on them with tau extending the given values (needed
-    when the log pipeline supplies images of its monoid-side ideal
-    generators).  Both are normal forms in R, and are used as given.
+def build_ls(r_to_b, base_nvars, cover):
+    """LsData for the surjection R -> B, whose first `base_nvars`
+    variables are the base's, with tau: F -> I the given `cover` of its
+    kernel I.  The cover holds normal forms in R and is used as given.
     """
-    if front_gens is None:
-        front_gens = r_to_b.kernel_generators()
-    i_gens = [*extra_gens, *front_gens]
-    r_mod = FpModule.free(r, 1)
-    u_cols = r_mod.syzygies_of([[p] for p in i_gens])
-    m = len(i_gens)
-    u0_cols = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            col = [r.zero()] * m
-            col[j] = i_gens[i]
-            col[i] = -i_gens[j]
-            u0_cols.append(col)
-    return LsData(r, b, r_to_b, base_nvars, i_gens, u_cols, u0_cols)
+    u_cols = FpModule.free(r_to_b.source, 1).syzygies_of(
+        [[p] for p in cover])
+    return LsData(r_to_b, base_nvars, cover, u_cols)
 
 
 def u_mod_u0(data):
-    """U/U_0 as an FpModule over B, generated by the syzygy columns."""
-    u = FpModule.free(data.r, data.n_cover).submodule(data.u_cols,
-                                                       data.u0_cols)
-    rels_b = [[data.r_to_b.apply(p) for p in c] for c in u.rel_cols]
-    return FpModule(data.b, u.n_gens, rels_b)
+    """U/U_0 over B: the syzygy columns modulo the Koszul columns
+    tau(e_i) e_j - tau(e_j) e_i for i < j."""
+    r, gens, m = data.r, data.i_gens, data.n_cover
+    koszul = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            col = [r.zero()] * m
+            col[j] = gens[i]
+            col[i] = -gens[j]
+            koszul.append(col)
+    u = FpModule.free(r, m).submodule(data.u_cols, koszul)
+    return FpModule(data.r_to_b.target, u.n_gens,
+                    data.r_to_b.apply_cols(u.rel_cols))
 
 
 def ls_complex(data):
     """The complex U/U_0 -> F/IF -> B (x) Omega_{R|A} over B."""
-    b = data.b
-    m = data.n_cover
+    r_to_b = data.r_to_b
     c2 = u_mod_u0(data)
-    c1 = FpModule.free(b, m)
-    c0 = FpModule.free(b, data.omega_rank)
-    d2 = ModHom(c2, c1,
-                [[data.r_to_b.apply(p) for p in col]
-                 for col in data.u_cols])
-    d1_cols = []
-    for f in data.i_gens:
-        col = []
-        for v in range(data.base_nvars, data.r.nvars):
-            col.append(data.r_to_b.apply(f.derivative(v)))
-        d1_cols.append(col)
-    d1 = ModHom(c1, c0, d1_cols)
+    c1 = FpModule.free(r_to_b.target, data.n_cover)
+    c0 = FpModule.free(r_to_b.target, data.omega_rank)
+    d2 = ModHom(c2, c1, r_to_b.apply_cols(data.u_cols))
+    d1 = ModHom(c1, c0, r_to_b.apply_cols(
+        [[f.derivative(v) for v in range(data.base_nvars, data.r.nvars)]
+         for f in data.i_gens]))
     cx = Complex3(d2, d1)
     if not cx.is_complex():
-        raise ValueError("d1 d2 is not zero")
+        raise CommutationFailure("d1 d2 is not zero")
     return cx
 
 
@@ -108,8 +95,8 @@ def coefficient_module(b, name):
 def aq_classical(a_to_b, coefficients="self"):
     """(H0, H1, H2) HomologyReports of the classical complex with the
     named coefficient module ("self" or "residue")."""
-    r, r_to_b = adjoin_target_vars(a_to_b, [])
-    data = build_ls(r, a_to_b.target, r_to_b, a_to_b.source.nvars)
+    _r, r_to_b = adjoin_target_vars(a_to_b, [])
+    data = build_ls(r_to_b, a_to_b.source.nvars, r_to_b.kernel_generators())
     c = ls_complex(data)
     t = coefficient_module(a_to_b.target, coefficients)
     h0, h1, h2 = tensor_complex(c, t).homology()

@@ -53,9 +53,6 @@ class Rationals(Field):
     def add(self, a, b):
         return _exact(a + b)
 
-    def sub(self, a, b):
-        return _exact(a - b)
-
     def mul(self, a, b):
         return _exact(a * b)
 
@@ -109,9 +106,6 @@ class PrimeField(Field):
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -187,6 +187,10 @@ class AlgebraMap:
             return p
         return self.target.nf(self.substitute(p))
 
+    def apply_cols(self, cols):
+        """The columns base changed along the map, entry by entry."""
+        return [[self.apply(p) for p in col] for col in cols]
+
     def _graph(self):
         """Product presentation k[target vars | source vars] with the graph
         ideal, under an order eliminating the target block.  Built once, so

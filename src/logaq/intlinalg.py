@@ -77,9 +77,6 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         return [sum(a * x for a, x in zip(row, v)) for row in self.rows]
 
-    def is_zero(self):
-        return all(a == 0 for r in self.rows for a in r)
-
     def copy(self):
         return IntMatrix([list(r) for r in self.rows], self.ncols)
 

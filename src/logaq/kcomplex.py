@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .intlinalg import IntMatrix, lattice_basis, int_solve
 from .abgroups import FpAbGroup
-from .modules import FpModule, ModHom, Complex3, tensor_complex
+from .modules import (FpModule, ModHom, Complex3, CommutationFailure,
+                      tensor_complex)
 
 
 @dataclass
@@ -36,18 +37,12 @@ class KData:
         return self.w1_cols.ncols
 
 
-def kdata_from_monoid_maps(m_to_p0, h):
-    """KData from the monoid maps M -> P0 and h: P0 -> N."""
-    hgp = h.gp()
-    w0_inc, w0 = hgp.kernel()
-    w1_cols = lattice_basis(w0.relations)
-    quotient = m_to_p0.gp().cokernel()
-    return KData(w0_inc, w0, w1_cols, quotient)
-
-
 def kdata_from_factorization(fac):
-    return kdata_from_monoid_maps(fac.left.monoid_map,
-                                  fac.right.monoid_map)
+    """KData from the factorization's monoid maps M -> P0 and
+    h: P0 -> N."""
+    w0_inc, w0 = fac.right.monoid_map.gp().kernel()
+    return KData(w0_inc, w0, lattice_basis(w0.relations),
+                 fac.left.monoid_map.gp().cokernel())
 
 
 def w0_coordinates(inc, p_rels, vec):
@@ -89,7 +84,7 @@ def right_face(kd, alg):
     cx = Complex3(int_matrix_hom(f2, f1, kd.w1_cols),
                   int_matrix_hom(f1, f0, kd.w0_inc))
     if not cx.is_complex():
-        raise ValueError("d1 d2 is not zero")
+        raise CommutationFailure("d1 d2 is not zero")
     return cx
 
 

@@ -22,18 +22,13 @@ from functools import cached_property
 from .intlinalg import snf
 from .polynomials import Poly
 from .groebner import AlgebraMap
-from .modules import (FpModule, ModHom, Complex3, tensor_complex,
-                      HomologyReport, pushout, tensor_module)
+from .modules import (FpModule, ModHom, Complex3, CommutationFailure,
+                      tensor_complex, HomologyReport, pushout, tensor_module)
 from .aqclassic import (build_ls, ls_complex, coefficient_module,
                         aq_classical)
 from .monoids import choose_log_factorization, FactorizationOptions
 from .kcomplex import (kdata_from_factorization, group_module,
                        right_face, w0_coordinates)
-
-
-class CommutationFailure(Exception):
-    """A square of the main diagram failed to commute, or a canonical
-    lift required by the construction does not exist."""
 
 
 def _binomial_words(alg, p):
@@ -134,18 +129,16 @@ def build_diagram1(fac):
     face = MonoidFace(fac.right)
 
     # front face: classical data of R -> B, J images first in the cover
-    extra = [face.p_to_a.apply(j) for j in face.gens]
-    front_gens = None
+    j_images = [face.p_to_a.apply(j) for j in face.gens]
+    kernel = fac.right.ring_map.kernel_generators()
     if fac.options.front_raw:
-        front_gens = fac.right.ring_map.kernel_generators()[::-1]
-    front = build_ls(fac.mid.algebra, b_alg, fac.right.ring_map,
-                     mor.source.algebra.nvars, front_gens=front_gens,
-                     extra_gens=extra)
+        kernel = kernel[::-1]
+    front = build_ls(fac.right.ring_map, mor.source.algebra.nvars,
+                     j_images + kernel)
     front_complex = ls_complex(front)
 
     # back face: classical data of k[P0] -> k[N] over k[M], cast to B
-    back = build_ls(face.p_alg, b_alg, face.p_to_b, n_m,
-                    front_gens=face.gens)
+    back = build_ls(face.p_to_b, n_m, face.gens)
     back_complex = ls_complex(back)
 
     # right face: the integer data, base changed to B
@@ -182,18 +175,14 @@ def _build_alphas(front, front_complex, back, back_complex, s_map):
     a1 = ModHom(back_complex.c1, front_complex.c1,
                 [front_complex.c1.gen_column(l) for l in range(g)])
     # degree 2: express each cast syzygy in the front syzygy generators
-    r_alg = front.r
-    free_front = FpModule.free(r_alg, front.n_cover)
-    r_to_b = front.r_to_b
-    pad = [r_alg.zero()] * (front.n_cover - g)
-    casts = [[s_map.apply(p) for p in col] + pad for col in back.u_cols]
-    cols = []
-    for co in free_front.express_in(front.u_cols, casts):
-        if co is None:
-            raise CommutationFailure(
-                "cast syzygy is not a combination of the front syzygies")
-        cols.append([r_to_b.apply(p) for p in co])
-    a2 = ModHom(back_complex.c2, front_complex.c2, cols)
+    pad = [front.r.zero()] * (front.n_cover - g)
+    cos = FpModule.free(front.r, front.n_cover).express_in(
+        front.u_cols, [col + pad for col in s_map.apply_cols(back.u_cols)])
+    if None in cos:
+        raise CommutationFailure(
+            "cast syzygy is not a combination of the front syzygies")
+    a2 = ModHom(back_complex.c2, front_complex.c2,
+                front.r_to_b.apply_cols(cos))
     return [a0, a1, a2]
 
 

@@ -7,12 +7,13 @@ conormal module
 
     coker( B (x) b/b^2  -->  a/a^2 (+) ker(Q^gp -> N^gp) (x) B )
 
-with a = ker(C -> B) and b = ker(k[Q] -> k[N]).  The edge-consistency
-check compares the conormal module against H1 of the log complex of the
-same morphism.
+with a = ker(C -> B) and b = ker(k[Q] -> k[N]).  Tor and a/a^2 present
+their syzygies over C and cast them to B with `AlgebraMap.apply_cols`.
+The edge-consistency check compares the conormal module against H1 of
+the log complex of the same morphism.
 """
 
-from .modules import FpModule, ModHom, HomologyReport
+from .modules import FpModule, ModHom, HomologyReport, CommutationFailure
 from .kcomplex import group_module
 from .logls import log_homology, MonoidFace
 
@@ -35,31 +36,21 @@ class LogSurjection:
 
 
 def tor_over_c(s, n):
-    """HomologyReports of Tor_i^C(B, B) for i = 0..n, with 0 <= n <= 4."""
+    """HomologyReports of Tor_i^C(B, B) for i = 0..n, with 0 <= n <= 4:
+    resolve B over C, cast the differentials to B, take homology."""
     if not 0 <= n <= 4:
         raise ValueError("depth must be between 0 and 4")
-    c_alg = s.c_alg
-    b_alg = s.b_alg
-    cast = s.morphism.ring_map
-    # free resolution C^{r_{n+1}} -> ... -> C^{r_1} -> C -> B -> 0
-    d = ModHom(FpModule.free(c_alg, len(s.a_gens)), FpModule.free(c_alg, 1),
-               [[g] for g in s.a_gens])
-    diffs = [d]
+    # cols[i]: C^{r_{i+1}} -> C^{r_i} of the free resolution of B
+    ranks = [1, len(s.a_gens)]
+    cols = [[[g] for g in s.a_gens]]
     for _step in range(n):
-        cols = d.target.syzygies_of(d.image_cols)
-        d = ModHom(FpModule.free(c_alg, len(cols)), d.source, cols)
-        diffs.append(d)
-    # tensor with B: same ranks, coefficients cast along C -> B
-    b_mods = [FpModule.free(b_alg, 1)]
-    for d in diffs:
-        b_mods.append(FpModule.free(b_alg, d.source.n_gens))
-    b_diffs = []
-    for i, d in enumerate(diffs):
-        b_diffs.append(ModHom(b_mods[i + 1], b_mods[i],
-                              [[cast.apply(p) for p in col]
-                               for col in d.image_cols]))
-    reports = [HomologyReport(b_diffs[0].cokernel())]
-    for low, high in zip(b_diffs, b_diffs[1:]):
+        cols.append(FpModule.free(s.c_alg, ranks[-2]).syzygies_of(cols[-1]))
+        ranks.append(len(cols[-1]))
+    frees = [FpModule.free(s.b_alg, r) for r in ranks]
+    diffs = [ModHom(source, target, s.morphism.ring_map.apply_cols(c))
+             for source, target, c in zip(frees[1:], frees, cols)]
+    reports = [HomologyReport(diffs[0].cokernel())]
+    for low, high in zip(diffs, diffs[1:]):
         reports.append(HomologyReport(low.kernel(high.image_cols)))
     return reports
 
@@ -81,9 +72,8 @@ def a_conormal(s):
     """a/a^2 (x) B: generated by the chosen generators of a, with the
     syzygies over C cast to B as relations."""
     a = FpModule.free(s.c_alg, 1).submodule([[g] for g in s.a_gens])
-    cast = s.morphism.ring_map
-    rels = [[cast.apply(p) for p in col] for col in a.rel_cols]
-    return FpModule(s.b_alg, a.n_gens, rels)
+    return FpModule(s.b_alg, a.n_gens,
+                    s.morphism.ring_map.apply_cols(a.rel_cols))
 
 
 def conormal_module(s):
@@ -108,11 +98,13 @@ def conormal_module(s):
                                                elts)
     for co, second in zip(cos, seconds):
         if co is None:
-            raise ValueError("kernel binomial image does not lie in a")
+            raise CommutationFailure(
+                "kernel binomial image does not lie in a")
         if second is None:
-            raise ValueError("kernel binomial does not land in ker gp")
-        first = [s.morphism.ring_map.apply(p) for p in co]
-        rels.append(first + second)
+            raise CommutationFailure(
+                "kernel binomial does not land in ker gp")
+    firsts = s.morphism.ring_map.apply_cols(cos)
+    rels += [first + second for first, second in zip(firsts, seconds)]
     return FpModule(b_alg, na + nk, rels)
 
 

@@ -350,6 +350,12 @@ class ModHom:
                         self.target.rel_cols + self.image_cols)
 
 
+class CommutationFailure(Exception):
+    """A built complex has d1 d2 != 0, a square of the main diagram
+    failed to commute, or a canonical lift required by the construction
+    does not exist."""
+
+
 class Complex3:
     """C2 --d2--> C1 --d1--> C0; is_complex() checks d1 d2 = 0."""
 

@@ -135,10 +135,6 @@ class PrelogRing:
                 out = out * (img ** e)
         return self.algebra.nf(out)
 
-    def is_well_defined(self):
-        return all(self.algebra.is_zero(self.alpha_of(u) - self.alpha_of(v))
-                   for u, v in self.monoid.relations)
-
 
 class PrelogMorphism:
     """(A, M) -> (B, N): an algebra map and a monoid map that commute

@@ -285,7 +285,8 @@ def field_kernel(rows, field):
         for i in range(nr):
             if i != r and not field.is_zero(m[i][c]):
                 f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+                m[i] = [field.add(x, field.neg(field.mul(f, y)))
+                        for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -330,7 +331,7 @@ def field_solve(rows, b, field):
         for i in range(nr):
             if i != r and not field.is_zero(m[i][c]):
                 f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y))
+                m[i] = [field.add(x, field.neg(field.mul(f, y)))
                         for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1

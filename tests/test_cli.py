@@ -9,6 +9,7 @@ import pytest
 from logaq import cli
 from logaq.cli import main, corpus_dir, run_suite
 from logaq.logls import CommutationFailure
+from logaq.modules import Complex3
 
 
 def run(capsys, *argv):
@@ -331,3 +332,26 @@ def test_verify_commutation_failure_exit_3(capsys, monkeypatch):
     assert "log_point" in failure and "jz" in failure
     assert "square 2 does not commute" in failure
     assert "log_point: internal consistency failure in jz" in err
+
+
+def test_homology_complex_failure_exit_3(capsys, monkeypatch):
+    # the classical front face refuses a complex with d1 d2 != 0; the
+    # command reports it as an internal failure, not a traceback
+    monkeypatch.setattr(Complex3, "is_complex", lambda self: False)
+    code, out, err = run(capsys, "homology", corpus_file("strict_ci"))
+    assert code == 3
+    assert out == ""
+    assert err == "internal consistency failure: d1 d2 is not zero\n"
+
+
+def test_verify_strict_complex_failure_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(Complex3, "is_complex", lambda self: False)
+    code, out, err = run(capsys, "verify", "strict", "--format", "json")
+    assert code == 3
+    assert json.loads(out)["passed"] is False
+    strict = [name for name, spec in cli.corpus_instances()
+              if spec.meta.get("strict") == "true"]
+    assert strict
+    assert err.splitlines() == [
+        f"{name}: internal consistency failure in strict: "
+        "d1 d2 is not zero" for name in strict]

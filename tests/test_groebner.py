@@ -85,6 +85,24 @@ def test_algebra_map_kernels():
         assert to_k.apply(g).is_zero()
 
 
+def test_apply_cols_is_apply_on_every_entry():
+    # k[u, v] -> k[t]/(t^3), u -> t^2, v -> t + 1: u v loses a term and
+    # u^2 vanishes in the target, and zero entries stay zero
+    kuv = P(["u", "v"])
+    kt = P(["t"], ["t^3"])
+    f = AlgebraMap(kuv, kt, [parse(kt, "t^2"), parse(kt, "t + 1")])
+    cols = [[parse(kuv, s) for s in col]
+            for col in (["u*v", "0", "u - v^2"], ["0", "0", "0"],
+                        ["u^2", "3*v", "1"])]
+    got = f.apply_cols(cols)
+    assert got == [[f.apply(p) for p in col] for col in cols]
+    assert all(p.is_zero() for p in got[1]) and got[0][1].is_zero()
+    assert [[poly_str(p, ["t"], kt.order) for p in col] for col in got] \
+        == [["t^2", "0", "-2*t - 1"], ["0", "0", "0"],
+            ["0", "3*t + 3", "1"]]
+    assert f.apply_cols([]) == []
+
+
 def test_kernel_and_surjectivity_share_one_graph_basis():
     kuv = P(["u", "v"])
     kt = P(["t"])

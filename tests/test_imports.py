@@ -60,10 +60,13 @@ def test_package_imports_at_module_level(path):
 
 
 def defined_names(source):
-    """(line, name) of each function, class and method a file defines,
-    dunders left out."""
-    return sorted((node.lineno, node.name)
-                  for node in ast.walk(ast.parse(source))
+    """(line, name, is_method) of each function, class and method a file
+    defines, dunders left out."""
+    tree = ast.parse(source)
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    return sorted((node.lineno, node.name, id(node) in methods)
+                  for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                        ast.ClassDef))
                   and not (node.name.startswith("__")
@@ -71,29 +74,55 @@ def defined_names(source):
 
 
 def read_names(source):
-    """Every name a file reads, as a Name or as an Attribute."""
-    out = set()
+    """(names a file reads as a Name, names it reads as an Attribute)."""
+    names, attrs = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) \
                 and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
-    return out
+            attrs.add(node.attr)
+    return names, attrs
+
+
+def unread(defined, names, attrs):
+    """(line, name) of each definition nothing reads.  A method is read
+    only through an Attribute: a bare Name of the same spelling, such as
+    `sub` imported from `operator`, is another object.  The scan still
+    cannot tell apart methods that share a name across classes: one
+    reader of `FpModule.free` or `ModHom.is_well_defined` counts for
+    every class's `free` or `is_well_defined`."""
+    return [(line, name) for line, name, is_method in defined
+            if name not in attrs and (is_method or name not in names)]
 
 
 def test_scan_finds_an_unread_definition():
     source = ("class A:\n    def f(self):\n        return g()\n"
               "    def __init__(self):\n        self.h = 1\n"
               "def g():\n    pass\ndef h():\n    pass\n")
-    read = read_names(source)
-    assert [(line, name) for line, name in defined_names(source)
-            if name not in read] == [(1, "A"), (2, "f"), (8, "h")]
+    assert unread(defined_names(source), *read_names(source)) \
+        == [(1, "A"), (2, "f"), (8, "h")]
+
+
+def test_scan_reads_a_method_only_as_an_attribute():
+    # `sub` is read as a Name, from operator, so the method stays unread;
+    # `add` is read as an Attribute, so the method counts as read
+    source = ("from operator import sub\n"
+              "class F:\n    def sub(self, a, b):\n        return a - b\n"
+              "    def add(self, a, b):\n        return sub(a, -b)\n"
+              "def g(f):\n    return f.add(1, 2)\n"
+              "g(F())\n")
+    assert unread(defined_names(source), *read_names(source)) \
+        == [(3, "sub")]
 
 
 def test_every_package_definition_has_a_package_reader():
-    read = set().union(*(read_names(p.read_text()) for p in PACKAGE))
-    unread = [(str(p.relative_to(ROOT)), line, name) for p in PACKAGE
-              for line, name in defined_names(p.read_text())
-              if name not in read]
-    assert unread == []
+    names, attrs = set(), set()
+    for p in PACKAGE:
+        n, a = read_names(p.read_text())
+        names |= n
+        attrs |= a
+    found = [(str(p.relative_to(ROOT)), line, name) for p in PACKAGE
+             for line, name in unread(defined_names(p.read_text()),
+                                      names, attrs)]
+    assert found == []

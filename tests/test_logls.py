@@ -167,17 +167,17 @@ def test_memoized_reports_match_fresh_morphisms():
 
 def test_each_complex_is_checked_where_it_is_built(monkeypatch):
     # the constructor never checks d1 d2 = 0; the log, right-face and
-    # classical builders each call is_complex() and refuse with their
-    # own exception
+    # classical builders each call is_complex() and refuse with
+    # CommutationFailure, which the command line reports as exit 3
     fac = choose_log_factorization(mor("log_point"))
     diagram = build_diagram1(fac)
     kd = kdata_from_factorization(fac)
     monkeypatch.setattr(Complex3, "is_complex", lambda self: False)
     with pytest.raises(CommutationFailure, match="^d1 d2 is not zero$"):
         assemble_log_ls(diagram)
-    with pytest.raises(ValueError, match="^d1 d2 is not zero$"):
+    with pytest.raises(CommutationFailure, match="^d1 d2 is not zero$"):
         right_face(kd, fac.morphism.target.algebra)
-    with pytest.raises(ValueError, match="^d1 d2 is not zero$"):
+    with pytest.raises(CommutationFailure, match="^d1 d2 is not zero$"):
         aq_classical(mor("strict_hypersurface").ring_map)
 
 

@@ -1,6 +1,8 @@
 """Surjection invariants: Tor, the monoid correction terms, and the
 conormal module with its H1 comparison."""
 
+from math import comb, prod
+
 import pytest
 
 from logaq.logsurj import (LogSurjection, tor_over_c, w_terms,
@@ -10,7 +12,7 @@ from logaq.modules import FpModule, HomologyReport
 from logaq.cli import corpus_instances
 from logaq.inputspec import build_morphism
 
-from helpers import morphism, record_tagged_builds, toric_text
+from helpers import morphism, record_tagged_builds, toric_text, ci_text
 
 
 def surj(name, field_name=None):
@@ -91,6 +93,28 @@ def test_tor_resolution_steps_lift(monkeypatch):
     builds = record_tagged_builds(monkeypatch)
     tor_over_c(s, 4)
     assert [b for m, b in builds if m.algebra is s.c_alg] == [False] * 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tor_of_toric_sum_is_exterior(n):
+    # the kernel of k[u_1..u_n] -> k[t] is cut out by the n - 1 linear
+    # forms u_i - u_n, a regular sequence, so Tor_i is free of rank
+    # C(n - 1, i) over B = k[t]
+    reports = tor_over_c(LogSurjection(morphism(toric_text(n))), 4)
+    for i, r in enumerate(reports):
+        rank = comb(n - 1, i)
+        assert r.free_rank == rank, (n, i)
+        assert r.k_dimension == (None if rank else 0), (n, i)
+
+
+@pytest.mark.parametrize("degrees", [(2, 3), (2, 2, 3), (3, 2, 3)])
+def test_tor_of_strict_ci_is_exterior_conormal(degrees):
+    # C = k[x_1..x_n] onto B = C/(x_j^{d_j}): Tor_i = Lambda^i(I/I^2) is
+    # free of rank C(n, i) over B, of k-dimension C(n, i) * prod d_j
+    reports = tor_over_c(LogSurjection(morphism(ci_text(degrees))), 4)
+    n = len(degrees)
+    assert [r.k_dimension for r in reports] \
+        == [comb(n, i) * prod(degrees) for i in range(5)]
 
 
 def test_tor_depth_limit():

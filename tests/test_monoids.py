@@ -12,6 +12,7 @@ from logaq.monoids import (FpMonoid, MonoidHom, PrelogRing,
 from logaq.groebner import PresentedAlgebra, AlgebraMap
 from logaq.abgroups import AbHom
 from logaq.modules import ModHom, Complex3
+from logaq.inputspec import parse_input, SemanticError
 
 from helpers import morphism, is_trivial, lt_exponents
 
@@ -88,11 +89,28 @@ def test_constructors_take_no_check_flag(cls):
 
 
 def test_prelog_ring_checks():
-    alg = PresentedAlgebra(["x"], QQ)
-    m = FpMonoid(["a", "b"], [((2, 0), (0, 2))])
-    x = alg.var("x")
-    assert PrelogRing(alg, m, [x, x]).is_well_defined()
-    assert not PrelogRing(alg, m, [x, x * x]).is_well_defined()
+    # alpha respects monoid relation 0 (x = x) but not relation 1
+    # (x^2 != x); the parser names the relation that breaks
+    text = """
+[field]
+name = "QQ"
+[source]
+vars = []
+gens = []
+alpha = {}
+[target]
+vars = [x]
+relations = [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 0, 0]]]
+gens = [a, b, c]
+alpha = { a = "x", b = "x", c = "x^2" }
+[morphism]
+ring_map = {}
+monoid_map = {}
+"""
+    with pytest.raises(SemanticError,
+                       match="alpha does not respect monoid relation 1$"):
+        parse_input(text)
+    parse_input(text.replace('c = "x^2"', 'c = "x"'))
 
 
 LOG_POINT = """
