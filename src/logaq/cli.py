@@ -24,6 +24,7 @@ from .logls import (CommutationFailure, log_homology,
 from .logsurj import (LogSurjection, tor_over_c, w_terms,
                       conormal_module, check_edge_identity)
 from .monoids import choose_log_factorization
+from .polynomials import ExponentOverflow
 from .inputspec import (parse_input, print_input, build_morphism,
                         ParseError, SemanticError)
 
@@ -408,7 +409,7 @@ def main(argv=None):
     args.started = time.time()
     try:
         return args.run(args)
-    except InputError as e:
+    except (InputError, ExponentOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except CommutationFailure as e:

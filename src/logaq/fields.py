@@ -8,8 +8,10 @@ never has denominator 1; an element of F_p is an ``int`` in
 form never shows in output.
 
 The polynomial code does its arithmetic through the field object, so the
-same code serves both fields; the Groebner engine's per-term loop uses
-the operators directly (see gbcore).
+same code serves both fields.  Loops over many terms use the operators
+directly and bring each result into the field's form once: `exact` does
+that for polynomial products and base change, and the Groebner engine's
+per-term loop inlines it (see gbcore).
 """
 
 from fractions import Fraction
@@ -52,6 +54,10 @@ class Rationals(Field):
 
     def add(self, a, b):
         return _exact(a + b)
+
+    def exact(self, a):
+        """a, a sum of products of elements, in the field's form."""
+        return _exact(a)
 
     def mul(self, a, b):
         return _exact(a * b)
@@ -106,6 +112,9 @@ class PrimeField(Field):
 
     def add(self, a, b):
         return (a + b) % self.p
+
+    def exact(self, a):
+        return a % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -1,21 +1,24 @@
 """Buchberger engine for submodules of free modules over a polynomial ring.
 
-Vectors are dicts {(position, exponent tuple): coefficient}.  The module
-order is position-over-term: position 0 is greatest, ties are broken by
-the ring order.  Since earlier positions dominate outright, every
-position prefix is an elimination block; appending tag positions behind
-the main block therefore tracks coefficients: Groebner elements with
-empty main part are syzygies, and reducing a tagged vector to zero reads
-off its expression in the original columns.  A module's relations enter
-the same basis untagged, so syzygies and expressions are taken modulo
-them.
+Vectors are dicts {packed term: coefficient}, with terms packed by the
+ring's `Packer` (see polynomials): one int per (position, exponent), so
+that integer order is the module order, position-over-term.  Position 0
+is greatest, ties are broken by the ring order.  Since earlier positions
+dominate outright, every position prefix is an elimination block;
+appending tag positions behind the main block therefore tracks
+coefficients: Groebner elements with empty main part are syzygies, and
+reducing a tagged vector to zero reads off its expression in the
+original columns.  A module's relations enter the same basis untagged,
+so syzygies and expressions are taken modulo them.
 
-Whatever compares terms here takes the ring's monomial order (see
-polynomials), which alone decides how terms compare: `order.term_key(t)`
-is a flat tuple of ints, greater for the greater term, and
-`order.heap_key(t)` a flat tuple that is smaller for the greater term,
-so that a min-heap pops the greatest term first.  Nothing here builds
-keys of its own.
+`vec_from_polys` and `polys_from_vec` are the one boundary between
+Polys and vectors: each term is packed once on the way in and unpacked
+once on the way out.  In between, the leading term of a vector is its
+max, a product by a monomial is `+`, a quotient in one position is `-`,
+`not (a - b) & packer.guards` says that b divides a in one position, and
+`t >> packer.top` is minus t's position, which keys every index by
+position here.  A product that reaches the exponent bound sets a guard
+bit of its term and raises `ExponentOverflow`.
 
 Ring-level Groebner bases are the one-position case.
 
@@ -34,22 +37,26 @@ Strategy, after Gebauer and Moeller, "On an installation of Buchberger's
 algorithm" (J. Symb. Comp. 6, 1988):
 
   * S-pairs exist only between elements whose leading terms share a
-    position.  Pending pairs sit in a heap keyed by (lcm term, i, j), so
-    the smallest lcm is taken first (normal strategy), ties by index.
+    position.  Pending pairs sit in a heap keyed by (lcm, i, j), so the
+    smallest lcm is taken first (normal strategy), ties by index.  Each
+    leading position also keeps its pending pairs, so that criterion B_k
+    scans only the new element's position; a pair it drops stays in the
+    heap and is skipped when popped.
   * Each new element h updates the pairs.  Criterion B_k drops a pending
-    pair {g_i, g_j} whose lcm the leading term of h divides, unless
-    lcm(g_i, h) or lcm(g_j, h) equals it.  Among the new pairs {g, h},
-    criterion M drops a pair whose lcm another new pair's lcm divides,
-    and criterion F keeps one pair per lcm.  Buchberger's coprime
-    (product) criterion is applied only when both vectors are supported
-    in their one common position: there they behave like ring elements,
-    elsewhere the criterion is not valid.
+    pair {g_i, g_j} in h's position whose lcm the leading term of h
+    divides, unless lcm(g_i, h) or lcm(g_j, h) equals it.  Among the new
+    pairs {g, h}, criterion M drops a pair whose lcm another new pair's
+    lcm divides, and criterion F keeps one pair per lcm.  Buchberger's
+    coprime (product) criterion is applied only when both vectors are
+    supported in their one common position: there they behave like ring
+    elements, elsewhere the criterion is not valid.
   * Older elements whose leading term that of h divides stop making
     pairs and stop serving as reducers.
   * Reduction updates one dict in place.  It takes terms in descending
-    order from a min-heap on `heap_key` with lazy deletion, and finds the
-    first reducer whose leading exponent divides through an index by
-    leading position.
+    order from a min-heap of negated terms with lazy deletion, and finds
+    the first reducer whose leading term divides through an index by
+    leading position.  Terms past the last position with a reducer
+    cannot be reduced and skip the heap.
   * At the end, elements whose leading term another one's divides are
     dropped, each survivor's tail is reduced once against that minimal
     basis, and the result is made monic.
@@ -57,61 +64,59 @@ algorithm" (J. Symb. Comp. 6, 1988):
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, sub
 
-from .polynomials import Poly, exp_divides, exp_lcm
-
-
-def vec_leading(v, order):
-    t = max(v, key=order.term_key)
-    return t, v[t]
+from .polynomials import ExponentOverflow, Poly
 
 
-def vec_from_polys(col):
+def vec_from_polys(col, packer):
     """Column of Polys (one per position) to a vector dict."""
     out = {}
     for i, p in enumerate(col):
         if p is None or p.is_zero():
             continue
+        shift = i << packer.top
         for exp, c in p.coeffs.items():
-            out[(i, exp)] = c
+            out[packer.monomial(exp) - shift] = c
     return out
 
 
-def polys_from_vec(v, n_pos, field):
+def polys_from_vec(v, n_pos, packer, field):
     cols = [dict() for _ in range(n_pos)]
-    for (pos, exp), c in v.items():
+    for t, c in v.items():
+        pos, exp = packer.unpack(t)
         cols[pos][exp] = c
     return [Poly(d, field) for d in cols]
 
 
 def _reducer(v, lt):
-    """Reducer entry (leading exponent, tail items, leading coefficient)."""
-    return lt[1], [(t, c) for t, c in v.items() if t != lt], v[lt]
+    """Reducer entry (leading term, tail items, leading coefficient)."""
+    return lt, [(t, c) for t, c in v.items() if t != lt], v[lt]
 
 
-def reducer_index(vecs, order):
+def reducer_index(vecs, packer):
     """Reducers of the nonzero `vecs` by leading position, in list order:
-    {position: [(leading exponent, tail items, leading coefficient)]}."""
+    {minus position: [(leading term, tail items, leading coefficient)]}."""
     index = {}
     for v in vecs:
         if v:
-            lt, _lc = vec_leading(v, order)
-            index.setdefault(lt[0], []).append(_reducer(v, lt))
+            lt = max(v)
+            index.setdefault(lt >> packer.top, []).append(_reducer(v, lt))
     return index
 
 
-def _add_multiple(work, tail, shift, c, field):
-    """work += c * x^shift * tail in place; returns the terms new to work.
+def _add_multiple(work, tail, shift, c, field, guards):
+    """work += c * shift * tail in place, for a monomial `shift`; returns
+    the terms new to work.
 
     Coefficients are plain ints and Fractions (see fields), so the loop
     uses the operators: over F_p it reduces each term once mod p, over QQ
-    it turns a Fraction with denominator 1 back into an int.
+    it turns a Fraction with denominator 1 back into an int.  Stored
+    terms have clear guard bits, so a product that sets one is new.
     """
     p = field.characteristic
     new = []
-    for (pos, e), a in tail:
-        t = (pos, tuple(map(add, e, shift)))
+    for t, a in tail:
+        t += shift
         old = work.get(t)
         s = c * a if old is None else old + c * a
         if p:
@@ -119,6 +124,9 @@ def _add_multiple(work, tail, shift, c, field):
         elif s.__class__ is Fraction and s.denominator == 1:
             s = s.numerator
         if old is None:
+            if t & guards:
+                raise ExponentOverflow("a product has an exponent too "
+                                       "large: exponents must be below 2^31")
             work[t] = s
             new.append(t)
         elif s:
@@ -128,113 +136,115 @@ def _add_multiple(work, tail, shift, c, field):
     return new
 
 
-def reduce_vec(v, basis, order, field):
+def reduce_vec(v, basis, packer, field):
     """Full normal form of v against a reducer index (see reducer_index).
 
-    The terms of the result come in descending order.
+    The terms of the result come in descending order: those past the
+    last position with a reducer follow the rest, sorted once at the end.
     """
-    key = order.heap_key
+    guards, top = packer.guards, packer.top
+    floor = min(basis, default=1) << top
     work = dict(v)
-    heap = [(key(t), t) for t in work]
+    heap = [-t for t in work if t >= floor]
     heapify(heap)
     result = {}
     while heap:
-        lt = heappop(heap)[1]
+        lt = -heappop(heap)
         c = work.pop(lt, None)
         if c is None:
             continue        # cancelled after it was pushed
-        pos, exp = lt
-        for gexp, tail, glc in basis.get(pos, ()):
-            if exp_divides(gexp, exp):
+        for glt, tail, glc in basis.get(lt >> top, ()):
+            if not (lt - glt) & guards:
                 break
         else:
             result[lt] = c
             continue
         # the leading term cancels: only the reducer's tail is added
         factor = field.neg(field.div(c, glc))
-        for t in _add_multiple(work, tail, tuple(map(sub, exp, gexp)),
-                               factor, field):
-            heappush(heap, (key(t), t))
+        for t in _add_multiple(work, tail, lt - glt, factor, field, guards):
+            if t >= floor:
+                heappush(heap, -t)
+    if work:
+        for t in sorted(work, reverse=True):
+            result[t] = work[t]
     return result
 
 
-def _s_vector(ri, rj, lcm, field):
+def _s_vector(ri, rj, lcm, field, guards):
     """S-vector of two reducer entries in one leading position, whose
-    leading exponents have lcm `lcm`; the cancelling leading terms are
-    left out."""
+    leading terms have lcm `lcm`; the cancelling leading terms are left
+    out."""
     s = {}
-    for (gexp, tail, lc), c in ((ri, field.inv(ri[2])),
-                                (rj, field.neg(field.inv(rj[2])))):
-        _add_multiple(s, tail, tuple(map(sub, lcm, gexp)), c, field)
+    for (glt, tail, lc), c in ((ri, field.inv(ri[2])),
+                               (rj, field.neg(field.inv(rj[2])))):
+        _add_multiple(s, tail, lcm - glt, c, field, guards)
     return s
 
 
-def _single_position(v):
-    pos = None
-    for (p, _e) in v:
-        if pos is None:
-            pos = p
-        elif p != pos:
-            return None
-    return pos
-
-
-def buchberger_vec(gens, order, field):
+def buchberger_vec(gens, packer, field):
     """Reduced Groebner basis of the submodule generated by `gens`.
 
     Output is canonical: monic, auto-reduced, sorted by ascending leading
     term.  Deterministic pair selection (normal strategy, smallest lcm).
     """
-    elems = []      # per element: (leading term, reducer entry, position
-    #                 of its whole support or None)
+    guards, top, lcm_of = packer.guards, packer.top, packer.lcm
+    elems = []      # per element: (leading term, reducer entry, minus the
+    #                 position of its whole support or None)
     active = {}     # leading position -> indices of the elements that
     #                 make pairs and reduce
     reducers = {}   # leading position -> their reducer entries
-    pairs = []      # heap of (term_key(lcm term), i, j, lcm exponent)
-    key = order.term_key
+    pending = {}    # leading position -> {(i, j): lcm} of the pairs not
+    #                 yet taken or dropped
+    pairs = []      # heap of (lcm, i, j)
 
     def update(h):
-        lt, _lc = vec_leading(h, order)
-        pos, e = lt
-        single = _single_position(h)
-        same = active.setdefault(pos, [])
+        lt = max(h)
+        key = lt >> top
+        single = key if min(h) >> top == key else None
+        mono = lt - (key << top)
+        same = active.setdefault(key, [])
         new = []
         for i in same:
-            (_pos, ie), _r, isingle = elems[i]
-            coprime = (single is not None and isingle == single
-                       and all(a == 0 or b == 0 for a, b in zip(ie, e)))
-            new.append((exp_lcm(ie, e), i, coprime))
+            ilt, _r, isingle = elems[i]
+            lcm = lcm_of(ilt, lt)
+            new.append((lcm, i, single is not None and isingle == single
+                        and lcm - ilt == mono))
         # criteria M and F; a coprime pair is kept here only so that it
         # rules out the pairs whose lcm its lcm divides
         kept = []
         for n, (lcm, i, coprime) in enumerate(new):
-            if coprime or not any(exp_divides(q[0], lcm)
-                                  for q in new[n + 1:] + kept):
+            if coprime or not (
+                    any(not (lcm - new[m][0]) & guards
+                        for m in range(n + 1, len(new)))
+                    or any(not (lcm - q) & guards for q, _i, _c in kept)):
                 kept.append((lcm, i, coprime))
-        # criterion B_k on the pending pairs
-        live = [p for p in pairs
-                if elems[p[1]][0][0] != pos or not exp_divides(e, p[3])
-                or exp_lcm(elems[p[1]][0][1], e) == p[3]
-                or exp_lcm(elems[p[2]][0][1], e) == p[3]]
-        if len(live) < len(pairs):
-            heapify(live)
-            pairs[:] = live
+        # criterion B_k on the pending pairs of h's position
+        mine = pending.setdefault(key, {})
+        for ij in [ij for ij, lcm in mine.items()
+                   if not (lcm - lt) & guards
+                   and lcm_of(elems[ij[0]][0], lt) != lcm
+                   and lcm_of(elems[ij[1]][0], lt) != lcm]:
+            del mine[ij]
         h_idx = len(elems)
         for lcm, i, coprime in kept:
             if not coprime:
-                heappush(pairs, (key((pos, lcm)), i, h_idx, lcm))
+                heappush(pairs, (lcm, i, h_idx))
+                mine[i, h_idx] = lcm
         elems.append((lt, _reducer(h, lt), single))
-        same[:] = [i for i in same if not exp_divides(e, elems[i][0][1])]
+        same[:] = [i for i in same if (elems[i][0] - lt) & guards]
         same.append(h_idx)
-        reducers[pos] = [elems[i][1] for i in same]
+        reducers[key] = [elems[i][1] for i in same]
 
     for g in gens:
         if g:
             update(g)
     while pairs:
-        _k, i, j, lcm = heappop(pairs)
-        s = reduce_vec(_s_vector(elems[i][1], elems[j][1], lcm, field),
-                       reducers, order, field)
+        lcm, i, j = heappop(pairs)
+        if pending[lcm >> top].pop((i, j), None) is None:
+            continue        # dropped by criterion B_k
+        s = reduce_vec(_s_vector(elems[i][1], elems[j][1], lcm, field,
+                                 guards),
+                       reducers, packer, field)
         if s:
             update(s)
 
@@ -242,30 +252,31 @@ def buchberger_vec(gens, order, field):
     # that another one properly divides
     minimal = []
     for idx in active.values():
-        exps = [elems[i][0][1] for i in idx]
-        minimal += [elems[i] for i, e in zip(idx, exps)
-                    if not any(q != e and exp_divides(q, e) for q in exps)]
-    minimal.sort(key=lambda el: key(el[0]))
+        lts = [elems[i][0] for i in idx]
+        minimal += [elems[i] for i, lt in zip(idx, lts)
+                    if not any(q != lt and not (lt - q) & guards
+                               for q in lts)]
+    minimal.sort(key=lambda el: el[0])
     index = {}
     for lt, entry, _single in minimal:
-        index.setdefault(lt[0], []).append(entry)
+        index.setdefault(lt >> top, []).append(entry)
     out = []
-    for lt, (_e, tail, lc), _single in minimal:
+    for lt, (_lt, tail, lc), _single in minimal:
         inv = field.inv(lc)
         v = {lt: field.one()}
-        for t, c in reduce_vec(dict(tail), index, order, field).items():
+        for t, c in reduce_vec(dict(tail), index, packer, field).items():
             v[t] = field.mul(inv, c)
         out.append(v)
     return out
 
 
-def _tag(columns, n_main, nvars, field):
+def _tag(columns, n_main, packer, field):
     """Column i with the unit vector in position n_main + i added."""
-    zero_exp = (0,) * nvars
+    zero = (0,) * packer.nvars
     out = []
     for i, col in enumerate(columns):
         v = dict(col)
-        v[(n_main + i, zero_exp)] = field.one()
+        v[packer.pack(n_main + i, zero)] = field.one()
         out.append(v)
     return out
 
@@ -292,15 +303,14 @@ class TaggedGB:
     gives alike: both builders answer every question the same.
     """
 
-    def __init__(self, columns, relations, n_main, nvars, field,
-                 ring_order):
-        tagged = _tag(columns, n_main, nvars, field)
-        gb = buchberger_vec(tagged + relations, ring_order, field)
-        self._adopt(gb, reducer_index(gb, ring_order), n_main, len(columns),
-                    field, ring_order)
+    def __init__(self, columns, relations, n_main, packer, field):
+        tagged = _tag(columns, n_main, packer, field)
+        gb = buchberger_vec(tagged + relations, packer, field)
+        self._adopt(gb, reducer_index(gb, packer), n_main, len(columns),
+                    packer, field)
 
     @classmethod
-    def lift(cls, columns, relations, n_main, nvars, field, ring_order):
+    def lift(cls, columns, relations, n_main, packer, field):
         """The tagged basis by Schreyer's lift, or None when the nonzero
         columns and the relations are no Groebner basis.
 
@@ -316,55 +326,55 @@ class TaggedGB:
         A zero column is already one.  The basis is the led columns, the
         relations and the reduced Groebner basis of the syzygies.
         """
+        guards, top = packer.guards, packer.top
         led, syz = [], []
-        for col, v in zip(columns, _tag(columns, n_main, nvars, field)):
+        for col, v in zip(columns, _tag(columns, n_main, packer, field)):
             (led if col else syz).append(v)
         elems = led + relations
         entries, index = [], {}
         for v in elems:
-            lt, _lc = vec_leading(v, ring_order)
-            entries.append((lt, _reducer(v, lt)))
-            index.setdefault(lt[0], []).append(entries[-1][1])
-        for a, ((pos, ea), ra) in enumerate(entries[:len(led)]):
-            mults = [(tuple(max(x, y) - x for x, y in zip(ea, eb)), rb)
-                     for (pb, eb), rb in entries[a + 1:] if pb == pos]
+            entries.append(_reducer(v, max(v)))
+            index.setdefault(entries[-1][0] >> top, []).append(entries[-1])
+        main_floor = (1 - n_main) << top
+        for a, ra in enumerate(entries[:len(led)]):
+            lta = ra[0]
+            mults = [(packer.lcm(lta, rb[0]) - lta, rb)
+                     for rb in entries[a + 1:] if rb[0] >> top == lta >> top]
             for n, (mult, rb) in enumerate(mults):
-                if any(exp_divides(q, mult) and (q != mult or n2 < n)
+                if any(not (mult - q) & guards and (q != mult or n2 < n)
                        for n2, (q, _rb) in enumerate(mults)):
                     continue
-                s = reduce_vec(_s_vector(ra, rb, tuple(map(add, ea, mult)),
-                                         field), index, ring_order, field)
-                if s and next(iter(s))[0] < n_main:
+                s = reduce_vec(_s_vector(ra, rb, lta + mult, field, guards),
+                               index, packer, field)
+                if s and next(iter(s)) >= main_floor:
                     return None     # terms come in descending order
                 syz.append(s)
-        syz = buchberger_vec(syz, ring_order, field)
+        syz = buchberger_vec(syz, packer, field)
         # the syzygies lead in tag positions, the elements in main ones
-        index.update(reducer_index(syz, ring_order))
+        index.update(reducer_index(syz, packer))
         t = cls.__new__(cls)
-        t._adopt(elems + syz, index, n_main, len(columns), field,
-                 ring_order)
+        t._adopt(elems + syz, index, n_main, len(columns), packer, field)
         return t
 
-    def _adopt(self, gb, basis, n_main, n_cols, field, ring_order):
+    def _adopt(self, gb, basis, n_main, n_cols, packer, field):
         """Keep the basis `gb` and its reducer index `basis`."""
         self.gb = gb
         self._basis = basis
         self.n_main = n_main
         self.n_cols = n_cols
+        self.packer = packer
         self.field = field
-        self.order = ring_order
-
-    def main_part(self, v):
-        return {t: c for t, c in v.items() if t[0] < self.n_main}
+        # the least term in a main position; tags lie below it
+        self._main_floor = (1 - n_main) << packer.top
 
     def tag_part(self, v):
-        return {(t[0] - self.n_main, t[1]): c
-                for t, c in v.items() if t[0] >= self.n_main}
+        shift = self.n_main << self.packer.top
+        return {t + shift: c for t, c in v.items() if t < self._main_floor}
 
     def syzygies(self):
         """Generators of the syzygy module, as vectors over tag positions."""
         return [self.tag_part(g) for g in self.gb
-                if all(pos >= self.n_main for pos, _e in g)]
+                if max(g) < self._main_floor]
 
     def express(self, v):
         """Coefficients writing v in the columns, or None.
@@ -373,9 +383,9 @@ class TaggedGB:
         relations; canonical because the tagged reduction is a full
         normal form.
         """
-        nf = reduce_vec(dict(v), self._basis, self.order, self.field)
-        if self.main_part(nf):
-            return None
-        tags = self.tag_part(nf)
-        cols = polys_from_vec(tags, self.n_cols, self.field)
+        nf = reduce_vec(dict(v), self._basis, self.packer, self.field)
+        if nf and next(iter(nf)) >= self._main_floor:
+            return None     # terms come in descending order
+        cols = polys_from_vec(self.tag_part(nf), self.n_cols, self.packer,
+                              self.field)
         return [-p for p in cols]

@@ -13,16 +13,18 @@ builds the one ring extension R -> B that the classical and the log
 factorizations share.
 """
 
-from .polynomials import Poly, DegRevLex, BlockElim, exp_divides, poly_str
+from .polynomials import (Poly, DegRevLex, BlockElim, Packer, exp_divides,
+                          poly_str)
 from .gbcore import (buchberger_vec, vec_from_polys, polys_from_vec,
                      reducer_index, reduce_vec)
 
 
-def buchberger(polys, order, field):
-    """Reduced Groebner basis of the ideal generated by `polys`."""
-    vecs = [vec_from_polys([p]) for p in polys if not p.is_zero()]
-    gb = buchberger_vec(vecs, order, field)
-    return [polys_from_vec(v, 1, field)[0] for v in gb]
+def buchberger(polys, packer, field):
+    """Reduced Groebner basis of the ideal generated by `polys`, in the
+    order and variables of `packer`."""
+    vecs = [vec_from_polys([p], packer) for p in polys if not p.is_zero()]
+    gb = buchberger_vec(vecs, packer, field)
+    return [polys_from_vec(v, 1, packer, field)[0] for v in gb]
 
 
 class PresentedAlgebra:
@@ -39,6 +41,7 @@ class PresentedAlgebra:
         if len(self.weights) != len(varnames):
             raise ValueError("one weight per variable")
         self.relations = [p for p in relations if not p.is_zero()]
+        self.packer = Packer(self.order, len(varnames))
         self._gb = None
         self._reducers = None   # reducer index of the Groebner basis
 
@@ -48,16 +51,17 @@ class PresentedAlgebra:
 
     def gb(self):
         if self._gb is None:
-            self._gb = buchberger(self.relations, self.order, self.field)
+            self._gb = buchberger(self.relations, self.packer, self.field)
         return self._gb
 
     def nf(self, p):
         if self._reducers is None:
             self._reducers = reducer_index(
-                [vec_from_polys([g]) for g in self.gb()], self.order)
-        r = reduce_vec(vec_from_polys([p]), self._reducers, self.order,
-                       self.field)
-        return polys_from_vec(r, 1, self.field)[0]
+                [vec_from_polys([g], self.packer) for g in self.gb()],
+                self.packer)
+        r = reduce_vec(vec_from_polys([p], self.packer), self._reducers,
+                       self.packer, self.field)
+        return polys_from_vec(r, 1, self.packer, self.field)[0]
 
     def is_zero(self, p):
         return self.nf(p).is_zero()
@@ -162,6 +166,7 @@ class AlgebraMap:
         self.source = source
         self.target = target
         self.images = [target.nf(p) for p in images]
+        self._monomial_images = {}  # exponent -> normal form of its image
         self._graph_ring = None
 
     def is_well_defined(self):
@@ -183,9 +188,22 @@ class AlgebraMap:
         return out
 
     def apply(self, p):
-        if p.is_zero():
+        """The normal form of p's image: a sum of the normal forms of its
+        monomials' images, each computed once per map, since the normal
+        form is linear."""
+        if p.is_zero():     # as most entries of base-changed columns are
             return p
-        return self.target.nf(self.substitute(p))
+        f = self.target.field
+        out = {}
+        for exp, c in p.coeffs.items():
+            image = self._monomial_images.get(exp)
+            if image is None:
+                image = self._monomial_images[exp] = self.target.nf(
+                    self.substitute(Poly({exp: f.one()}, f)))
+            for e, a in image.coeffs.items():
+                s = out.get(e)
+                out[e] = c * a if s is None else s + c * a
+        return Poly.from_sums(out, f)
 
     def apply_cols(self, cols):
         """The columns base changed along the map, entry by entry."""

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .polynomials import Poly
 from .gbcore import (TaggedGB, buchberger_vec, reducer_index, reduce_vec,
-                     vec_from_polys, polys_from_vec, vec_leading)
+                     vec_from_polys, polys_from_vec)
 from .groebner import (buchberger, staircase_dimension,
                        monomial_ideal_numerator)
 
@@ -43,18 +43,20 @@ class FpModule:
 
     def _relation_vecs(self):
         """The relation columns, then I * e_j for every position j."""
-        out = [vec_from_polys(c) for c in self.rel_cols]
+        packer = self.algebra.packer
+        out = [vec_from_polys(c, packer) for c in self.rel_cols]
         for j in range(self.n_gens):
             for g in self.algebra.gb():
                 out.append(vec_from_polys(
-                    [g if i == j else None for i in range(self.n_gens)]))
+                    [g if i == j else None for i in range(self.n_gens)],
+                    packer))
         return out
 
     def rel_gb(self):
         """Reduced GB of the full relation submodule (ideal included)."""
         if self._rel_gb is None:
             self._rel_gb = buchberger_vec(self._relation_vecs(),
-                                          self.algebra.order,
+                                          self.algebra.packer,
                                           self.algebra.field)
         return self._rel_gb
 
@@ -62,9 +64,9 @@ class FpModule:
         """Normal form of a column, as a vector, modulo rel_gb()."""
         alg = self.algebra
         if self._rel_reducers is None:
-            self._rel_reducers = reducer_index(self.rel_gb(), alg.order)
-        return reduce_vec(vec_from_polys(col), self._rel_reducers, alg.order,
-                          alg.field)
+            self._rel_reducers = reducer_index(self.rel_gb(), alg.packer)
+        return reduce_vec(vec_from_polys(col, alg.packer), self._rel_reducers,
+                          alg.packer, alg.field)
 
     def is_zero_element(self, col):
         return not self._reduce(col)
@@ -92,8 +94,8 @@ class FpModule:
         it saves.
         """
         alg = self.algebra
-        args = ([vec_from_polys(c) for c in columns], self._relation_vecs(),
-                self.n_gens, alg.nvars, alg.field, alg.order)
+        args = ([vec_from_polys(c, alg.packer) for c in columns],
+                self._relation_vecs(), self.n_gens, alg.packer, alg.field)
         t = None if self.rel_cols else TaggedGB.lift(*args)
         return TaggedGB(*args) if t is None else t
 
@@ -107,7 +109,7 @@ class FpModule:
         if not columns:
             return []
         t = self._tagged(columns)
-        return [polys_from_vec(s, t.n_cols, self.algebra.field)
+        return [polys_from_vec(s, t.n_cols, t.packer, t.field)
                 for s in t.syzygies()]
 
     def submodule(self, columns, modulo=()):
@@ -130,7 +132,8 @@ class FpModule:
         if not targets:
             return []
         t = self._tagged(columns)
-        return [t.express(vec_from_polys(target)) for target in targets]
+        return [t.express(vec_from_polys(target, t.packer))
+                for target in targets]
 
     def k_dimension(self):
         """dim_k of the module, or None if infinite."""
@@ -147,7 +150,7 @@ class FpModule:
     def lt_by_position(self):
         by_pos = {j: [] for j in range(self.n_gens)}
         for g in self.rel_gb():
-            (pos, exp), _c = vec_leading(g, self.algebra.order)
+            pos, exp = self.algebra.packer.unpack(max(g))
             by_pos[pos].append(exp)
         return by_pos
 
@@ -317,7 +320,8 @@ class ModHom:
             if c.is_zero():
                 continue
             for i, p in enumerate(img):
-                out[i] = out[i] + c * p
+                if not p.is_zero():
+                    out[i] = out[i] + c * p
         return out
 
     @classmethod
@@ -450,7 +454,7 @@ def fitting0(m):
     n = m.n_gens
     cols = m.rel_cols
     if n == 0:
-        return buchberger([alg.one()], alg.order, alg.field)
+        return buchberger([alg.one()], alg.packer, alg.field)
     if len(cols) < n or n > 4:
         return None
     gens = list(alg.relations)
@@ -459,7 +463,7 @@ def fitting0(m):
         d = poly_det(mat, alg)
         if not d.is_zero():
             gens.append(d)
-    return buchberger(gens, alg.order, alg.field)
+    return buchberger(gens, alg.packer, alg.field)
 
 
 def _shift_normalized(num):

@@ -1,22 +1,62 @@
-"""Sparse multivariate polynomials over an exact field, with monomial orders.
+"""Sparse multivariate polynomials over an exact field, with monomial orders
+and the packed terms the Groebner engine computes with.
 
 A polynomial is a dict from exponent tuples to nonzero field elements,
 wrapped in a small class bound to its field.  The number of variables is
 implicit in the exponent tuples; the surrounding algebra keeps the names.
 
-A monomial order is the one place that decides how terms compare, by
-three flat tuples of ints:
+A monomial order is the one place that decides how monomials compare:
+`key(exp)` is a flat tuple of ints, greater for the greater monomial,
+and linear in the exponents.  `Packer(order, nvars)` reads its rows off
+the keys of the unit vectors and packs each module term (position,
+exponent) into one int, from the most significant bits down:
 
-  * `key(exp)` is greater for the greater monomial;
-  * `term_key((position, exp))` is the position-over-term key the
-    Groebner engine compares module terms by: `-position`, then
-    `key(exp)`, so position 0 is greatest and ties go to the monomial
-    order;
-  * `heap_key(term)` is `term_key(term)` negated, smaller for the greater
-    term, so that a min-heap pops the greatest term first.
+  * the position field, holding -position, so position 0 is greatest;
+  * one field per key row, each row made nonnegative by adding multiples
+    of earlier rows (which compares the same) and wide enough for the
+    row's value at exponents below 2^32;
+  * one 32-bit field per variable, variable 0 lowest: 31 bits of
+    exponent under a guard bit, which stays clear in every stored term.
+
+Integer order is then the position-over-term order, and the operations
+the engine needs are a few int operations:
+
+  * the product of a term and a monomial (position field 0) is `+`, and
+    the quotient of two terms in one position is `-`;
+  * b divides a, in one position, when `(a - b) & guards` is 0: a field
+    that underflows borrows into its own guard bit, and the lowest one
+    to underflow has no borrow coming in from below;
+  * `Packer.lcm` takes a guard-bit max of two terms' exponent fields
+    and computes the key rows of the result afresh.
+
+Exponents must be below 2^31.  Packing one that is not raises
+`ExponentOverflow`, and so does an engine product whose new term has a
+guard bit set: two exponents below 2^31 sum to below 2^32, so a sum that
+reaches the bound sets the guard bit of its own field.
+
+Each algebra has its own packer, which keeps the monomials it has
+packed, up to `_CACHED_MONOMIALS`, so that a monomial met again costs
+one dict lookup.  The engine's inputs are polynomials of small support
+that share their few monomials: in a pass of each benchmark workload,
+91-94% of the packings are of a monomial the packer has met before.
 """
 
-from operator import le, neg
+from operator import add, le, mul
+from struct import Struct
+
+# exponents are below this, so that one 32-bit field holds any exponent
+# and a guard bit above it
+EXPONENT_BOUND = 2**31
+_FIELD = 32
+# no packer has been seen to meet more than 16 distinct monomials (the
+# benchmark workloads, the corpus, complete intersections up to
+# (5,5,5,3)); this bound, 256 times that, caps a packer's memo at about
+# 1 MiB in 8 variables, exponent tuples included
+_CACHED_MONOMIALS = 2**12
+
+
+class ExponentOverflow(ValueError):
+    """An exponent at or above 2^31, the bound of the packed terms."""
 
 
 class DegRevLex:
@@ -25,17 +65,7 @@ class DegRevLex:
 
     @staticmethod
     def key(exp):
-        return DegRevLex.term_key((0, exp))[1:]
-
-    @staticmethod
-    def term_key(term):
-        pos, exp = term
-        return (-pos, sum(exp), *map(neg, reversed(exp)))
-
-    @staticmethod
-    def heap_key(term):
-        pos, exp = term
-        return (pos, -sum(exp), *reversed(exp))
+        return (sum(exp), *[-e for e in reversed(exp)])
 
 
 class BlockElim:
@@ -49,30 +79,84 @@ class BlockElim:
         self.n_first = n_first
 
     def key(self, exp):
-        return self.term_key((0, exp))[1:]
-
-    def term_key(self, term):
-        pos, exp = term
         a, b = exp[:self.n_first], exp[self.n_first:]
-        return (-pos, sum(a), *map(neg, reversed(a)),
-                sum(b), *map(neg, reversed(b)))
-
-    def heap_key(self, term):
-        pos, exp = term
-        a, b = exp[:self.n_first], exp[self.n_first:]
-        return (pos, -sum(a), *reversed(a), -sum(b), *reversed(b))
+        return DegRevLex.key(a) + DegRevLex.key(b)
 
 
-def exp_mul(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
+class Packer:
+    """Packed module terms of one monomial order in `nvars` variables
+    (see the module docstring for the layout)."""
+
+    def __init__(self, order, nvars):
+        self.nvars = nvars
+        zero = (0,) * nvars
+        rows = []
+        for row in map(list, zip(*[order.key(zero[:j] + (1,) + zero[j + 1:])
+                                   for j in range(nvars)])):
+            for j in range(nvars):
+                if row[j] < 0:
+                    # an order's first nonzero entry in a column is
+                    # positive; the nearest row positive there keeps the
+                    # entries small
+                    above = next(r for r in reversed(rows) if r[j] > 0)
+                    c = -(row[j] // above[j])
+                    row = [x + c * y for x, y in zip(row, above)]
+            if any(row):
+                rows.append(row)
+        self.guards = sum(1 << (_FIELD * j + _FIELD - 1)
+                          for j in range(nvars))
+        units = [1 << (_FIELD * j) for j in range(nvars)]
+        offset = _FIELD * nvars
+        self.exponent_mask = (1 << offset) - 1
+        for row in reversed(rows):
+            units = [u + (r << offset) for u, r in zip(units, row)]
+            offset += _FIELD + sum(row).bit_length()
+        self.units = units
+        self.top = offset
+        self._fields = Struct(f"<{nvars}I")
+        self._monomials = {}
+
+    def monomial(self, exp):
+        """The packed monomial x^exp, in position field 0."""
+        m = self._monomials.get(exp)
+        if m is None:
+            if max(exp, default=0) >= EXPONENT_BOUND:
+                raise ExponentOverflow(f"exponent {max(exp)} is too large: "
+                                       "exponents must be below 2^31")
+            m = sum(map(mul, exp, self.units))
+            if len(self._monomials) < _CACHED_MONOMIALS:
+                self._monomials[exp] = m
+        return m
+
+    def pack(self, pos, exp):
+        return self.monomial(exp) - (pos << self.top)
+
+    def unpack(self, t):
+        """(position, exponent tuple) of a packed term."""
+        return -(t >> self.top), self._fields.unpack(
+            (t & self.exponent_mask).to_bytes(4 * self.nvars, "little"))
+
+    def lcm(self, a, b):
+        """The lcm of two terms in one position: a times the monomial of
+        the positive part of b's exponents minus a's.  Per field,
+        (b | guard) - a keeps its guard bit exactly where b >= a, and
+        no field borrows from the next."""
+        g = self.guards
+        d = ((b & self.exponent_mask) | g) - (a & self.exponent_mask)
+        m = d & g
+        x = d & (m - (m >> (_FIELD - 1)))
+        for u in self.units:
+            if not x:
+                break
+            e = x & 0xFFFFFFFF
+            if e:
+                a += e * u
+            x >>= _FIELD
+        return a
 
 
 def exp_divides(e1, e2):
     return all(map(le, e1, e2))
-
-
-def exp_lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
 class Poly:
@@ -87,6 +171,15 @@ class Poly:
     @classmethod
     def zero(cls, field):
         return cls({}, field)
+
+    @classmethod
+    def from_sums(cls, sums, field):
+        """The polynomial {exp: sum} whose sums of products of elements,
+        accumulated with the operators, are brought into the field's
+        form once each; zeros are dropped."""
+        return cls({e: s for e, s in zip(sums, map(field.exact,
+                                                   sums.values())) if s},
+                   field)
 
     @classmethod
     def constant(cls, c, nvars, field):
@@ -135,17 +228,13 @@ class Poly:
         return Poly({e: f.neg(c) for e, c in self.coeffs.items()}, f)
 
     def __mul__(self, other):
-        f = self.field
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = exp_mul(e1, e2)
-                s = f.add(out.get(e, f.zero()), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(out, f)
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return Poly.from_sums(out, self.field)
 
     def scale(self, c):
         f = self.field

@@ -6,16 +6,16 @@ ideal's basis among them), abelian groups and term orders, the
 coefficient forms of the fields, the degree-truncated linear-algebra
 oracle used to cross-check Groebner results, a spy on how tagged
 bases are built, and the previous forms that code in `logaq` is checked
-against: the leading term of a polynomial, the dense presentation trim,
-the box-walk staircase count, the fixpoint shift inference and the
-kernel generators built by a second Buchberger run."""
+against: the nested order keys and the exponent-tuple product and lcm
+behind the packed terms, the leading term of a polynomial, the dense
+presentation trim, the box-walk staircase count, the fixpoint shift
+inference and the kernel generators built by a second Buchberger run."""
 
 from fractions import Fraction
 from itertools import product
-from operator import neg
 
 from logaq.inputspec import parse_input, build_morphism
-from logaq.polynomials import Poly, exp_divides, exp_mul
+from logaq.polynomials import Poly, exp_divides
 from logaq.modules import FpModule
 from logaq.groebner import buchberger
 from logaq.intlinalg import IntMatrix, int_solve
@@ -199,17 +199,17 @@ class Lex:
     def key(exp):
         return exp
 
-    @staticmethod
-    def term_key(term):
-        return (-term[0], *term[1])
 
-    @staticmethod
-    def heap_key(term):
-        return (term[0], *map(neg, term[1]))
+# The nested sort keys and the exponent-tuple arithmetic the engine used
+# before its terms were packed: oracles for the packed ones.
+
+def exp_mul(e1, e2):
+    return tuple(a + b for a, b in zip(e1, e2))
 
 
-# The nested sort keys the engine used before its keys were flat: an
-# oracle for the order of the flat ones.
+def exp_lcm(e1, e2):
+    return tuple(max(a, b) for a, b in zip(e1, e2))
+
 
 def nested_degrevlex(exp):
     return (sum(exp), tuple(-e for e in reversed(exp)))
@@ -562,7 +562,7 @@ def kernel_by_second_run(algebra_map):
             for g in ring.gb()
             if all(all(e == 0 for e in exp[:nt]) for exp in g.coeffs)]
     out = [q for q in (source.nf(p) for p in kept) if not q.is_zero()]
-    basis = buchberger(out + list(source.relations), source.order,
+    basis = buchberger(out + list(source.relations), source.packer,
                        source.field)
     gens, seen = [], set()
     for g in basis:

@@ -88,6 +88,28 @@ def test_large_characteristic_exit_2(capsys, tmp_path, digits):
     assert "below 2^31" in err
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ('relations = ["x^2", "y^3"]', 'relations = ["x^2147483648", "y^3"]',
+     "exponent 2147483648 is too large"),
+    # x*y^(2^31 - 1) reduces modulo x - y to y^(2^31)
+    ('relations = ["x^2", "y^3"]', 'relations = ["x - y"]', None),
+], ids=["input", "product"])
+@pytest.mark.parametrize("command", ["homology", "print"])
+def test_exponent_bound_exit_2(capsys, tmp_path, old, new, where, command):
+    text = (corpus_dir() / "strict_ci.logaq").read_text()
+    assert old in text
+    text = text.replace(old, new)
+    if where is None:
+        text = text.replace('ring_map = { x = "x",',
+                            'ring_map = { x = "x*y^2147483647",')
+        where = "a product has an exponent too large"
+    p = tmp_path / "big.logaq"
+    p.write_text(text)
+    code, _, err = run(capsys, command, str(p))
+    assert code == 2
+    assert where in err and "exponents must be below 2^31" in err
+
+
 @pytest.mark.parametrize("name, old, new, where", [
     ("log_point", "prop12 = true", "prop12 = " + "9" * 5000,
      "line 5, column 10: integer literal is too long"),

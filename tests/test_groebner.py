@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
-from logaq.polynomials import Poly, DegRevLex, poly_str, exp_divides
+from logaq.polynomials import Poly, DegRevLex, Packer, poly_str, exp_divides
 from logaq import groebner
 from logaq.groebner import (buchberger, PresentedAlgebra, AlgebraMap,
                             staircase_dimension)
 
-from helpers import (Lex, poly_vector, truncated_ideal_span, span_rank,
-                     in_span, lt_exponents, staircase_by_walk,
+from helpers import (Lex, exact_form, poly_vector, truncated_ideal_span,
+                     span_rank, in_span, lt_exponents, staircase_by_walk,
                      kernel_by_second_run)
 
 
@@ -30,12 +30,13 @@ def parse(alg, s):
 def test_buchberger_examples():
     x = Poly.variable(0, 2, QQ)
     y = Poly.variable(1, 2, QQ)
-    gb = buchberger([x, y], DegRevLex(), QQ)
+    drl = Packer(DegRevLex(), 2)
+    gb = buchberger([x, y], drl, QQ)
     assert sorted(poly_str(g, ["x", "y"]) for g in gb) == ["x", "y"]
-    assert buchberger([Poly.zero(QQ)], DegRevLex(), QQ) == []
+    assert buchberger([Poly.zero(QQ)], drl, QQ) == []
     # lex x > y on {x^2 - y, x*y - 1}
     gb = buchberger([x * x - y, x * y - Poly.constant(QQ.one(), 2, QQ)],
-                    Lex(), QQ)
+                    Packer(Lex(), 2), QQ)
     printed = sorted(poly_str(g, ["x", "y"], Lex()) for g in gb)
     assert printed == ["x - y^2", "y^3 - 1"]
 
@@ -243,6 +244,23 @@ def test_kernel_generators_match_the_second_buchberger_run(field, data):
     got = f.kernel_generators()
     assert got == kernel_by_second_run(f)
     assert all(f.source.nf(g) == g and f.apply(g).is_zero() for g in got)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_apply_is_the_normal_form_of_the_substitution(field, data):
+    """`apply` sums the cached normal forms of monomial images; that
+    equals the normal form of the substituted polynomial, for monomials
+    met first and met again, with coefficients in the field's form."""
+    tgt = PresentedAlgebra(["t", "s"], field,
+                           data.draw(st.lists(_poly2(field), max_size=2)))
+    images = data.draw(st.lists(_poly2(field), min_size=2, max_size=2))
+    f = AlgebraMap(P(["x", "y"], field=field), tgt, images)
+    for p in data.draw(st.lists(_poly2(field), min_size=1, max_size=3)):
+        got = f.apply(p)
+        assert got == tgt.nf(f.substitute(p))
+        assert all(exact_form(c, field) for c in got.coeffs.values())
 
 
 def test_second_kernel_call_runs_no_buchberger(monkeypatch):

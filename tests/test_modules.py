@@ -51,13 +51,14 @@ def test_syzygy_examples():
 
 def _buchberger_basis(module, columns):
     alg = module.algebra
-    return TaggedGB([vec_from_polys(c) for c in columns],
-                    module._relation_vecs(), module.n_gens, alg.nvars,
-                    alg.field, alg.order)
+    return TaggedGB([vec_from_polys(c, alg.packer) for c in columns],
+                    module._relation_vecs(), module.n_gens, alg.packer,
+                    alg.field)
 
 
 def _buchberger_syzygies(module, columns):
-    return [polys_from_vec(s, len(columns), module.algebra.field)
+    alg = module.algebra
+    return [polys_from_vec(s, len(columns), alg.packer, alg.field)
             for s in _buchberger_basis(module, columns).syzygies()]
 
 
@@ -112,7 +113,7 @@ def test_free_modules_of_several_generators_lift(monkeypatch):
     assert syz == _buchberger_syzygies(free, cols)
     assert got[0] is not None
     assert got == [_buchberger_basis(free, cols).express(
-        vec_from_polys(target))]
+        vec_from_polys(target, kxy.packer))]
     # relation columns take the Buchberger run
     FpModule(kxy, 2, [cols[0]]).syzygies_of(cols[1:])
     assert [b for _m, b in builds] == [False, False, True]
@@ -460,7 +461,7 @@ def test_fitting0_prints_the_reduced_basis_as_it_stands(relation, want):
     assert report.k_dimension is None and report.free_rank is None
     assert report.hilbert is None
     assert report.fitting == want
-    basis = buchberger([p, *alg.relations], alg.order, alg.field)
+    basis = buchberger([p, *alg.relations], alg.packer, alg.field)
     assert report.fitting == [poly_str(g, alg.varnames, alg.order)
                               for g in basis]
     assert "0" not in report.fitting

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
-from logaq.polynomials import Poly, DegRevLex, BlockElim, poly_str
+from logaq.polynomials import Poly, DegRevLex, BlockElim, Packer, poly_str
 
 from helpers import Lex
 
@@ -71,8 +71,9 @@ def test_orders():
     # keys are flat tuples of ints, greater for the greater monomial
     assert drl.key((1, 2)) == (3, -2, -1)
     assert be.key((1, 0, 2)) == (1, -1, 2, -2, 0)
-    # position over term: position 0 beats any monomial elsewhere
-    assert drl.term_key((0, (0, 0))) > drl.term_key((1, (5, 5)))
+    # packed position over term: position 0 beats any monomial elsewhere
+    packer = Packer(drl, 2)
+    assert packer.pack(0, (0, 0)) > packer.pack(1, (5, 5))
 
 
 def test_poly_str():
