@@ -52,7 +52,16 @@ def build_ls(r_to_b, base_nvars, cover):
 
 def u_mod_u0(data):
     """U/U_0 over B: the syzygy columns modulo the Koszul columns
-    tau(e_i) e_j - tau(e_j) e_i for i < j."""
+    tau(e_i) e_j - tau(e_j) e_i for i < j.
+
+    Its relations are the lifted syzygies of the syzygy columns plus an
+    expression of each Koszul column in them, cast to B and not made
+    canonical over R.  Every reader of them reads only the submodule
+    they span: the pushout of the log complex takes them as relations,
+    H2 presents its kernel through `FpModule.submodule`, whose reduced
+    bases depend on that span alone, and the checks of the squares and
+    of d1 d2 = 0 test membership in it.
+    """
     r, gens, m = data.r, data.i_gens, data.n_cover
     koszul = []
     for i in range(m):
@@ -61,7 +70,7 @@ def u_mod_u0(data):
             col[j] = gens[i]
             col[i] = -gens[j]
             koszul.append(col)
-    u = FpModule.free(r, m).submodule(data.u_cols, koszul)
+    u = FpModule.free(r, m).submodule(data.u_cols, koszul, reduced=False)
     return FpModule(data.r_to_b.target, u.n_gens,
                     data.r_to_b.apply_cols(u.rel_cols))
 

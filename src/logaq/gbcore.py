@@ -22,16 +22,16 @@ bit of its term and raises `ExponentOverflow`.
 
 Ring-level Groebner bases are the one-position case.
 
-A tagged basis is built one of two ways.  A Buchberger run on the
-tagged columns and the relations always works.  When the columns,
-together with relations that are a Groebner basis, are themselves a
-Groebner basis, as every cover of the log and classical complexes is,
-Schreyer's lift is cheaper: one reduction per S-pair leaves the lifted
-syzygy in the tags (Eisenbud, Commutative Algebra, Thm 15.10), and one
-small Buchberger run on the lifts completes the basis.  Both give the
-same answers, since the tag-only elements are the reduced Groebner basis
-of the syzygy module, unique for the order, and expressions are full
-normal forms.
+A tagged basis has one constructor, `TaggedGB`, whose relations are a
+Groebner basis.  It tries Schreyer's lift first, which holds when the
+columns and the relations together are a Groebner basis, as every cover
+and every kernel basis is: one reduction per S-pair leaves a lifted
+syzygy in the tags (Eisenbud, Commutative Algebra, Thm 15.10; La Scala
+and Stillman, J. Symb. Comp. 26, 1998).  A Buchberger run builds the
+basis only when a reduction leaves a main term.  The lifts are kept raw,
+as generators of the syzygy module; its reduced Groebner basis, unique
+for the order and so the same from either builder, is computed on first
+demand.
 
 Strategy, after Gebauer and Moeller, "On an installation of Buchberger's
 algorithm" (J. Symb. Comp. 6, 1988):
@@ -81,11 +81,18 @@ def vec_from_polys(col, packer):
 
 
 def polys_from_vec(v, n_pos, packer, field):
-    cols = [dict() for _ in range(n_pos)]
+    """Vector dict to a column of n_pos Polys; the positions it leaves
+    empty share one zero."""
+    cols = {}
     for t, c in v.items():
         pos, exp = packer.unpack(t)
-        cols[pos][exp] = c
-    return [Poly(d, field) for d in cols]
+        d = cols.get(pos)
+        if d is None:
+            d = cols[pos] = {}
+        d[exp] = c
+    zero = Poly.zero(field)
+    return [Poly(cols[i], field) if i in cols else zero
+            for i in range(n_pos)]
 
 
 def _reducer(v, lt):
@@ -282,60 +289,69 @@ def _tag(columns, n_main, packer, field):
 
 
 class TaggedGB:
-    """Groebner basis of tagged columns, for syzygies and expressions
-    modulo relations.
+    """Tagged basis of columns modulo relations, for syzygies and
+    expressions.
 
     `columns` and `relations` are vectors supported in positions
-    < n_main; column i is tagged with the unit vector in position
-    n_main + i before the basis is computed, and the relations enter
-    untagged.  Main positions dominate the tags, so:
+    < n_main, and `relations` is a Groebner basis.  Column i is tagged
+    with the unit vector in position n_main + i; the relations enter
+    untagged.  Main positions dominate the tags, so a vector whose main
+    part reduces to zero leaves in its tags an expression in the
+    columns, modulo the relations, and the tag-only vectors are the
+    syzygies.
 
-      * elements with empty main part generate the syzygy module of the
-        columns modulo the relations;
-      * reducing (v, 0-tags) leaves tag coordinates that express v in the
-        columns, modulo the relations, whenever the main part reduces to
-        zero.
-
-    The constructor builds the basis by a Buchberger run, `lift` by
-    Schreyer's lift.  Either way the elements with empty main part are
-    the reduced Groebner basis of the syzygy module, and `express` takes
-    a full normal form, which every Groebner basis of the tagged module
-    gives alike: both builders answer every question the same.
+    The basis is built by Schreyer's lift when the nonzero columns and
+    the relations are together a Groebner basis, and by a Buchberger
+    run otherwise.  `raw` generates the syzygy module, over the
+    positions of the columns: the lifted S-pair reductions, or the
+    run's reduced basis of it.  `syzygies()` is that reduced basis,
+    unique for the order, so both builders give it alike.  `express`
+    gives some expression, not a canonical one.
     """
 
     def __init__(self, columns, relations, n_main, packer, field):
+        self.packer = packer
+        self.field = field
+        # the least term in a main position; tags lie below it, and a
+        # tag term moves to its column's position by adding `_shift`
+        self._main_floor = (1 - n_main) << packer.top
+        self._shift = n_main << packer.top
         tagged = _tag(columns, n_main, packer, field)
-        gb = buchberger_vec(tagged + relations, packer, field)
-        self._adopt(gb, reducer_index(gb, packer), n_main, len(columns),
-                    packer, field)
+        self._syzygies = None
+        if not self._lift(columns, tagged, relations):
+            gb = buchberger_vec(tagged + relations, packer, field)
+            self._basis = reducer_index(gb, packer)
+            self.raw = self._syzygies = [self._tags(g) for g in gb
+                                         if max(g) < self._main_floor]
 
-    @classmethod
-    def lift(cls, columns, relations, n_main, packer, field):
-        """The tagged basis by Schreyer's lift, or None when the nonzero
-        columns and the relations are no Groebner basis.
+    def _lift(self, columns, tagged, relations):
+        """Schreyer's lift: keep the reducers of the led columns and the
+        relations and the lifted syzygies, and return True; False when
+        the nonzero columns and the relations are no Groebner basis.
 
-        `relations` must be a Groebner basis.  A tagged column makes
-        S-pairs only with later elements in its leading position whose
-        multiplier lcm / (its leading term) is minimal under
-        divisibility, ties to the earliest: these are the leading terms
-        of the Schreyer lifts, so the kept lifts generate every syzygy.
-        Pairs of two relations lift within the relations alone and are
-        left out.  Each kept S-vector is reduced once by the led columns
-        and the relations: a main term left over means they are no
-        Groebner basis; otherwise the tags left are the lifted syzygy.
-        A zero column is already one.  The basis is the led columns, the
-        relations and the reduced Groebner basis of the syzygies.
+        A tagged column makes S-pairs only with later elements in its
+        leading position whose multiplier lcm / (its leading term) is
+        minimal under divisibility, ties to the earliest: these are the
+        leading terms of the Schreyer lifts, so the kept lifts generate
+        every syzygy (Eisenbud, Commutative Algebra, Thm 15.10).  Pairs
+        of two relations lift within the relations alone and are left
+        out.  Each kept S-vector is reduced once by the led columns and
+        the relations: a main term left over means they are no Groebner
+        basis; otherwise the tags left are the lifted syzygy.  A zero
+        column is a syzygy already.
         """
+        packer, field = self.packer, self.field
         guards, top = packer.guards, packer.top
-        led, syz = [], []
-        for col, v in zip(columns, _tag(columns, n_main, packer, field)):
-            (led if col else syz).append(v)
-        elems = led + relations
+        led, raw = [], []
+        for col, v in zip(columns, tagged):
+            if col:
+                led.append(v)
+            else:
+                raw.append(self._tags(v))
         entries, index = [], {}
-        for v in elems:
+        for v in led + relations:
             entries.append(_reducer(v, max(v)))
             index.setdefault(entries[-1][0] >> top, []).append(entries[-1])
-        main_floor = (1 - n_main) << top
         for a, ra in enumerate(entries[:len(led)]):
             lta = ra[0]
             mults = [(packer.lcm(lta, rb[0]) - lta, rb)
@@ -346,46 +362,39 @@ class TaggedGB:
                     continue
                 s = reduce_vec(_s_vector(ra, rb, lta + mult, field, guards),
                                index, packer, field)
-                if s and next(iter(s)) >= main_floor:
-                    return None     # terms come in descending order
-                syz.append(s)
-        syz = buchberger_vec(syz, packer, field)
-        # the syzygies lead in tag positions, the elements in main ones
-        index.update(reducer_index(syz, packer))
-        t = cls.__new__(cls)
-        t._adopt(elems + syz, index, n_main, len(columns), packer, field)
-        return t
+                if s:
+                    if next(iter(s)) >= self._main_floor:
+                        return False    # terms come in descending order
+                    raw.append(self._tags(s))
+        self._basis = index
+        self.raw = raw
+        return True
 
-    def _adopt(self, gb, basis, n_main, n_cols, packer, field):
-        """Keep the basis `gb` and its reducer index `basis`."""
-        self.gb = gb
-        self._basis = basis
-        self.n_main = n_main
-        self.n_cols = n_cols
-        self.packer = packer
-        self.field = field
-        # the least term in a main position; tags lie below it
-        self._main_floor = (1 - n_main) << packer.top
-
-    def tag_part(self, v):
-        shift = self.n_main << self.packer.top
+    def _tags(self, v):
+        """The tag part of v, moved to the positions of the columns."""
+        shift = self._shift
         return {t + shift: c for t, c in v.items() if t < self._main_floor}
 
     def syzygies(self):
-        """Generators of the syzygy module, as vectors over tag positions."""
-        return [self.tag_part(g) for g in self.gb
-                if max(g) < self._main_floor]
+        """The reduced Groebner basis of the syzygy module, over the
+        positions of the columns; computed once."""
+        if self._syzygies is None:
+            self._syzygies = buchberger_vec(self.raw, self.packer,
+                                            self.field)
+        return self._syzygies
 
     def express(self, v):
-        """Coefficients writing v in the columns, or None.
+        """Coefficients c with v = sum c_i * column_i modulo the
+        relations, as a vector over the positions of the columns, or
+        None if v is not in their span.
 
-        Returns a list of Polys c_i with v = sum c_i * column_i modulo the
-        relations; canonical because the tagged reduction is a full
-        normal form.
+        One division by the basis: after a lift, by the led columns and
+        the relations alone, so the coefficients are some expression,
+        not a canonical one; reducing them modulo `syzygies()` gives
+        the canonical one.
         """
-        nf = reduce_vec(dict(v), self._basis, self.packer, self.field)
+        nf = reduce_vec(v, self._basis, self.packer, self.field)
         if nf and next(iter(nf)) >= self._main_floor:
             return None     # terms come in descending order
-        cols = polys_from_vec(self.tag_part(nf), self.n_cols, self.packer,
-                              self.field)
-        return [-p for p in cols]
+        neg = self.field.neg
+        return {t: neg(c) for t, c in self._tags(nf).items()}

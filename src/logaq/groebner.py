@@ -42,6 +42,7 @@ class PresentedAlgebra:
             raise ValueError("one weight per variable")
         self.relations = [p for p in relations if not p.is_zero()]
         self.packer = Packer(self.order, len(varnames))
+        self._zero = Poly.zero(field)   # shared: Polys are never mutated
         self._gb = None
         self._reducers = None   # reducer index of the Groebner basis
 
@@ -55,6 +56,8 @@ class PresentedAlgebra:
         return self._gb
 
     def nf(self, p):
+        if not self.relations:
+            return p
         if self._reducers is None:
             self._reducers = reducer_index(
                 [vec_from_polys([g], self.packer) for g in self.gb()],
@@ -76,7 +79,7 @@ class PresentedAlgebra:
         return self.constant(self.field.one())
 
     def zero(self):
-        return Poly.zero(self.field)
+        return self._zero
 
     def from_int(self, n):
         return self.constant(self.field.from_int(n))

@@ -1,10 +1,11 @@
 """Exact integer and field linear algebra.
 
-Smith normal form with transformation matrices, integer kernels and
-canonical solves, lattice bases, and reduced-echelon kernels of matrices
-over an exact field.  Everything uses arbitrary-precision integers; the
-pivoting rule (smallest absolute nonzero entry, ties in row-major order)
-is fixed so that every downstream basis choice is reproducible.
+Smith normal form with transformation matrices and canonical solves
+against it, integer kernels, lattice bases, and reduced-echelon kernels
+of matrices over an exact field.  Everything uses arbitrary-precision
+integers; the pivoting rule (smallest absolute nonzero entry, ties in
+row-major order) is fixed so that every downstream basis choice is
+reproducible.
 """
 
 from dataclasses import dataclass
@@ -100,6 +101,25 @@ class SnfResult:
     @property
     def rank(self):
         return len(self.invariant_factors)
+
+    def solve(self, b):
+        """Canonical integer solution x of A.x = b, or None: transform
+        by U, divide by D with the free coordinates zero, transform back
+        by V."""
+        if len(b) != self.u.ncols:
+            raise ValueError("shape mismatch")
+        ub = self.u.mul_vec(list(b))
+        y = [0] * self.v.nrows
+        r = self.rank
+        for i, x in enumerate(ub):
+            if i < r:
+                d = self.d.rows[i][i]
+                if x % d:
+                    return None
+                y[i] = x // d
+            elif x:
+                return None
+        return self.v.mul_vec(y)
 
 
 def _find_pivot(m, t):
@@ -218,29 +238,6 @@ def int_kernel(a):
     r = res.rank
     cols = [res.v.column(j) for j in range(r, a.ncols)]
     return IntMatrix.from_columns(cols, a.ncols)
-
-
-def int_solve(a, b):
-    """Canonical integer solution of a.x = b, or None.
-
-    Canonicalization: transform via SNF, set free coordinates to zero,
-    transform back.
-    """
-    if len(b) != a.nrows:
-        raise ValueError("shape mismatch")
-    res = snf(a)
-    ub = res.u.mul_vec(list(b))
-    y = [0] * a.ncols
-    r = res.rank
-    for i in range(a.nrows):
-        if i < r:
-            d = res.d.rows[i][i]
-            if ub[i] % d:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i]:
-            return None
-    return res.v.mul_vec(y)
 
 
 def lattice_basis(columns_matrix):

@@ -13,7 +13,7 @@ as an independent cross-check.
 
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, lattice_basis, int_solve
+from .intlinalg import IntMatrix, lattice_basis, snf
 from .abgroups import FpAbGroup
 from .modules import (FpModule, ModHom, Complex3, CommutationFailure,
                       tensor_complex)
@@ -45,19 +45,24 @@ def kdata_from_factorization(fac):
                  fac.left.monoid_map.gp().cokernel())
 
 
-def w0_coordinates(inc, p_rels, vec):
+def w0_coordinates(inc, p_rels, vecs):
     """Canonical coordinates, on the columns of the inclusion `inc` of a
-    subgroup of P^gp, of a P^gp vector lying in it, or None.
+    subgroup of P^gp, of each P^gp vector in `vecs`, or None for one
+    that does not lie in it.
 
-    `p_rels` are the relation columns of P^gp; the solve is modulo
-    them, so any integer representative of the element works.
+    `p_rels` are the relation columns of P^gp; the solves are modulo
+    them, so any integer representative of an element works.  One
+    Smith form serves every vector.
     """
-    stacked = IntMatrix.from_columns(inc.columns() + p_rels.columns(),
-                                     inc.nrows)
-    sol = int_solve(stacked, list(vec))
-    if sol is None:
-        return None
-    return sol[: inc.ncols]
+    if not vecs:
+        return []
+    res = snf(IntMatrix.from_columns(inc.columns() + p_rels.columns(),
+                                     inc.nrows))
+    out = []
+    for vec in vecs:
+        sol = res.solve(vec)
+        out.append(None if sol is None else sol[: inc.ncols])
+    return out
 
 
 def group_module(group, algebra):

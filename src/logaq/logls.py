@@ -84,10 +84,11 @@ class MonoidFace:
         on the columns of `inc`, an inclusion into P^gp, or None where
         u - v does not lie in its image."""
         b_alg = self.p_to_b.target
+        coords = w0_coordinates(inc, self.p_rels,
+                                [[a - b for a, b in zip(u, v)]
+                                 for u, v in self.words])
         cols = []
-        for u, v in self.words:
-            z = w0_coordinates(inc, self.p_rels,
-                               [a - b for a, b in zip(u, v)])
+        for (_u, v), z in zip(self.words, coords):
             if z is None:
                 cols.append(None)
                 continue

@@ -13,6 +13,8 @@ The edge-consistency check compares the conormal module against H1 of
 the log complex of the same morphism.
 """
 
+from functools import cached_property
+
 from .modules import FpModule, ModHom, HomologyReport, CommutationFailure
 from .kcomplex import group_module
 from .logls import log_homology, MonoidFace
@@ -33,6 +35,13 @@ class LogSurjection:
             raise ValueError("monoid map is not surjective")
         self.a_gens = morphism.ring_map.kernel_generators()
         self.kergp_inc, self.kergp = morphism.monoid_map.gp().kernel()
+
+    @cached_property
+    def a_module(self):
+        """a over C, presented on the chosen generators: its relations
+        are the reduced basis of their syzygies."""
+        return FpModule.free(self.c_alg, 1).submodule(
+            [[g] for g in self.a_gens])
 
 
 def tor_over_c(s, n):
@@ -71,7 +80,7 @@ def w_terms(s, n):
 def a_conormal(s):
     """a/a^2 (x) B: generated by the chosen generators of a, with the
     syzygies over C cast to B as relations."""
-    a = FpModule.free(s.c_alg, 1).submodule([[g] for g in s.a_gens])
+    a = s.a_module
     return FpModule(s.b_alg, a.n_gens,
                     s.morphism.ring_map.apply_cols(a.rel_cols))
 
@@ -92,7 +101,8 @@ def conormal_module(s):
     # generators of ker(Q^gp -> N^gp), per binomial x^u - x^v of b
     seconds = face.w0_columns(s.kergp_inc)
     # first component: the image alpha_C(u) - alpha_C(v) in a, expressed
-    # in the chosen generators and cast to B
+    # in the chosen generators, made canonical modulo their syzygies and
+    # cast to B; the coefficients are printed as relations
     elts = [[face.p_to_a.apply(g)] for g in face.gens]
     cos = FpModule.free(s.c_alg, 1).express_in([[g] for g in s.a_gens],
                                                elts)
@@ -103,7 +113,8 @@ def conormal_module(s):
         if second is None:
             raise CommutationFailure(
                 "kernel binomial does not land in ker gp")
-    firsts = s.morphism.ring_map.apply_cols(cos)
+    firsts = s.morphism.ring_map.apply_cols(
+        [s.a_module.normal_form(co) for co in cos])
     rels += [first + second for first, second in zip(firsts, seconds)]
     return FpModule(b_alg, na + nk, rels)
 

@@ -34,6 +34,7 @@ class FpModule:
         for c in self.rel_cols:
             if len(c) != n_gens:
                 raise ValueError("relation column length mismatch")
+        self._rel_vecs = None
         self._rel_gb = None
         self._rel_reducers = None   # reducer index of rel_gb()
 
@@ -42,22 +43,31 @@ class FpModule:
         return cls(algebra, n)
 
     def _relation_vecs(self):
-        """The relation columns, then I * e_j for every position j."""
-        packer = self.algebra.packer
-        out = [vec_from_polys(c, packer) for c in self.rel_cols]
-        for j in range(self.n_gens):
-            for g in self.algebra.gb():
-                out.append(vec_from_polys(
-                    [g if i == j else None for i in range(self.n_gens)],
-                    packer))
-        return out
+        """The relation columns, then I * e_j for every position j;
+        packed once."""
+        if self._rel_vecs is None:
+            packer = self.algebra.packer
+            out = [vec_from_polys(c, packer) for c in self.rel_cols]
+            for j in range(self.n_gens):
+                for g in self.algebra.gb():
+                    out.append(vec_from_polys(
+                        [g if i == j else None for i in range(self.n_gens)],
+                        packer))
+            self._rel_vecs = out
+        return self._rel_vecs
 
     def rel_gb(self):
-        """Reduced GB of the full relation submodule (ideal included)."""
+        """Reduced GB of the full relation submodule (ideal included).
+
+        Without relation columns that is gb(I) * e_j for every j, as it
+        stands: the reduced basis of I times each position."""
         if self._rel_gb is None:
-            self._rel_gb = buchberger_vec(self._relation_vecs(),
-                                          self.algebra.packer,
-                                          self.algebra.field)
+            if self.rel_cols:
+                self._rel_gb = buchberger_vec(self._relation_vecs(),
+                                              self.algebra.packer,
+                                              self.algebra.field)
+            else:
+                self._rel_gb = sorted(self._relation_vecs(), key=max)
         return self._rel_gb
 
     def _reduce(self, col):
@@ -68,14 +78,22 @@ class FpModule:
         return reduce_vec(vec_from_polys(col, alg.packer), self._rel_reducers,
                           alg.packer, alg.field)
 
+    def normal_form(self, col):
+        """The normal form of a column modulo the relations."""
+        alg = self.algebra
+        return polys_from_vec(self._reduce(col), self.n_gens, alg.packer,
+                              alg.field)
+
     def is_zero_element(self, col):
+        if not (self.rel_cols or self.algebra.relations):
+            return all(p.is_zero() for p in col)
         return not self._reduce(col)
 
     def elements_equal(self, a, b):
         return self.is_zero_element([x - y for x, y in zip(a, b)])
 
     def zero_column(self):
-        return [self.algebra.zero() for _ in range(self.n_gens)]
+        return [self.algebra.zero()] * self.n_gens
 
     def gen_column(self, i):
         col = self.zero_column()
@@ -83,57 +101,79 @@ class FpModule:
         return col
 
     def _tagged(self, columns):
-        """The tagged basis of `columns` modulo this module (see TaggedGB).
-
-        Without relation columns the module's relations are gb(I) * e_j,
-        already a Groebner basis, so Schreyer's lift is tried first; it
-        gives way to a Buchberger run when the columns and those
-        relations are together no Groebner basis.  With relation
-        columns the Buchberger run is taken at once: lifting would first
-        need a Groebner basis of the relations, and that costs more than
-        it saves.
-        """
+        """The tagged basis of `columns` modulo this module (see
+        TaggedGB), against the relations' Groebner basis."""
         alg = self.algebra
-        args = ([vec_from_polys(c, alg.packer) for c in columns],
-                self._relation_vecs(), self.n_gens, alg.packer, alg.field)
-        t = None if self.rel_cols else TaggedGB.lift(*args)
-        return TaggedGB(*args) if t is None else t
+        return TaggedGB([vec_from_polys(c, alg.packer) for c in columns],
+                        self.rel_gb(), self.n_gens, alg.packer, alg.field)
+
+    def _columns(self, vecs, n):
+        """Vectors over n positions as columns of Polys."""
+        alg = self.algebra
+        return [polys_from_vec(v, n, alg.packer, alg.field) for v in vecs]
 
     def syzygies_of(self, columns):
         """Generating relations among the given elements, modulo this module.
 
         Returns columns of length len(columns) over the algebra: the
-        reduced Groebner basis of their syzygy module, read off the
-        tagged basis, whichever way `_tagged` built it.
+        reduced Groebner basis of their syzygy module.
         """
         if not columns:
             return []
-        t = self._tagged(columns)
-        return [polys_from_vec(s, t.n_cols, t.packer, t.field)
-                for s in t.syzygies()]
+        return self._columns(self._tagged(columns).syzygies(), len(columns))
 
-    def submodule(self, columns, modulo=()):
+    def submodule(self, columns, modulo=(), reduced=True):
         """The submodule the given elements generate, modulo the columns
         `modulo`, presented on `columns`.
 
-        Its relations are the syzygies of `columns` modulo `modulo` plus
-        this module's relations.  Only `columns` are tagged, so their
-        order alone fixes the tagged basis, hence the printed relations.
+        Its relations are the syzygies of `columns` modulo `modulo` and
+        this module's relations.  When every `modulo` column lies in the
+        span of `columns` and the relations, as every caller's does,
+        they are the lifted syzygies of `columns` plus one expression of
+        each `modulo` column; otherwise they are read off a tagged basis
+        of `columns` modulo both.  With `reduced` they are their reduced
+        Groebner basis, unique for the order, so `columns` alone fix the
+        printed relations; without it they only span the same module,
+        which is all a reader of their span needs.
         """
-        quotient = FpModule(self.algebra, self.n_gens,
-                            list(modulo) + self.rel_cols)
-        return FpModule(self.algebra, len(columns),
-                        quotient.syzygies_of(columns))
+        alg = self.algebra
+        n = len(columns)
+        if not n:
+            return FpModule(alg, 0)
+        t = self._tagged(columns)
+        gens = list(t.raw)
+        for col in modulo:
+            e = t.express(vec_from_polys(col, alg.packer))
+            if e is None:
+                quotient = FpModule(alg, self.n_gens,
+                                    list(modulo) + self.rel_cols)
+                return FpModule(alg, n, quotient.syzygies_of(columns))
+            gens.append(e)
+        if not reduced:
+            return FpModule(alg, n, self._columns(gens, n))
+        gb = buchberger_vec(gens, alg.packer, alg.field) if modulo \
+            else t.syzygies()
+        out = FpModule(alg, n, self._columns(gb, n))
+        # the syzygies hold I * e_j, so their basis is the relations'
+        out._rel_gb = gb
+        return out
 
     def express_in(self, columns, targets):
         """For each target, coefficients c with sum c_i * columns[i] =
         target in the module, or None if it is not in their span.  One
-        tagged basis serves every target."""
+        tagged basis serves every target, and each expression is one
+        division by it: some expression, not a canonical one."""
         if not targets:
             return []
+        alg = self.algebra
         t = self._tagged(columns)
-        return [t.express(vec_from_polys(target, t.packer))
-                for target in targets]
+        out = []
+        for target in targets:
+            e = t.express(vec_from_polys(target, alg.packer))
+            out.append(None if e is None
+                       else polys_from_vec(e, len(columns), alg.packer,
+                                           alg.field))
+        return out
 
     def k_dimension(self):
         """dim_k of the module, or None if infinite."""

@@ -35,12 +35,16 @@ guard bit set: two exponents below 2^31 sum to below 2^32, so a sum that
 reaches the bound sets the guard bit of its own field.
 
 Each algebra has its own packer, which keeps the monomials it has
-packed, up to `_CACHED_MONOMIALS`, so that a monomial met again costs
-one dict lookup.  The engine's inputs are polynomials of small support
-that share their few monomials: in a pass of each benchmark workload,
-91-94% of the packings are of a monomial the packer has met before.
+packed, and the exponents of those it has unpacked, each up to
+`_CACHED_MONOMIALS`, so that a monomial met again costs one dict
+lookup.  The engine's inputs are polynomials of small support that
+share their few monomials: in a pass of each benchmark workload, 91-94%
+of the packings are of a monomial the packer has met before.  The
+layout itself depends only on the order's keys of the unit vectors, so
+it is computed once for all packers that share them.
 """
 
+from functools import cache
 from operator import add, le, mul
 from struct import Struct
 
@@ -50,8 +54,8 @@ EXPONENT_BOUND = 2**31
 _FIELD = 32
 # no packer has been seen to meet more than 16 distinct monomials (the
 # benchmark workloads, the corpus, complete intersections up to
-# (5,5,5,3)); this bound, 256 times that, caps a packer's memo at about
-# 1 MiB in 8 variables, exponent tuples included
+# (5,5,5,3)); this bound, 256 times that, caps each of a packer's two
+# memos at about 1 MiB in 8 variables, exponent tuples included
 _CACHED_MONOMIALS = 2**12
 
 
@@ -83,38 +87,49 @@ class BlockElim:
         return DegRevLex.key(a) + DegRevLex.key(b)
 
 
+@cache
+def _layout(unit_keys):
+    """(units, guards, exponent mask, top, field struct) of the packed
+    terms of an order, from the keys of its unit vectors; computed once
+    for all packers that share them."""
+    nvars = len(unit_keys)
+    rows = []
+    for row in map(list, zip(*unit_keys)):
+        for j in range(nvars):
+            if row[j] < 0:
+                # an order's first nonzero entry in a column is
+                # positive; the nearest row positive there keeps the
+                # entries small
+                above = next(r for r in reversed(rows) if r[j] > 0)
+                c = -(row[j] // above[j])
+                row = [x + c * y for x, y in zip(row, above)]
+        if any(row):
+            rows.append(row)
+    guards = sum(1 << (_FIELD * j + _FIELD - 1) for j in range(nvars))
+    units = [1 << (_FIELD * j) for j in range(nvars)]
+    offset = _FIELD * nvars
+    exponent_mask = (1 << offset) - 1
+    for row in reversed(rows):
+        units = [u + (r << offset) for u, r in zip(units, row)]
+        offset += _FIELD + sum(row).bit_length()
+    return (tuple(units), guards, exponent_mask, offset,
+            Struct(f"<{nvars}I"))
+
+
 class Packer:
     """Packed module terms of one monomial order in `nvars` variables
-    (see the module docstring for the layout)."""
+    (see the module docstring for the layout).  The memos of packed and
+    unpacked monomials are the packer's own."""
 
     def __init__(self, order, nvars):
         self.nvars = nvars
         zero = (0,) * nvars
-        rows = []
-        for row in map(list, zip(*[order.key(zero[:j] + (1,) + zero[j + 1:])
-                                   for j in range(nvars)])):
-            for j in range(nvars):
-                if row[j] < 0:
-                    # an order's first nonzero entry in a column is
-                    # positive; the nearest row positive there keeps the
-                    # entries small
-                    above = next(r for r in reversed(rows) if r[j] > 0)
-                    c = -(row[j] // above[j])
-                    row = [x + c * y for x, y in zip(row, above)]
-            if any(row):
-                rows.append(row)
-        self.guards = sum(1 << (_FIELD * j + _FIELD - 1)
+        unit_keys = tuple(order.key(zero[:j] + (1,) + zero[j + 1:])
                           for j in range(nvars))
-        units = [1 << (_FIELD * j) for j in range(nvars)]
-        offset = _FIELD * nvars
-        self.exponent_mask = (1 << offset) - 1
-        for row in reversed(rows):
-            units = [u + (r << offset) for u, r in zip(units, row)]
-            offset += _FIELD + sum(row).bit_length()
-        self.units = units
-        self.top = offset
-        self._fields = Struct(f"<{nvars}I")
-        self._monomials = {}
+        (self.units, self.guards, self.exponent_mask, self.top,
+         self._fields) = _layout(unit_keys)
+        self._monomials = {}    # exponent -> packed monomial
+        self._exponents = {}    # packed monomial -> exponent
 
     def monomial(self, exp):
         """The packed monomial x^exp, in position field 0."""
@@ -133,8 +148,15 @@ class Packer:
 
     def unpack(self, t):
         """(position, exponent tuple) of a packed term."""
-        return -(t >> self.top), self._fields.unpack(
-            (t & self.exponent_mask).to_bytes(4 * self.nvars, "little"))
+        pos = t >> self.top
+        m = t - (pos << self.top)
+        exp = self._exponents.get(m)
+        if exp is None:
+            exp = self._fields.unpack(
+                (m & self.exponent_mask).to_bytes(4 * self.nvars, "little"))
+            if len(self._exponents) < _CACHED_MONOMIALS:
+                self._exponents[m] = exp
+        return -pos, exp
 
     def lcm(self, a, b):
         """The lcm of two terms in one position: a times the monomial of
@@ -210,15 +232,15 @@ class Poly:
         return None
 
     def __add__(self, other):
-        f = self.field
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
-            s = f.add(out.get(exp, f.zero()), c)
-            if f.is_zero(s):
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return Poly(out, f)
+            s = out.get(exp)
+            out[exp] = c if s is None else s + c
+        return Poly.from_sums(out, self.field)
 
     def __sub__(self, other):
         return self + (-other)

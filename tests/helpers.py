@@ -1,24 +1,30 @@
 """Shared test utilities: morphism construction from input text, the
-input texts of the complete-intersection and toric sum-map families, the
-lex order, exact linear algebra over a field and an integer determinant,
-small oracles on polynomials, algebras (the leading exponents of an
-ideal's basis among them), abelian groups and term orders, the
-coefficient forms of the fields, the degree-truncated linear-algebra
-oracle used to cross-check Groebner results, a spy on how tagged
-bases are built, and the previous forms that code in `logaq` is checked
-against: the nested order keys and the exponent-tuple product and lcm
-behind the packed terms, the leading term of a polynomial, the dense
-presentation trim, the box-walk staircase count, the fixpoint shift
-inference and the kernel generators built by a second Buchberger run."""
+input texts of the complete-intersection and toric families and of two
+log smooth ones (the Veronese and the semistable maps), the lex order,
+exact linear algebra over a field and an integer determinant, small
+oracles on polynomials, algebras (the leading exponents of an ideal's
+basis among them), abelian groups and term orders, the coefficient forms
+of the fields, the degree-truncated linear-algebra oracle used to
+cross-check Groebner results, a spy that tells a lifted tagged basis
+from a Buchberger fallback, the tagged Buchberger run that subquotients
+and expressions are checked against, and the previous forms that code in
+`logaq` is checked against: the nested order keys and the exponent-tuple
+product and lcm behind the packed terms, the leading term of a
+polynomial, the dense presentation trim, the box-walk staircase count,
+the fixpoint shift inference and the kernel generators built by a second
+Buchberger run."""
 
 from fractions import Fraction
 from itertools import product
 
 from logaq.inputspec import parse_input, build_morphism
 from logaq.polynomials import Poly, exp_divides
+from logaq import gbcore
 from logaq.modules import FpModule
+from logaq.gbcore import (buchberger_vec, polys_from_vec, reduce_vec,
+                          reducer_index, vec_from_polys)
 from logaq.groebner import buchberger
-from logaq.intlinalg import IntMatrix, int_solve
+from logaq.intlinalg import IntMatrix, snf
 from logaq.abgroups import FpAbGroup
 
 
@@ -36,23 +42,30 @@ def morphism(text, field_name=None):
 
 
 def record_tagged_builds(monkeypatch, *scopes):
-    """Spy on `FpModule._tagged`, the one place a tagged basis is built.
+    """Spy on the tagged bases `FpModule._tagged` builds.
 
-    Returns a list that gets (module, whether a Buchberger run built the
-    basis) for each tagged basis built while a function in `scopes`
-    runs, or at any time when there is none.  A scope is an (owner,
-    attribute name) pair, rebound for the test.  Schreyer's lift builds
-    its basis without calling `TaggedGB.__init__`, so a Buchberger run
-    is a build that calls it.
+    Returns a list that gets (module, whether the build fell back to a
+    Buchberger run) for each tagged basis built while a function in
+    `scopes` runs, or at any time when there is none.  A scope is an
+    (owner, attribute name) pair, rebound for the test.  `TaggedGB`
+    tries Schreyer's lift first, which runs no Buchberger in the
+    constructor (the reduced syzygy basis waits for its first reader);
+    so a fallback is a build whose constructor calls `buchberger_vec`.
     """
-    from logaq.gbcore import TaggedGB
-    from logaq.modules import FpModule
-    builds, runs, depth = [], [0], [0]
-    real_init, real_tagged = TaggedGB.__init__, FpModule._tagged
+    builds, runs, depth, building = [], [0], [0], [0]
+    real_buchberger = gbcore.buchberger_vec
+    real_init, real_tagged = gbcore.TaggedGB.__init__, FpModule._tagged
+
+    def buchberger_vec(*args):
+        runs[0] += building[0] > 0
+        return real_buchberger(*args)
 
     def init(self, *args):
-        runs[0] += 1
-        real_init(self, *args)
+        building[0] += 1
+        try:
+            real_init(self, *args)
+        finally:
+            building[0] -= 1
 
     def tagged(module, columns):
         before = runs[0]
@@ -69,11 +82,84 @@ def record_tagged_builds(monkeypatch, *scopes):
             finally:
                 depth[0] -= 1
         return run
-    monkeypatch.setattr(TaggedGB, "__init__", init)
+    monkeypatch.setattr(gbcore, "buchberger_vec", buchberger_vec)
+    monkeypatch.setattr(gbcore.TaggedGB, "__init__", init)
     monkeypatch.setattr(FpModule, "_tagged", tagged)
     for owner, name in scopes:
         monkeypatch.setattr(owner, name, scoped(getattr(owner, name)))
     return builds
+
+
+def tagged_build(columns, relations, n_main, packer, field):
+    """(TaggedGB(...), whether it fell back to a Buchberger run), told
+    apart as `record_tagged_builds` does."""
+    runs = [0]
+    real = gbcore.buchberger_vec
+
+    def counted(*args):
+        runs[0] += 1
+        return real(*args)
+    gbcore.buchberger_vec = counted
+    try:
+        t = gbcore.TaggedGB(columns, relations, n_main, packer, field)
+    finally:
+        gbcore.buchberger_vec = real
+    return t, runs[0] > 0
+
+
+class TaggedOracle:
+    """The tagged basis of vectors `columns` modulo vectors `relations`,
+    built the way the package first did: one Buchberger run on the
+    tagged columns and the relations, neither a Groebner basis
+    beforehand.
+
+    `syzygies` is the reduced basis of the tag-only elements, over the
+    positions of the columns, and `express(v)` the negated tag part of
+    v's full normal form: the canonical expression, or None."""
+
+    def __init__(self, columns, relations, n_main, packer, field):
+        self.packer, self.field = packer, field
+        unit = (0,) * packer.nvars
+        tagged = []
+        for i, col in enumerate(columns):
+            v = dict(col)
+            v[packer.pack(n_main + i, unit)] = field.one()
+            tagged.append(v)
+        gb = buchberger_vec(tagged + list(relations), packer, field)
+        self._index = reducer_index(gb, packer)
+        self._floor = (1 - n_main) << packer.top
+        self._shift = n_main << packer.top
+        self.syzygies = [self._tags(g, lambda c: c) for g in gb
+                         if max(g) < self._floor]
+
+    def _tags(self, v, coeff):
+        return {t + self._shift: coeff(c) for t, c in v.items()
+                if t < self._floor}
+
+    def express(self, v):
+        nf = reduce_vec(v, self._index, self.packer, self.field)
+        if any(t >= self._floor for t in nf):
+            return None
+        return self._tags(nf, self.field.neg)
+
+
+def module_oracle(module, columns, modulo=()):
+    """TaggedOracle of `columns` modulo `modulo` and the module's
+    relation vectors, on columns of Polys; returns (the syzygies as
+    columns, a function giving a target's canonical expression as a
+    column or None)."""
+    alg = module.algebra
+    packer, field, n = alg.packer, alg.field, len(columns)
+    oracle = TaggedOracle(
+        [vec_from_polys(c, packer) for c in columns],
+        [vec_from_polys(c, packer) for c in modulo]
+        + module._relation_vecs(), module.n_gens, packer, field)
+
+    def express(target):
+        e = oracle.express(vec_from_polys(target, packer))
+        return None if e is None else polys_from_vec(e, n, packer, field)
+    return ([polys_from_vec(s, n, packer, field) for s in oracle.syzygies],
+            express)
 
 
 def _names(pool, n):
@@ -117,17 +203,26 @@ monoid_map = {{}}
 
 def toric_text(n):
     """The sum map (k[u_1..u_n], N^n) -> (k[t], N) over F3."""
+    return weighted_toric_text((1,) * n, "F3")
+
+
+def weighted_toric_text(weights, field):
+    """(k[u_1..u_n], N^n) -> (k[t], N) sending u_i to t^w_i and the i-th
+    monoid generator to w_i, over the named field; a log surjection
+    when some weight is 1."""
+    n = len(weights)
     vs, gs = _names("uvwxyzrs", n), _names("abcdfghj", n)
     alpha = ", ".join(f'{g} = "{v}"' for g, v in zip(gs, vs))
-    ring_map = ", ".join(f'{v} = "t"' for v in vs)
-    monoid_map = ", ".join(f"{g} = [1]" for g in gs)
+    ring_map = ", ".join(f'{v} = "t^{w}"' if w > 1 else f'{v} = "t"'
+                         for v, w in zip(vs, weights))
+    monoid_map = ", ".join(f"{g} = [{w}]" for g, w in zip(gs, weights))
     return f"""[meta]
 surjection = true
 prop12 = true
 alt = true
 
 [field]
-name = "F3"
+name = "{field}"
 
 [source]
 vars = [{", ".join(vs)}]
@@ -144,6 +239,71 @@ alpha = {{ e = "t" }}
 [morphism]
 ring_map = {{ {ring_map} }}
 monoid_map = {{ {monoid_map} }}
+"""
+
+
+def veronese_text(d):
+    """(k, trivial) -> (k[z_0..z_d]/(2x2 minors), M) over QQ, with M the
+    monoid of the degree-d rational normal curve and alpha(m_i) = z_i:
+    toric and log smooth, with H0 = B^2 free and H1 = H2 = 0."""
+    zs = [f"z{i}" for i in range(d + 1)]
+    ms = [f"m{i}" for i in range(d + 1)]
+    rels = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            rels.append(f'"{zs[i]}*{zs[j + 1]} - {zs[i + 1]}*{zs[j]}"')
+            u, v = [0] * (d + 1), [0] * (d + 1)
+            u[i] += 1
+            u[j + 1] += 1
+            v[i + 1] += 1
+            v[j] += 1
+            rels.append(f"[{u}, {v}]")
+    alpha = ", ".join(f'{m} = "{z}"' for m, z in zip(ms, zs))
+    return f"""[field]
+name = "QQ"
+
+[source]
+vars = []
+relations = []
+gens = []
+alpha = {{}}
+
+[target]
+vars = [{", ".join(zs)}]
+relations = [{", ".join(rels)}]
+gens = [{", ".join(ms)}]
+alpha = {{ {alpha} }}
+
+[morphism]
+ring_map = {{}}
+monoid_map = {{}}
+"""
+
+
+def semistable_text(n):
+    """(k[t], N) -> (k[x_1..x_n], N^n) over QQ with t -> x_1...x_n:
+    log smooth, with H0 = B^(n-1) free and H1 = H2 = 0."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    fs = [f"f{i}" for i in range(1, n + 1)]
+    alpha = ", ".join(f'{f} = "{x}"' for f, x in zip(fs, xs))
+    return f"""[field]
+name = "QQ"
+
+[source]
+vars = [t]
+relations = []
+gens = [e]
+alpha = {{ e = "t" }}
+
+[target]
+vars = [{", ".join(xs)}]
+relations = []
+gens = [{", ".join(fs)}]
+alpha = {{ {alpha} }}
+
+[morphism]
+ring_map = {{ t = "{'*'.join(xs)}" }}
+monoid_map = {{ e = {[1] * n} }}
 """
 
 
@@ -189,7 +349,7 @@ def group_from_invariants(torsion, rank=0):
 def group_elements_equal(group, a, b):
     """Whether the integer vectors a and b are equal in the group."""
     diff = [x - y for x, y in zip(a, b)]
-    return int_solve(group.relations, diff) is not None
+    return snf(group.relations).solve(diff) is not None
 
 
 class Lex:

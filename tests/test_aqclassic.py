@@ -1,5 +1,6 @@
-"""The classical three-term complex and its homology in degrees 0-2, and
-the cover syzygies of build_ls without a Buchberger run."""
+"""The classical three-term complex and its homology in degrees 0-2, the
+cover syzygies of build_ls without a Buchberger run, and U/U_0 and the
+homology submodules by the lift alone."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from logaq.fields import QQ
 from logaq.groebner import PresentedAlgebra, AlgebraMap
 from logaq.aqclassic import aq_classical
 from logaq.logls import log_homology
+from logaq.modules import FpModule
 from logaq.monoids import FactorizationOptions
 
 from helpers import ci_text, morphism, record_tagged_builds, toric_text
@@ -109,3 +111,31 @@ def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
     # front and back faces of each log complex, and the classical one
     assert calls[0] >= 2 * (1 + len(ALT_OPTIONS)) + 1
     assert builds and not any(b for _m, b in builds)
+
+
+LIFT_INPUTS = {f"toric {n}": toric_text(n) for n in (2, 3, 4, 5)}
+LIFT_INPUTS.update({f"ci {d}": ci_text(d) for d in ((2, 3), (2, 2, 3))})
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_INPUTS))
+def test_u_mod_u0_and_homology_submodules_lift(monkeypatch, name):
+    # U/U_0 and the kernels of homology are presented by `submodule` on
+    # a Groebner basis of a module holding the relations, with modulo
+    # columns in their span: each call with columns lifts them once,
+    # and no Buchberger run and no second tagged basis follow
+    calls = [0]
+    real_submodule = FpModule.submodule
+
+    def submodule(module, columns, *args, **kwargs):
+        calls[0] += bool(columns)
+        return real_submodule(module, columns, *args, **kwargs)
+    monkeypatch.setattr(FpModule, "submodule", submodule)
+    builds = record_tagged_builds(monkeypatch, (aqclassic, "u_mod_u0"),
+                                  (FpModule, "submodule"))
+    mor = morphism(LIFT_INPUTS[name])
+    for coefficients in ("self", "residue"):
+        log_homology(mor, coefficients)
+    # U/U_0 of the front and back faces, and H1 per coefficients
+    assert calls[0] >= 2 + 2
+    assert len(builds) == calls[0]
+    assert not any(b for _m, b in builds)

@@ -1,9 +1,9 @@
-"""The vector Buchberger engine: packed terms against the nested keys and
-exponent tuples they replaced, ideal bases against sympy, module bases
-by their defining properties, expressions from tagged bases, and tagged
-bases built by Schreyer's lift against those built by Buchberger's
-algorithm.  Vectors are written as {(position, exponent): coefficient}
-and packed through the order's packer."""
+"""The vector Buchberger engine: packed terms against the nested keys
+and exponent tuples they replaced, ideal bases against sympy, module
+bases by their defining properties, expressions from tagged bases, and
+tagged bases built by Schreyer's lift against a tagged Buchberger run.
+Vectors are written as {(position, exponent): coefficient} and packed
+through the order's packer."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +14,9 @@ from logaq.groebner import PresentedAlgebra, buchberger
 from logaq.polynomials import (EXPONENT_BOUND, BlockElim, DegRevLex,
                                ExponentOverflow, Packer, Poly, exp_divides)
 
-from helpers import (Lex, exact_form, exp_lcm, exp_mul, leading,
-                     nested_block_elim, nested_degrevlex, nested_pot)
+from helpers import (Lex, TaggedOracle, exact_form, exp_lcm, exp_mul,
+                     leading, nested_block_elim, nested_degrevlex,
+                     nested_pot, tagged_build)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -254,37 +255,42 @@ def test_tagged_express_reconstructs_target(field, data):
         for (_pos, e), c in m.items():
             _add_multiple(target, col, e, c, field)
     packed_cols = [_pack(v) for v in cols]
-    packed_rels = [_pack(v) for v in rels]
-    rel_index = reducer_index(buchberger_vec(packed_rels, DRL, field), DRL)
+    rel_gb = buchberger_vec([_pack(v) for v in rels], DRL, field)
+    rel_index = reducer_index(rel_gb, DRL)
 
     def in_relations(v):
         return reduce_vec(_pack(v), rel_index, DRL, field) == {}
 
-    t = TaggedGB(packed_cols, packed_rels, 2, DRL, field)
-    _assert_exact_coeffs(t.gb, field)
-    assert all(pos < 2 + len(cols) for g in t.gb for pos, _e in _unpack(g))
+    t = TaggedGB(packed_cols, rel_gb, 2, DRL, field)
+    _assert_exact_coeffs(t.raw, field)
+    assert all(pos < len(cols) for g in t.raw for pos, _e in _unpack(g))
     coeffs = t.express(_pack(target))
-    assert coeffs is not None and len(coeffs) == len(cols)
-    _assert_exact_coeffs([p.coeffs for p in coeffs], field)
+    assert coeffs is not None
+    _assert_exact_coeffs([coeffs], field)
     back = dict(target)
-    for col, p in zip(cols, coeffs):
-        for e, c in p.coeffs.items():
-            _add_multiple(back, col, e, field.neg(c), field)
+    for (i, e), c in _unpack(coeffs).items():
+        _add_multiple(back, cols[i], e, field.neg(c), field)
     assert in_relations(back)
-    # every syzygy is one modulo the relations
-    for s in t.syzygies():
+    # every raw and every reduced syzygy is one modulo the relations
+    for s in t.raw + t.syzygies():
         total = {}
         for (i, e), c in _unpack(s).items():
             _add_multiple(total, cols[i], e, c, field)
         assert in_relations(total)
     # the same answers as tagging the relations too and dropping their
-    # tags afterwards
-    ref = TaggedGB(packed_cols + packed_rels, [], 2, DRL, field)
+    # tags afterwards; two expressions differ by a syzygy, so modulo
+    # the syzygies they agree
+    ref = TaggedGB(packed_cols + [_pack(v) for v in rels], [], 2, DRL,
+                   field)
     kept = [{term: c for term, c in s.items()
              if DRL.unpack(term)[0] < len(cols)}
             for s in ref.syzygies()]
     assert t.syzygies() == [s for s in kept if s]
-    assert ref.express(_pack(target))[:len(cols)] == coeffs
+    syz_index = reducer_index(t.syzygies(), DRL)
+    ref_coeffs = {term: c for term, c in ref.express(_pack(target)).items()
+                  if DRL.unpack(term)[0] < len(cols)}
+    assert reduce_vec(coeffs, syz_index, DRL, field) \
+        == reduce_vec(ref_coeffs, syz_index, DRL, field)
 
 
 # ---------------------------------------------------- Schreyer lifts
@@ -320,17 +326,16 @@ def test_lift_syzygies_match_the_tagged_basis(field, data):
                                 _module_vecs(field, nvars, n_main, 1, 1)))
     cover = extra + cover
     args = (cover, rels, n_main, packer, field)
-    lifted = TaggedGB.lift(*args)
+    t, fell_back = tagged_build(*args)
     if is_gb and not any(extra):
         # a zero column is a syzygy already and needs no S-pair
-        assert lifted is not None
-    if lifted is None:
-        return
-    ref = TaggedGB(*args)
-    _assert_exact_coeffs(lifted.gb, field)
-    assert lifted.syzygies() == ref.syzygies()
+        assert not fell_back
+    ref = TaggedOracle(*args)
+    _assert_exact_coeffs(t.raw, field)
+    assert t.syzygies() == ref.syzygies
     # expressions: of combinations of the columns and relations, which
-    # lie in their span, and of vectors that may not
+    # lie in their span, and of vectors that may not; modulo the
+    # syzygies they are the oracle's canonical ones
     multipliers = data.draw(st.lists(_module_vecs(field, nvars, 1, 1, 1),
                                      min_size=len(cover) + len(rels),
                                      max_size=len(cover) + len(rels)))
@@ -340,17 +345,21 @@ def test_lift_syzygies_match_the_tagged_basis(field, data):
             _add_multiple(target, _unpack(col, packer), e, c, field)
     target = _pack(target, packer)
     targets = [target, *data.draw(_module_vecs(field, nvars, n_main, 0, 2))]
-    assert lifted.express(target) is not None
-    for t in targets:
-        assert lifted.express(t) == ref.express(t)
+    assert t.express(target) is not None
+    syz_index = reducer_index(ref.syzygies, packer)
+    for v in targets:
+        got = t.express(v)
+        if got is not None:
+            got = reduce_vec(got, syz_index, packer, field)
+        assert got == ref.express(v)
 
 
 def test_lift_gives_up_off_a_groebner_basis():
     # x + y and x share their leading term x; their S-pair leaves y,
-    # which the Buchberger build takes into its basis
+    # which the Buchberger fallback takes into its basis
     x_plus_y = _pack({(0, (1, 0)): 1, (0, (0, 1)): 1})
     x = _pack({(0, (1, 0)): 1})
-    args = ([x_plus_y, x], [], 1, DRL, QQ)
-    assert TaggedGB.lift(*args) is None
-    syz, = TaggedGB(*args).syzygies()
+    t, fell_back = tagged_build([x_plus_y, x], [], 1, DRL, QQ)
+    assert fell_back
+    syz, = t.syzygies()
     assert syz == _pack({(0, (1, 0)): 1, (1, (1, 0)): -1, (1, (0, 1)): -1})

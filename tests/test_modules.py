@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly, poly_str
 from logaq.groebner import PresentedAlgebra, buchberger
-from logaq.gbcore import TaggedGB, polys_from_vec, vec_from_polys
 from logaq.modules import (FpModule, ModHom, Complex3,
                            tensor_module, tensor_hom, tensor_complex,
                            pushout, HomologyReport)
 
 from helpers import (dense_trim, exact_form, infer_shifts_by_fixpoint,
-                     oracle_syzygy_dim, poly_vector, record_tagged_builds,
-                     span_rank, syzygy_span_dim)
+                     module_oracle, oracle_syzygy_dim, poly_vector,
+                     record_tagged_builds, span_rank, syzygy_span_dim)
 
 
 def P(names, rels=()):
@@ -49,19 +48,6 @@ def test_syzygy_examples():
     assert free.syzygies_of([[kxy.one()]]) == []
 
 
-def _buchberger_basis(module, columns):
-    alg = module.algebra
-    return TaggedGB([vec_from_polys(c, alg.packer) for c in columns],
-                    module._relation_vecs(), module.n_gens, alg.packer,
-                    alg.field)
-
-
-def _buchberger_syzygies(module, columns):
-    alg = module.algebra
-    return [polys_from_vec(s, len(columns), alg.packer, alg.field)
-            for s in _buchberger_basis(module, columns).syzygies()]
-
-
 def test_syzygies_fall_back_off_a_groebner_basis(monkeypatch):
     # x + y and x are no Groebner basis: their S-pair leaves y, so the
     # Schreyer lift gives up and a Buchberger run builds the basis
@@ -71,7 +57,7 @@ def test_syzygies_fall_back_off_a_groebner_basis(monkeypatch):
     builds = record_tagged_builds(monkeypatch)
     syz = free.syzygies_of(cols)
     assert [b for _m, b in builds] == [True]
-    assert syz == _buchberger_syzygies(free, cols)
+    assert syz == module_oracle(free, cols)[0]
     (a, b), = syz
     assert kxy.is_zero(a * cols[0][0] + b * cols[1][0])
 
@@ -95,12 +81,13 @@ def test_zero_columns_lift_to_unit_syzygies(monkeypatch, zero_at):
         if col[0].is_zero():
             assert [kxy.one() if j == i else kxy.zero()
                     for j in range(len(cols))] in syz
-    assert syz == _buchberger_syzygies(free, cols)
+    assert syz == module_oracle(free, cols)[0]
 
 
 def test_free_modules_of_several_generators_lift(monkeypatch):
     # a module with no relation columns lifts in every position: its
-    # relations gb(I) * e_j are a Groebner basis already
+    # relations gb(I) * e_j are a Groebner basis already; an expression
+    # is one division, canonical once reduced modulo the syzygies
     kxy = P(["x", "y"], ["x^2"])
     free = FpModule.free(kxy, 2)
     cols = [[pp(kxy, "x"), pp(kxy, "y")], [kxy.zero(), pp(kxy, "y")],
@@ -108,15 +95,18 @@ def test_free_modules_of_several_generators_lift(monkeypatch):
     target = [pp(kxy, "x*y"), pp(kxy, "y^2")]
     builds = record_tagged_builds(monkeypatch)
     syz = free.syzygies_of(cols)
-    got = free.express_in(cols, [target])
+    got, = free.express_in(cols, [target])
     assert [b for _m, b in builds] == [False, False]
-    assert syz == _buchberger_syzygies(free, cols)
-    assert got[0] is not None
-    assert got == [_buchberger_basis(free, cols).express(
-        vec_from_polys(target, kxy.packer))]
-    # relation columns take the Buchberger run
-    FpModule(kxy, 2, [cols[0]]).syzygies_of(cols[1:])
-    assert [b for _m, b in builds] == [False, False, True]
+    oracle_syz, oracle_express = module_oracle(free, cols)
+    assert syz == oracle_syz
+    assert got is not None
+    assert free.elements_equal(ModHom(FpModule.free(kxy, 3), free,
+                                      cols).apply(got), target)
+    assert FpModule(kxy, 3, syz).normal_form(got) == oracle_express(target)
+    # with relation columns the lift runs against their Groebner basis
+    m = FpModule(kxy, 2, [cols[0]])
+    assert m.syzygies_of(cols[1:]) == module_oracle(m, cols[1:])[0]
+    assert [b for _m, b in builds] == [False, False, False]
 
 
 def test_express_in_many_targets():
@@ -444,6 +434,73 @@ def test_trim_matches_dense_trim(field, data):
     assert got.rel_cols == want.rel_cols
     assert all(exact_form(c, field)
                for col in got.rel_cols for p in col for c in p.coeffs.values())
+
+
+def _span_setup(field, data):
+    """A module over one of `_trim_algebras`, columns in it, and
+    combinations of the columns and the relations with polynomial
+    multipliers."""
+    alg = data.draw(st.sampled_from(_trim_algebras(field)))
+    n = data.draw(st.integers(1, 2))
+    entry = _trim_entries(field)
+    column = st.lists(entry, min_size=n, max_size=n)
+    m = FpModule(alg, n, data.draw(st.lists(column, max_size=1)))
+    cols = data.draw(st.lists(column, min_size=1, max_size=3))
+    gens = cols + m.rel_cols + [[g if i == j else alg.zero()
+                                 for i in range(n)]
+                                for g in alg.relations for j in range(n)]
+    combos = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        mults = data.draw(st.lists(entry, min_size=len(gens),
+                                   max_size=len(gens)))
+        combos.append([sum((c * g[i] for c, g in zip(mults, gens)),
+                           alg.zero()) for i in range(n)])
+    return alg, m, cols, combos, column
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "F2", "F3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_submodule_matches_the_tagged_buchberger_run(field, data):
+    # modulo columns in the span of the columns and the relations, as
+    # every caller's are, and sometimes one that may not be, which takes
+    # the quotient's tagged basis
+    alg, m, cols, modulo, column = _span_setup(field, data)
+    if data.draw(st.booleans()):
+        modulo.append(data.draw(column))
+    want, _express = module_oracle(m, cols, modulo)
+    sub = m.submodule(cols, modulo)
+    assert sub.rel_cols == want
+    # the relations are their own reduced basis, ideal included
+    assert sub.rel_gb() == FpModule(alg, len(cols), want).rel_gb()
+    # unreduced, they span the same submodule
+    raw = m.submodule(cols, modulo, reduced=False)
+    assert FpModule(alg, len(cols), raw.rel_cols).rel_gb() == sub.rel_gb()
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "F2", "F3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_division_expressions_reconstruct_their_targets(field, data):
+    # an expression is one division: it writes its target in the
+    # columns, modulo the relations, and reduced modulo their syzygies
+    # it is the canonical one
+    alg, m, cols, targets, column = _span_setup(field, data)
+    in_span = len(targets)
+    targets.append(data.draw(column))
+    got = m.express_in(cols, targets)
+    syz, express = module_oracle(m, cols)
+    combine = ModHom(FpModule.free(alg, len(cols)), m, cols)
+    syzygies = FpModule(alg, len(cols), m.syzygies_of(cols))
+    assert syzygies.rel_cols == syz
+    for i, (target, co) in enumerate(zip(targets, got)):
+        want = express(target)
+        assert (co is None) == (want is None)
+        if i < in_span:
+            assert co is not None
+        if co is not None:
+            assert m.elements_equal(combine.apply(co), target)
+            assert syzygies.normal_form(co) == want
 
 
 @pytest.mark.parametrize("relation, want", [
