@@ -13,8 +13,6 @@ The edge-consistency check compares the conormal module against H1 of
 the log complex of the same morphism.
 """
 
-from functools import cached_property
-
 from .modules import FpModule, ModHom, HomologyReport, CommutationFailure
 from .kcomplex import group_module
 from .logls import log_homology, MonoidFace
@@ -35,13 +33,6 @@ class LogSurjection:
             raise ValueError("monoid map is not surjective")
         self.a_gens = morphism.ring_map.kernel_generators()
         self.kergp_inc, self.kergp = morphism.monoid_map.gp().kernel()
-
-    @cached_property
-    def a_module(self):
-        """a over C, presented on the chosen generators: its relations
-        are the reduced basis of their syzygies."""
-        return FpModule.free(self.c_alg, 1).submodule(
-            [[g] for g in self.a_gens])
 
 
 def tor_over_c(s, n):
@@ -77,10 +68,9 @@ def w_terms(s, n):
     return HomologyReport(FpModule.free(b_alg, 0))
 
 
-def a_conormal(s):
-    """a/a^2 (x) B: generated by the chosen generators of a, with the
-    syzygies over C cast to B as relations."""
-    a = s.a_module
+def a_conormal(s, a):
+    """a/a^2 (x) B from `a`, the ideal a over C presented on the chosen
+    generators: their syzygies cast to B are its relations."""
     return FpModule(s.b_alg, a.n_gens,
                     s.morphism.ring_map.apply_cols(a.rel_cols))
 
@@ -88,7 +78,10 @@ def a_conormal(s):
 def conormal_module(s):
     """Cokernel of B (x) b/b^2 -> a/a^2 (+) kergp (x) B."""
     b_alg = s.b_alg
-    amod = a_conormal(s)
+    c_free = FpModule.free(s.c_alg, 1)
+    a_cols = [[g] for g in s.a_gens]
+    a = c_free.submodule(a_cols)
+    amod = a_conormal(s, a)
     kmod = group_module(s.kergp, b_alg)
     na, nk = amod.n_gens, kmod.n_gens
     zero = b_alg.zero()
@@ -104,8 +97,7 @@ def conormal_module(s):
     # in the chosen generators, made canonical modulo their syzygies and
     # cast to B; the coefficients are printed as relations
     elts = [[face.p_to_a.apply(g)] for g in face.gens]
-    cos = FpModule.free(s.c_alg, 1).express_in([[g] for g in s.a_gens],
-                                               elts)
+    cos = c_free.express_in(a_cols, elts)
     for co, second in zip(cos, seconds):
         if co is None:
             raise CommutationFailure(
@@ -114,7 +106,7 @@ def conormal_module(s):
             raise CommutationFailure(
                 "kernel binomial does not land in ker gp")
     firsts = s.morphism.ring_map.apply_cols(
-        [s.a_module.normal_form(co) for co in cos])
+        [a.normal_form(co) for co in cos])
     rels += [first + second for first, second in zip(firsts, seconds)]
     return FpModule(b_alg, na + nk, rels)
 

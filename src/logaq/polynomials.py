@@ -35,11 +35,10 @@ guard bit set: two exponents below 2^31 sum to below 2^32, so a sum that
 reaches the bound sets the guard bit of its own field.
 
 Each algebra has its own packer, which keeps the monomials it has
-packed, and the exponents of those it has unpacked, each up to
-`_CACHED_MONOMIALS`, so that a monomial met again costs one dict
-lookup.  The engine's inputs are polynomials of small support that
-share their few monomials: in a pass of each benchmark workload, 91-94%
-of the packings are of a monomial the packer has met before.  The
+packed, up to `_CACHED_MONOMIALS`, so that a monomial met again costs
+one dict lookup.  The engine's inputs are polynomials of small support
+that share their few monomials: in a pass of each benchmark workload,
+91-94% of the packings are of a monomial the packer has met before.  The
 layout itself depends only on the order's keys of the unit vectors, so
 it is computed once for all packers that share them.
 """
@@ -54,8 +53,8 @@ EXPONENT_BOUND = 2**31
 _FIELD = 32
 # no packer has been seen to meet more than 16 distinct monomials (the
 # benchmark workloads, the corpus, complete intersections up to
-# (5,5,5,3)); this bound, 256 times that, caps each of a packer's two
-# memos at about 1 MiB in 8 variables, exponent tuples included
+# (5,5,5,3)); this bound, 256 times that, caps a packer's memo at about
+# 1 MiB in 8 variables, exponent tuples included
 _CACHED_MONOMIALS = 2**12
 
 
@@ -118,8 +117,8 @@ def _layout(unit_keys):
 
 class Packer:
     """Packed module terms of one monomial order in `nvars` variables
-    (see the module docstring for the layout).  The memos of packed and
-    unpacked monomials are the packer's own."""
+    (see the module docstring for the layout).  The memo of packed
+    monomials is the packer's own."""
 
     def __init__(self, order, nvars):
         self.nvars = nvars
@@ -129,7 +128,6 @@ class Packer:
         (self.units, self.guards, self.exponent_mask, self.top,
          self._fields) = _layout(unit_keys)
         self._monomials = {}    # exponent -> packed monomial
-        self._exponents = {}    # packed monomial -> exponent
 
     def monomial(self, exp):
         """The packed monomial x^exp, in position field 0."""
@@ -148,15 +146,8 @@ class Packer:
 
     def unpack(self, t):
         """(position, exponent tuple) of a packed term."""
-        pos = t >> self.top
-        m = t - (pos << self.top)
-        exp = self._exponents.get(m)
-        if exp is None:
-            exp = self._fields.unpack(
-                (m & self.exponent_mask).to_bytes(4 * self.nvars, "little"))
-            if len(self._exponents) < _CACHED_MONOMIALS:
-                self._exponents[m] = exp
-        return -pos, exp
+        return -(t >> self.top), self._fields.unpack(
+            (t & self.exponent_mask).to_bytes(4 * self.nvars, "little"))
 
     def lcm(self, a, b):
         """The lcm of two terms in one position: a times the monomial of

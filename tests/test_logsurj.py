@@ -191,7 +191,8 @@ def test_conormal_examples():
 
 def test_a_conormal():
     s = surj("strict_hypersurface")
-    assert HomologyReport(a_conormal(s)).k_dimension == 2
+    a = FpModule.free(s.c_alg, 1).submodule([[g] for g in s.a_gens])
+    assert HomologyReport(a_conormal(s, a)).k_dimension == 2
 
 
 def test_edge_identity_corpus():
