@@ -10,11 +10,20 @@ with U the syzygies of the chosen ideal generators and U_0 the Koszul
 ones.  Homology with coefficients in a B-module T gives the classical
 Andre-Quillen homology in degrees 0-2.  The caller picks R -> B and the
 cover, so the log pipeline reuses `build_ls` with its own; every term
-over R is base changed to B by `AlgebraMap.apply_cols`.
+over R is base changed to B by `AlgebraMap`, the syzygies and their
+expressions straight from their packed vectors by `cast_vecs`.
+
+For a complete intersection the Koszul relations generate U, so U/U_0
+is zero (Lichtenbaum and Schlessinger, Trans. AMS 128, 1967).
+`u_mod_u0` finds that from the Koszul columns alone and builds the
+module known to be zero, so the second syzygies of U are never lifted,
+and H2 and the pushout of the log complex carry the zero (see modules).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from .gbcore import vec_from_polys
 from .groebner import AlgebraMap, adjoin_target_vars
 from .modules import (FpModule, ModHom, Complex3, CommutationFailure,
                       tensor_complex, HomologyReport)
@@ -25,7 +34,7 @@ class LsData:
     r_to_b: AlgebraMap
     base_nvars: int
     i_gens: list          # tau: F -> I on the free basis of F
-    u_cols: list          # syzygies of i_gens, columns over F
+    u_vecs: list          # syzygies of i_gens, vectors over F's positions
 
     @property
     def r(self):
@@ -39,44 +48,74 @@ class LsData:
     def omega_rank(self):
         return self.r.nvars - self.base_nvars
 
+    @cached_property
+    def u_basis(self):
+        """The tagged basis of the syzygy vectors in F, for expressions
+        in them: one per cover, shared by U/U_0 and the log complex."""
+        return FpModule.free(self.r, self.n_cover)._tagged(self.u_vecs)
+
 
 def build_ls(r_to_b, base_nvars, cover):
     """LsData for the surjection R -> B, whose first `base_nvars`
     variables are the base's, with tau: F -> I the given `cover` of its
     kernel I.  The cover holds normal forms in R and is used as given.
     """
-    u_cols = FpModule.free(r_to_b.source, 1).syzygies_of(
-        [[p] for p in cover])
-    return LsData(r_to_b, base_nvars, cover, u_cols)
+    u_vecs = FpModule.free(r_to_b.source, 1).syzygies_of(
+        [[p] for p in cover], packed=True)
+    return LsData(r_to_b, base_nvars, cover, u_vecs)
 
 
 def u_mod_u0(data):
     """U/U_0 over B: the syzygy columns modulo the Koszul columns
-    tau(e_i) e_j - tau(e_j) e_i for i < j.
+    tau(e_i) e_j - tau(e_j) e_i for i < j, presented on the syzygy
+    columns.
 
-    Its relations are the lifted syzygies of the syzygy columns plus an
-    expression of each Koszul column in them, cast to B and not made
-    canonical over R.  Every reader of them reads only the submodule
-    they span: the pushout of the log complex takes them as relations,
-    H2 presents its kernel through `FpModule.submodule`, whose reduced
-    bases depend on that span alone, and the checks of the squares and
-    of d1 d2 = 0 test membership in it.  Their reduced basis would cost
-    one more Buchberger run over R: with it, the log complex of the
-    Veronese d=5 map took 4.4 times the CPU (3.35 s against 0.76 s,
-    medians of 10 runs on one 2-vCPU host), while on the benchmark
-    workloads the difference stayed within their run-to-run spread.
+    The syzygy vectors are the reduced Groebner basis of U, so one
+    division by them expresses each Koszul column, with no lift.  When
+    these expressions, cast to B, already trim to no generators, as
+    they do for a complete intersection, U/U_0 is `FpModule.zero_on`
+    the syzygy columns, known to be zero, and the second syzygies of U
+    are never lifted.  Otherwise its relations are the lifted second
+    syzygies and then the expressions, cast to B and not made canonical
+    over R.  Either way a reader of them reads only the submodule they
+    span: the pushout of the log complex takes them as relations, H2
+    presents its kernel by `ModHom.kernel`, whose reduced bases depend
+    on that span alone, and the checks of the squares and of d1 d2 = 0
+    test membership in it.  On the full path, which the Veronese maps
+    take, their reduced basis would cost one more Buchberger run over
+    R: with it, the log complex of the Veronese d=5 map took 4.4 times
+    the CPU (3.35 s against 0.76 s, medians of 10 runs on one 2-vCPU
+    host), while on the benchmark workloads the difference stayed
+    within their run-to-run spread.
     """
-    r, gens, m = data.r, data.i_gens, data.n_cover
-    koszul = []
+    r, m = data.r, data.n_cover
+    b, n = data.r_to_b.target, len(data.u_vecs)
+    if not n:
+        return FpModule.zero_on(b, 0)
+    packer, neg = r.packer, r.field.neg
+    gens = [vec_from_polys([g], packer) for g in data.i_gens]
+    t = data.u_basis
+    exprs = []
     for i in range(m):
         for j in range(i + 1, m):
-            col = [r.zero()] * m
-            col[j] = gens[i]
-            col[i] = -gens[j]
-            koszul.append(col)
-    u = FpModule.free(r, m).submodule(data.u_cols, koszul, reduced=False)
-    return FpModule(data.r_to_b.target, u.n_gens,
-                    data.r_to_b.apply_cols(u.rel_cols))
+            # tau(e_i) in position j, -tau(e_j) in position i
+            col = {u - (j << packer.top): c for u, c in gens[i].items()}
+            col.update((u - (i << packer.top), neg(c))
+                       for u, c in gens[j].items())
+            e = t.express(col)
+            if e is None:
+                raise CommutationFailure("a Koszul column is no syzygy")
+            exprs.append(e)
+    koszul = data.r_to_b.cast_vecs(exprs, n)
+    # U/U_0 is the first Koszul homology of the cover.  At a maximal
+    # ideal holding the cover it vanishes only if the cover is a regular
+    # sequence there (Bruns and Herzog, Cohen-Macaulay Rings, 1.6.19),
+    # no longer than R has variables; so a longer cover leaves U/U_0
+    # nonzero, or B = 0, where no trim finds a constant, and the zero
+    # test would fail anyway
+    if m <= r.nvars and not FpModule(b, n, koszul).trim().n_gens:
+        return FpModule.zero_on(b, n)
+    return FpModule(b, n, data.r_to_b.cast_vecs(t.raw, n) + koszul)
 
 
 def ls_complex(data):
@@ -85,7 +124,7 @@ def ls_complex(data):
     c2 = u_mod_u0(data)
     c1 = FpModule.free(r_to_b.target, data.n_cover)
     c0 = FpModule.free(r_to_b.target, data.omega_rank)
-    d2 = ModHom(c2, c1, r_to_b.apply_cols(data.u_cols))
+    d2 = ModHom(c2, c1, r_to_b.cast_vecs(data.u_vecs, data.n_cover))
     d1 = ModHom(c1, c0, r_to_b.apply_cols(
         [[f.derivative(v) for v in range(data.base_nvars, data.r.nvars)]
          for f in data.i_gens]))

@@ -23,15 +23,16 @@ bit of its term and raises `ExponentOverflow`.
 Ring-level Groebner bases are the one-position case.
 
 A tagged basis has one constructor, `TaggedGB`, whose relations are a
-Groebner basis.  It tries Schreyer's lift first, which holds when the
-columns and the relations together are a Groebner basis, as every cover
-and every kernel basis is: one reduction per S-pair leaves a lifted
-syzygy in the tags (Eisenbud, Commutative Algebra, Thm 15.10; La Scala
-and Stillman, J. Symb. Comp. 26, 1998).  A Buchberger run builds the
-basis only when a reduction leaves a main term.  The lifts are kept raw,
-as generators of the syzygy module; its reduced Groebner basis, unique
-for the order and so the same from either builder, is computed on first
-demand.
+Groebner basis.  Building it divides by nothing but the columns and the
+relations, which is all an expression needs when they are together a
+Groebner basis, as every cover and every kernel basis is.  The syzygies
+are lifted on first demand: Schreyer's lift holds on such a basis, where
+one reduction per S-pair leaves a lifted syzygy in the tags (Eisenbud,
+Commutative Algebra, Thm 15.10; La Scala and Stillman, J. Symb. Comp.
+26, 1998).  A Buchberger run builds the basis only when a reduction
+leaves a main term.  The lifts are kept raw, as generators of the
+syzygy module; its reduced Groebner basis, unique for the order and so
+the same from either builder, is computed on first demand.
 
 Strategy, after Gebauer and Moeller, "On an installation of Buchberger's
 algorithm" (J. Symb. Comp. 6, 1988):
@@ -300,13 +301,15 @@ class TaggedGB:
     columns, modulo the relations, and the tag-only vectors are the
     syzygies.
 
-    The basis is built by Schreyer's lift when the nonzero columns and
-    the relations are together a Groebner basis, and by a Buchberger
-    run otherwise.  `raw` generates the syzygy module, over the
-    positions of the columns: the lifted S-pair reductions, or the
-    run's reduced basis of it.  `syzygies()` is that reduced basis,
-    unique for the order, so both builders give it alike.  `express`
-    gives some expression, not a canonical one.
+    Nothing is lifted when the basis is built: division starts with the
+    nonzero columns and the relations.  `raw`, on first use, runs
+    Schreyer's lift, which holds when these are together a Groebner
+    basis, and a Buchberger run otherwise, which then becomes the
+    basis.  `raw` generates the syzygy module, over the positions of
+    the columns: the lifted S-pair reductions, or the run's reduced
+    basis of it.  `syzygies()` is that reduced basis, unique for the
+    order, so both builders give it alike.  `express` gives some
+    expression, not a canonical one.
     """
 
     def __init__(self, columns, relations, n_main, packer, field):
@@ -316,18 +319,38 @@ class TaggedGB:
         # tag term moves to its column's position by adding `_shift`
         self._main_floor = (1 - n_main) << packer.top
         self._shift = n_main << packer.top
-        tagged = _tag(columns, n_main, packer, field)
+        self._tagged = _tag(columns, n_main, packer, field)
+        self._relations = relations
+        self._led = [v for col, v in zip(columns, self._tagged) if col]
+        self._entries = [_reducer(v, max(v)) for v in self._led + relations]
+        self._basis = {}
+        for entry in self._entries:
+            self._basis.setdefault(entry[0] >> packer.top, []).append(entry)
+        self._raw = None
         self._syzygies = None
-        if not self._lift(columns, tagged, relations):
-            gb = buchberger_vec(tagged + relations, packer, field)
-            self._basis = reducer_index(gb, packer)
-            self.raw = self._syzygies = [self._tags(g) for g in gb
-                                         if max(g) < self._main_floor]
 
-    def _lift(self, columns, tagged, relations):
-        """Schreyer's lift: keep the reducers of the led columns and the
-        relations and the lifted syzygies, and return True; False when
-        the nonzero columns and the relations are no Groebner basis.
+    @property
+    def raw(self):
+        """Generators of the syzygy module, over the positions of the
+        columns; built on first use."""
+        if self._raw is None:
+            self._build()
+        return self._raw
+
+    def _build(self):
+        """Build `raw`: by the lift, or else by a Buchberger run, whose
+        basis then replaces the division basis."""
+        if not self._lift():
+            gb = buchberger_vec(self._tagged + self._relations, self.packer,
+                                self.field)
+            self._basis = reducer_index(gb, self.packer)
+            self._raw = self._syzygies = [self._tags(g) for g in gb
+                                          if max(g) < self._main_floor]
+
+    def _lift(self):
+        """Schreyer's lift: keep the lifted syzygies and return True;
+        False when the nonzero columns and the relations are no
+        Groebner basis.
 
         A tagged column makes S-pairs only with later elements in its
         leading position whose multiplier lcm / (its leading term) is
@@ -342,17 +365,10 @@ class TaggedGB:
         """
         packer, field = self.packer, self.field
         guards, top = packer.guards, packer.top
-        led, raw = [], []
-        for col, v in zip(columns, tagged):
-            if col:
-                led.append(v)
-            else:
-                raw.append(self._tags(v))
-        entries, index = [], {}
-        for v in led + relations:
-            entries.append(_reducer(v, max(v)))
-            index.setdefault(entries[-1][0] >> top, []).append(entries[-1])
-        for a, ra in enumerate(entries[:len(led)]):
+        raw = [self._tags(v) for v in self._tagged
+               if max(v) < self._main_floor]
+        entries, index = self._entries, self._basis
+        for a, ra in enumerate(entries[:len(self._led)]):
             lta = ra[0]
             mults = [(packer.lcm(lta, rb[0]) - lta, rb)
                      for rb in entries[a + 1:] if rb[0] >> top == lta >> top]
@@ -366,8 +382,7 @@ class TaggedGB:
                     if next(iter(s)) >= self._main_floor:
                         return False    # terms come in descending order
                     raw.append(self._tags(s))
-        self._basis = index
-        self.raw = raw
+        self._raw = raw
         return True
 
     def _tags(self, v):
@@ -377,10 +392,11 @@ class TaggedGB:
 
     def syzygies(self):
         """The reduced Groebner basis of the syzygy module, over the
-        positions of the columns; computed once."""
+        positions of the columns; computed once, and by a Buchberger
+        run that builds `raw` along with it."""
+        raw = self.raw
         if self._syzygies is None:
-            self._syzygies = buchberger_vec(self.raw, self.packer,
-                                            self.field)
+            self._syzygies = buchberger_vec(raw, self.packer, self.field)
         return self._syzygies
 
     def express(self, v):
@@ -388,13 +404,19 @@ class TaggedGB:
         relations, as a vector over the positions of the columns, or
         None if v is not in their span.
 
-        One division by the basis: after a lift, by the led columns and
-        the relations alone, so the coefficients are some expression,
-        not a canonical one; reducing them modulo `syzygies()` gives
-        the canonical one.
+        One division by the basis, so the coefficients are some
+        expression, not a canonical one; reducing them modulo
+        `syzygies()` gives the canonical one.  Any division that leaves
+        no main term gives an expression; one that leaves a main term
+        before `raw` is built builds it, since only a Groebner basis
+        proves that v is not in the span, and divides again.
         """
         nf = reduce_vec(v, self._basis, self.packer, self.field)
         if nf and next(iter(nf)) >= self._main_floor:
-            return None     # terms come in descending order
+            # terms come in descending order
+            if self._raw is not None:
+                return None
+            self._build()
+            return self.express(v)
         neg = self.field.neg
         return {t: neg(c) for t, c in self._tags(nf).items()}

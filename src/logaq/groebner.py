@@ -190,27 +190,50 @@ class AlgebraMap:
             out = out + term
         return out
 
+    def _monomial_image(self, exp):
+        """The normal form of the image of x^exp, computed once per map."""
+        image = self._monomial_images.get(exp)
+        if image is None:
+            f = self.target.field
+            image = self._monomial_images[exp] = self.target.nf(
+                self.substitute(Poly({exp: f.one()}, f)))
+        return image
+
     def apply(self, p):
         """The normal form of p's image: a sum of the normal forms of its
-        monomials' images, each computed once per map, since the normal
-        form is linear."""
+        monomials' images, since the normal form is linear."""
         if p.is_zero():     # as most entries of base-changed columns are
             return p
-        f = self.target.field
         out = {}
         for exp, c in p.coeffs.items():
-            image = self._monomial_images.get(exp)
-            if image is None:
-                image = self._monomial_images[exp] = self.target.nf(
-                    self.substitute(Poly({exp: f.one()}, f)))
-            for e, a in image.coeffs.items():
+            for e, a in self._monomial_image(exp).coeffs.items():
                 s = out.get(e)
                 out[e] = c * a if s is None else s + c * a
-        return Poly.from_sums(out, f)
+        return Poly.from_sums(out, self.target.field)
 
     def apply_cols(self, cols):
         """The columns base changed along the map, entry by entry."""
         return [[self.apply(p) for p in col] for col in cols]
+
+    def cast_vecs(self, vecs, n):
+        """Vectors over n positions, in the source's packed terms, base
+        changed along the map to columns of n Polys over the target:
+        `apply_cols` of their columns, without building them."""
+        unpack = self.source.packer.unpack
+        f = self.target.field
+        zero = self.target.zero()
+        out = []
+        for v in vecs:
+            sums = {}
+            for t, c in v.items():
+                pos, exp = unpack(t)
+                d = sums.setdefault(pos, {})
+                for e, a in self._monomial_image(exp).coeffs.items():
+                    s = d.get(e)
+                    d[e] = c * a if s is None else s + c * a
+            out.append([Poly.from_sums(sums[i], f) if i in sums else zero
+                        for i in range(n)])
+        return out
 
     def _graph(self):
         """Product presentation k[target vars | source vars] with the graph

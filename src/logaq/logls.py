@@ -21,8 +21,9 @@ from functools import cached_property
 
 from .intlinalg import snf
 from .polynomials import Poly
+from .gbcore import vec_from_polys
 from .groebner import AlgebraMap
-from .modules import (FpModule, ModHom, Complex3, CommutationFailure,
+from .modules import (ModHom, Complex3, CommutationFailure,
                       tensor_complex, HomologyReport, pushout, tensor_module)
 from .aqclassic import (build_ls, ls_complex, coefficient_module,
                         aq_classical)
@@ -175,15 +176,16 @@ def _build_alphas(front, front_complex, back, back_complex, s_map):
     # degree 1: the J images are the first cover generators
     a1 = ModHom(back_complex.c1, front_complex.c1,
                 [front_complex.c1.gen_column(l) for l in range(g)])
-    # degree 2: express each cast syzygy in the front syzygy generators
-    pad = [front.r.zero()] * (front.n_cover - g)
-    cos = FpModule.free(front.r, front.n_cover).express_in(
-        front.u_cols, [col + pad for col in s_map.apply_cols(back.u_cols)])
+    # degree 2: express each cast syzygy in the front syzygy generators,
+    # by the front's own division basis of them
+    packer = front.r.packer
+    cos = [front.u_basis.express(vec_from_polys(col, packer))
+           for col in s_map.cast_vecs(back.u_vecs, g)]
     if None in cos:
         raise CommutationFailure(
             "cast syzygy is not a combination of the front syzygies")
     a2 = ModHom(back_complex.c2, front_complex.c2,
-                front.r_to_b.apply_cols(cos))
+                front.r_to_b.cast_vecs(cos, len(front.u_vecs)))
     return [a0, a1, a2]
 
 

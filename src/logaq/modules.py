@@ -5,7 +5,7 @@ relation columns (length-n lists of Poly).  All membership, kernel, and
 syzygy questions go through the vector Groebner engine; the ideal enters
 by augmenting the relation submodule with I * e_j for every position.
 
-Every subquotient (kernels, homology, U/U_0, a/a^2, Tor) is presented by
+Every subquotient (kernels, homology, a/a^2, Tor) is presented by
 `FpModule.submodule`, the one place whose column order fixes the tagged
 basis and hence every printed `relations` string.  Homology of a
 three-term complex, tensor products and pushouts are built from the same
@@ -13,6 +13,15 @@ primitives, plus size proxies for reporting: exact k dimension when
 finite, free rank when the presentation visibly splits, graded Hilbert
 data, and the 0th Fitting ideal otherwise.  Tensoring assumes a cyclic
 coefficient module B/J, the only kind the pipelines build.
+
+A module is known to be zero when its relation basis is at hand,
+computed or set when it was built (`FpModule.zero_on`), and holds one
+unit vector per generator.  The zero is carried, not recomputed: a
+kernel out of such a module is the zero module on no generators, its
+tensor products are known to be zero too, and a pushout whose common
+source and right face have no generators is the left module itself.
+None of this changes a report: the kernel's full presentation would be
+its unit vectors, which trim to no generators.
 """
 
 from itertools import combinations
@@ -41,6 +50,25 @@ class FpModule:
     @classmethod
     def free(cls, algebra, n):
         return cls(algebra, n)
+
+    @classmethod
+    def zero_on(cls, algebra, n):
+        """The zero module on n generators: a unit relation column per
+        generator, with their Groebner basis, the unit vectors, set."""
+        m = cls(algebra, n, [[algebra.one() if i == j else algebra.zero()
+                              for i in range(n)] for j in range(n)])
+        m._rel_gb = sorted(m._pack(m.rel_cols), key=max)
+        return m
+
+    def is_known_zero(self):
+        """Whether the relation basis is at hand, computed or set when
+        the module was built, and holds one unit vector per generator,
+        so that the module is zero.  Computes no basis to find out."""
+        gb = self._rel_gb
+        if gb is None or len(gb) != self.n_gens:
+            return False
+        mask = self.algebra.packer.exponent_mask
+        return all(len(v) == 1 and not max(v) & mask for v in gb)
 
     def _relation_vecs(self):
         """The relation columns, then I * e_j for every position j;
@@ -100,59 +128,69 @@ class FpModule:
         col[i] = self.algebra.one()
         return col
 
-    def _tagged(self, columns):
-        """The tagged basis of `columns` modulo this module (see
+    def _pack(self, columns):
+        """Columns of Polys as vectors."""
+        packer = self.algebra.packer
+        return [vec_from_polys(c, packer) for c in columns]
+
+    def _tagged(self, vecs):
+        """The tagged basis of the vectors `vecs` modulo this module (see
         TaggedGB), against the relations' Groebner basis."""
         alg = self.algebra
-        return TaggedGB([vec_from_polys(c, alg.packer) for c in columns],
-                        self.rel_gb(), self.n_gens, alg.packer, alg.field)
+        return TaggedGB(vecs, self.rel_gb(), self.n_gens, alg.packer,
+                        alg.field)
 
     def _columns(self, vecs, n):
         """Vectors over n positions as columns of Polys."""
         alg = self.algebra
         return [polys_from_vec(v, n, alg.packer, alg.field) for v in vecs]
 
-    def syzygies_of(self, columns):
+    def syzygies_of(self, columns, packed=False):
         """Generating relations among the given elements, modulo this module.
 
-        Returns columns of length len(columns) over the algebra: the
-        reduced Groebner basis of their syzygy module.
+        Returns the reduced Groebner basis of their syzygy module: as
+        columns of length len(columns) over the algebra, or with
+        `packed` as vectors over as many positions.
         """
         if not columns:
             return []
-        return self._columns(self._tagged(columns).syzygies(), len(columns))
+        syz = self._tagged(self._pack(columns)).syzygies()
+        return syz if packed else self._columns(syz, len(columns))
 
-    def submodule(self, columns, modulo=(), reduced=True):
+    def submodule(self, columns, modulo=()):
         """The submodule the given elements generate, modulo the columns
         `modulo`, presented on `columns`.
 
-        Its relations are the syzygies of `columns` modulo `modulo` and
-        this module's relations.  When every `modulo` column lies in the
-        span of `columns` and the relations, as every caller's does,
-        they are the lifted syzygies of `columns` plus one expression of
-        each `modulo` column; otherwise they are read off a tagged basis
-        of `columns` modulo both.  With `reduced` they are their reduced
-        Groebner basis, unique for the order, so `columns` alone fix the
-        printed relations; without it they only span the same module,
-        which is all a reader of their span needs.
+        Its relations are the reduced Groebner basis of the syzygies of
+        `columns` modulo `modulo` and this module's relations, unique
+        for the order, so `columns` alone fix the printed relations.
+        When every `modulo` column lies in the span of `columns` and
+        the relations, as every caller's does, that basis comes from
+        the lifted syzygies of `columns` plus one expression of each
+        `modulo` column; otherwise from a tagged basis of `columns`
+        modulo both.
         """
+        return self._submodule(self._pack(columns), modulo)
+
+    def _submodule(self, vecs, modulo):
+        """`submodule` of the columns the vectors `vecs` pack."""
         alg = self.algebra
-        n = len(columns)
+        n = len(vecs)
         if not n:
             return FpModule(alg, 0)
-        t = self._tagged(columns)
+        t = self._tagged(vecs)
         gens = list(t.raw)
         for col in modulo:
             e = t.express(vec_from_polys(col, alg.packer))
             if e is None:
                 quotient = FpModule(alg, self.n_gens,
                                     list(modulo) + self.rel_cols)
-                return FpModule(alg, n, quotient.syzygies_of(columns))
+                gb = quotient._tagged(vecs).syzygies()
+                break
             gens.append(e)
-        if not reduced:
-            return FpModule(alg, n, self._columns(gens, n))
-        gb = buchberger_vec(gens, alg.packer, alg.field) if modulo \
-            else t.syzygies()
+        else:
+            gb = buchberger_vec(gens, alg.packer, alg.field) if modulo \
+                else t.syzygies()
         out = FpModule(alg, n, self._columns(gb, n))
         # the syzygies hold I * e_j, so their basis is the relations'
         out._rel_gb = gb
@@ -166,7 +204,7 @@ class FpModule:
         if not targets:
             return []
         alg = self.algebra
-        t = self._tagged(columns)
+        t = self._tagged(self._pack(columns))
         out = []
         for target in targets:
             e = t.express(vec_from_polys(target, alg.packer))
@@ -385,9 +423,12 @@ class ModHom:
 
     def kernel(self, modulo=()):
         """The kernel, modulo the source columns `modulo`, presented on
-        the syzygies of the image columns."""
-        ker_cols = self.target.syzygies_of(self.image_cols)
-        return self.source.submodule(ker_cols, modulo)
+        the syzygies of the image columns; on no generators when the
+        source is known to be zero (see FpModule.is_known_zero)."""
+        if self.source.is_known_zero():
+            return FpModule(self.source.algebra, 0)
+        return self.source._submodule(
+            self.target.syzygies_of(self.image_cols, packed=True), modulo)
 
     def cokernel(self):
         return FpModule(self.target.algebra, self.target.n_gens,
@@ -441,7 +482,8 @@ class Complex3:
 def tensor_module(m, t):
     """m tensor_A B/J for the cyclic coefficient module t = B/J: m with
     J * e_i appended to its relations, for each generator of J in turn
-    and i = 0, 1, ...  With J = 0 this is m itself, relation basis kept."""
+    and i = 0, 1, ...  With J = 0 this is m itself, relation basis kept;
+    a quotient of a module known to be zero gets its basis too."""
     if t.n_gens != 1:
         raise ValueError("coefficient module must have one generator")
     if not t.rel_cols:
@@ -453,7 +495,10 @@ def tensor_module(m, t):
             col = [alg.zero()] * m.n_gens
             col[i] = g
             rels.append(col)
-    return FpModule(alg, m.n_gens, rels)
+    out = FpModule(alg, m.n_gens, rels)
+    if m.is_known_zero():
+        out._rel_gb = m._rel_gb
+    return out
 
 
 def tensor_hom(f, src, tgt):
@@ -603,10 +648,14 @@ def pushout(alpha, beta):
     """Pushout of L <--alpha-- S --beta--> R.
 
     Returns (P, inc_left, inc_right) with P = (L + R) / (alpha s, -beta s).
+    When S and R have no generators, P is L itself, relation basis
+    included.
     """
     if alpha.source is not beta.source:
         raise ValueError("pushout needs a common source")
     left, right = alpha.target, beta.target
+    if not (alpha.source.n_gens or right.n_gens):
+        return left, ModHom.identity(left), ModHom(right, left, [])
     alg = left.algebra
     n = left.n_gens + right.n_gens
     zero = alg.zero()

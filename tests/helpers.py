@@ -6,13 +6,14 @@ oracles on polynomials, algebras (the leading exponents of an ideal's
 basis among them), abelian groups and term orders, the coefficient forms
 of the fields, the degree-truncated linear-algebra oracle used to
 cross-check Groebner results, a spy that tells a lifted tagged basis
-from a Buchberger fallback, the tagged Buchberger run that subquotients
-and expressions are checked against, and the previous forms that code in
-`logaq` is checked against: the nested order keys and the exponent-tuple
-product and lcm behind the packed terms, the leading term of a
-polynomial, the dense presentation trim, the box-walk staircase count,
-the fixpoint shift inference and the kernel generators built by a second
-Buchberger run."""
+from a Buchberger fallback and from one never lifted, the tagged
+Buchberger run that subquotients and expressions are checked against,
+U/U_0 presented by all the second syzygies whatever the module, and
+the previous forms that code in `logaq` is checked against: the nested
+order keys and the exponent-tuple product and lcm behind the packed
+terms, the leading term of a polynomial, the dense presentation trim,
+the box-walk staircase count, the fixpoint shift inference and the
+kernel generators built by a second Buchberger run."""
 
 from fractions import Fraction
 from itertools import product
@@ -41,37 +42,42 @@ def morphism(text, field_name=None):
     return build_morphism(parse_input(text), field_name=field_name)
 
 
+class TaggedBuild:
+    """A tagged basis that `FpModule._tagged` built: its module, whether
+    its syzygies were lifted since (`lifted`, set when the lift is tried)
+    and whether that lift gave up for a Buchberger run (`fell_back`)."""
+
+    def __init__(self, module):
+        self.module = module
+        self.lifted = False
+        self.fell_back = False
+
+
 def record_tagged_builds(monkeypatch, *scopes):
     """Spy on the tagged bases `FpModule._tagged` builds.
 
-    Returns a list that gets (module, whether the build fell back to a
-    Buchberger run) for each tagged basis built while a function in
-    `scopes` runs, or at any time when there is none.  A scope is an
-    (owner, attribute name) pair, rebound for the test.  `TaggedGB`
-    tries Schreyer's lift first, which runs no Buchberger in the
-    constructor (the reduced syzygy basis waits for its first reader);
-    so a fallback is a build whose constructor calls `buchberger_vec`.
+    Returns a list that gets a TaggedBuild for each tagged basis built
+    while a function in `scopes` runs, or at any time when there is
+    none.  A scope is an (owner, attribute name) pair, rebound for the
+    test.  `TaggedGB` lifts its syzygies only on first demand, whenever
+    that comes, and runs Buchberger only when the lift returns False.
     """
-    builds, runs, depth, building = [], [0], [0], [0]
-    real_buchberger = gbcore.buchberger_vec
-    real_init, real_tagged = gbcore.TaggedGB.__init__, FpModule._tagged
+    builds, depth, records = [], [0], {}
+    real_lift, real_tagged = gbcore.TaggedGB._lift, FpModule._tagged
 
-    def buchberger_vec(*args):
-        runs[0] += building[0] > 0
-        return real_buchberger(*args)
+    def lift(self):
+        held = real_lift(self)
+        record = records.get(self)
+        if record is not None:
+            record.lifted = True
+            record.fell_back = not held
+        return held
 
-    def init(self, *args):
-        building[0] += 1
-        try:
-            real_init(self, *args)
-        finally:
-            building[0] -= 1
-
-    def tagged(module, columns):
-        before = runs[0]
-        t = real_tagged(module, columns)
+    def tagged(module, vecs):
+        t = real_tagged(module, vecs)
         if depth[0] or not scopes:
-            builds.append((module, runs[0] > before))
+            records[t] = TaggedBuild(module)
+            builds.append(records[t])
         return t
 
     def scoped(real):
@@ -82,8 +88,7 @@ def record_tagged_builds(monkeypatch, *scopes):
             finally:
                 depth[0] -= 1
         return run
-    monkeypatch.setattr(gbcore, "buchberger_vec", buchberger_vec)
-    monkeypatch.setattr(gbcore.TaggedGB, "__init__", init)
+    monkeypatch.setattr(gbcore.TaggedGB, "_lift", lift)
     monkeypatch.setattr(FpModule, "_tagged", tagged)
     for owner, name in scopes:
         monkeypatch.setattr(owner, name, scoped(getattr(owner, name)))
@@ -91,8 +96,8 @@ def record_tagged_builds(monkeypatch, *scopes):
 
 
 def tagged_build(columns, relations, n_main, packer, field):
-    """(TaggedGB(...), whether it fell back to a Buchberger run), told
-    apart as `record_tagged_builds` does."""
+    """(TaggedGB(...) with its syzygies built, whether that fell back to
+    a Buchberger run)."""
     runs = [0]
     real = gbcore.buchberger_vec
 
@@ -102,6 +107,7 @@ def tagged_build(columns, relations, n_main, packer, field):
     gbcore.buchberger_vec = counted
     try:
         t = gbcore.TaggedGB(columns, relations, n_main, packer, field)
+        assert t.raw is not None
     finally:
         gbcore.buchberger_vec = real
     return t, runs[0] > 0
@@ -160,6 +166,24 @@ def module_oracle(module, columns, modulo=()):
         return None if e is None else polys_from_vec(e, n, packer, field)
     return ([polys_from_vec(s, n, packer, field) for s in oracle.syzygies],
             express)
+
+
+def u_mod_u0_by_submodule(data):
+    """U/U_0 of an LsData over B the way that does not look for zero:
+    the syzygy columns over R modulo the Koszul columns, presented by
+    `FpModule.submodule` on all their second syzygies, cast to B."""
+    r, m, n = data.r, data.n_cover, len(data.u_vecs)
+    free = FpModule.free(r, m)
+    koszul = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            col = [r.zero()] * m
+            col[j] = data.i_gens[i]
+            col[i] = -data.i_gens[j]
+            koszul.append(col)
+    u = free.submodule(free._columns(data.u_vecs, m), koszul)
+    return FpModule(data.r_to_b.target, n,
+                    data.r_to_b.apply_cols(u.rel_cols))
 
 
 def _names(pool, n):

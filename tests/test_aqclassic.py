@@ -1,8 +1,10 @@
 """The classical three-term complex and its homology in degrees 0-2, the
-cover syzygies of build_ls without a Buchberger run, and U/U_0 and the
-homology submodules by the lift alone."""
+cover syzygies of build_ls without a Buchberger run, U/U_0 by the lift
+alone, and with no lift at all when its Koszul columns make it zero, and
+the homology submodules by the lift alone."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logaq import aqclassic, logls
 from logaq.cli import ALT_OPTIONS, corpus_dir
@@ -10,10 +12,12 @@ from logaq.fields import QQ
 from logaq.groebner import PresentedAlgebra, AlgebraMap
 from logaq.aqclassic import aq_classical
 from logaq.logls import log_homology
-from logaq.modules import FpModule
+from logaq.modules import Complex3, FpModule
 from logaq.monoids import FactorizationOptions
 
-from helpers import ci_text, morphism, record_tagged_builds, toric_text
+from helpers import (ci_text, morphism, record_tagged_builds, toric_text,
+                     u_mod_u0_by_submodule, veronese_text,
+                     weighted_toric_text)
 
 
 def amap(src_names, src_rels, tgt_names, tgt_rels, images):
@@ -110,32 +114,87 @@ def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
     aq_classical(mor.ring_map)
     # front and back faces of each log complex, and the classical one
     assert calls[0] >= 2 * (1 + len(ALT_OPTIONS)) + 1
-    assert builds and not any(b for _m, b in builds)
+    assert builds and not any(b.fell_back for b in builds)
 
 
-LIFT_INPUTS = {f"toric {n}": toric_text(n) for n in (2, 3, 4, 5)}
-LIFT_INPUTS.update({f"ci {d}": ci_text(d) for d in ((2, 3), (2, 2, 3))})
+# per input, whether U/U_0 of the front and of the back face lifts the
+# second syzygies of U
+STRICT_CIS = ("strict_ci", "strict_fat_point", "strict_hypersurface",
+              "strict_plane_curve", "strict_smooth")
+LIFT_INPUTS = {f"toric {n}": (toric_text(n), (True, False))
+               for n in (2, 3, 4, 5)}
+LIFT_INPUTS.update({f"ci {d}": (ci_text(d), (False, False))
+                    for d in ((2, 3), (2, 2, 3), (5, 5, 5, 3))})
+LIFT_INPUTS.update({name: ((corpus_dir() / f"{name}.logaq").read_text(),
+                           (False, False)) for name in STRICT_CIS})
+LIFT_INPUTS["veronese 3"] = (veronese_text(3), (True, True))
+LIFT_INPUTS["torsion_kernel"] = (
+    (corpus_dir() / "torsion_kernel.logaq").read_text(), (True, True))
 
 
 @pytest.mark.parametrize("name", sorted(LIFT_INPUTS))
 def test_u_mod_u0_and_homology_submodules_lift(monkeypatch, name):
-    # U/U_0 and the kernels of homology are presented by `submodule` on
-    # a Groebner basis of a module holding the relations, with modulo
-    # columns in their span: each call with columns lifts them once,
-    # and no Buchberger run and no second tagged basis follow
-    calls = [0]
-    real_submodule = FpModule.submodule
+    # U/U_0 builds at most one division basis of U per face and lifts
+    # U's second syzygies only when the Koszul columns do not present it
+    # as zero already: never for a complete intersection, whose Koszul
+    # relations generate U, nor for the toric backs.  H2 of a complex
+    # whose U/U_0 is known to be zero builds no tagged basis, and every
+    # kernel of homology presents itself on the lift, with no Buchberger
+    # run
+    text, want = LIFT_INPUTS[name]
+    u_builds = record_tagged_builds(monkeypatch, (aqclassic, "u_mod_u0"))
+    h2_builds = record_tagged_builds(monkeypatch, (Complex3, "h2"))
+    kernel_builds = record_tagged_builds(monkeypatch,
+                                         (FpModule, "_submodule"))
+    faces = []      # the builds of each U/U_0, front then back
+    real = aqclassic.u_mod_u0
 
-    def submodule(module, columns, *args, **kwargs):
-        calls[0] += bool(columns)
-        return real_submodule(module, columns, *args, **kwargs)
-    monkeypatch.setattr(FpModule, "submodule", submodule)
-    builds = record_tagged_builds(monkeypatch, (aqclassic, "u_mod_u0"),
-                                  (FpModule, "submodule"))
-    mor = morphism(LIFT_INPUTS[name])
+    def u_mod_u0(data):
+        start = len(u_builds)
+        c2 = real(data)
+        faces.append(u_builds[start:])
+        return c2
+    monkeypatch.setattr(aqclassic, "u_mod_u0", u_mod_u0)
+    mor = morphism(text)
     for coefficients in ("self", "residue"):
         log_homology(mor, coefficients)
-    # U/U_0 of the front and back faces, and H1 per coefficients
-    assert calls[0] >= 2 + 2
-    assert len(builds) == calls[0]
-    assert not any(b for _m, b in builds)
+    assert tuple(any(b.lifted for b in built) for built in faces) == want
+    assert bool(h2_builds) == any(want)
+    assert not any(b.fell_back for b in u_builds + kernel_builds)
+
+
+def _fields_and_maps():
+    """Small complete intersections and weighted toric maps, over QQ,
+    F2 or F3."""
+    ci = st.lists(st.integers(2, 3), min_size=1, max_size=3).map(ci_text)
+    toric = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(
+        lambda ws: weighted_toric_text((1, *ws), "QQ"))
+    return st.tuples(st.one_of(ci, toric),
+                     st.sampled_from(["QQ", "F2", "F3"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_fields_and_maps())
+def test_u_mod_u0_matches_the_submodule_path(case):
+    # every U/U_0 that the log and the classical complexes build, on the
+    # zero path or the full one, spans the relations of U modulo the
+    # Koszul columns presented by all their second syzygies
+    text, field_name = case
+    seen = []
+    real = aqclassic.u_mod_u0
+
+    def spy(data):
+        c2 = real(data)
+        seen.append((data, c2))
+        return c2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aqclassic, "u_mod_u0", spy)
+        mor = morphism(text, field_name)
+        log_homology(mor)
+        aq_classical(mor.ring_map)
+    assert len(seen) == 3
+    for data, c2 in seen:
+        want = u_mod_u0_by_submodule(data)
+        assert c2.n_gens == want.n_gens
+        assert c2.rel_gb() == want.rel_gb()
+        assert not c2.is_known_zero() or want.trim().n_gens == 0

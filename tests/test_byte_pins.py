@@ -14,8 +14,11 @@ strict complete intersections k[x..] -> k[x..]/(x_i^d_i) over QQ, up to
 five variables, among them the seed-1 draws (4, 2, 5) and (5, 5, 5, 3)
 of the benchmark's growth family.  `homology --coefficients residue` is
 pinned on (3, 2, 3) and (2, 3, 2, 2), whose trimmed presentations pivot
-through non-constant entries.  A family pin's command string carries its
-extra CLI arguments.  Their input texts come from `helpers`.
+through non-constant entries.  `homology` with self and residue
+coefficients is pinned on the log smooth Veronese maps d = 3, 4 and
+semistable maps n = 3, 5, whose U/U_0 is not presented as zero by its
+Koszul columns alone.  A family pin's command string carries its extra
+CLI arguments.  Their input texts come from `helpers`.
 
 Reports print their entries as given, so one more test runs every
 pinned command and checks that each entry they report is a normal form.
@@ -28,7 +31,7 @@ import pytest
 from logaq.cli import main, corpus_dir, corpus_instances
 from logaq.modules import FpModule
 
-from helpers import ci_text, toric_text
+from helpers import ci_text, semistable_text, toric_text, veronese_text
 
 JSON = ["--format", "json"]
 ARGS = {
@@ -347,15 +350,33 @@ FAMILY_DIGESTS = {
         "1677c008375be351cca09239a253ebdc5b113a0e6f871cf798da425f6cc1cf32",
     ("toric", 6, "tor"):
         "aa80e154f88be807d87ff9332494e6d03d92f6515d0fe558fc76e0ed0dd48031",
+    ("veronese", 3, "homology"):
+        "fdcad651d85258b728fafd5705e71ab98c34111b840311ac69ec6c63041a9807",
+    ("veronese", 3, "homology --coefficients residue"):
+        "2f088127e310604b4c13f651aae2974d6a10929e0a42a7a527981bfd8f93762a",
+    ("veronese", 4, "homology"):
+        "5bf49a121536216f3839c91a8547f5ddcc04f6e6ccdc1e0f11e6a162fde65ede",
+    ("veronese", 4, "homology --coefficients residue"):
+        "046355c5720d9252521951ecbbf24c6b1423bc1ab58d6187958b6221e0c37c5f",
+    ("semistable", 3, "homology"):
+        "6ded144e71edd6426b7e5a56334afa6db456d072e208cf204a6fda69bbcf9ee4",
+    ("semistable", 3, "homology --coefficients residue"):
+        "8050bcdabec95cccf5aa317122c3825cab7dc526eee0ffcac2eb8b1b8f1cc857",
+    ("semistable", 5, "homology"):
+        "414e6a6a05215a74ab6d163c4eda5abcf5f89c70619a3c10f48d6f3876a4d5e3",
+    ("semistable", 5, "homology --coefficients residue"):
+        "b17943e2dd60432dbec529f22565d36702d969aa79fa38e5ca7835da36704fd5",
 }
+
+FAMILY_TEXTS = {"ci": ci_text, "toric": toric_text,
+                "veronese": veronese_text, "semistable": semistable_text}
 
 
 def test_family_outputs_match_pinned_digests(tmp_path, capsys):
-    text = {"ci": ci_text, "toric": toric_text}
     moved = []
     for (family, size, cmd), want in FAMILY_DIGESTS.items():
         path = tmp_path / f"{family}.logaq"
-        path.write_text(text[family](size))
+        path.write_text(FAMILY_TEXTS[family](size))
         name, *opts = cmd.split()
         code = main([name, str(path), *opts, *JSON])
         out = capsys.readouterr().out
@@ -393,10 +414,9 @@ def test_every_pinned_report_prints_normal_forms(tmp_path, capsys,
             for name, key in sorted(DIGESTS) for cmd, *opts in [ARGS[key]]]
     runs += [["homology", str(corpus_dir() / f"{name}.logaq")]
              for name, _spec in corpus_instances()]
-    text = {"ci": ci_text, "toric": toric_text}
     for i, (family, size, cmd) in enumerate(FAMILY_DIGESTS):
         path = tmp_path / f"{family}{i}.logaq"
-        path.write_text(text[family](size))
+        path.write_text(FAMILY_TEXTS[family](size))
         name, *opts = cmd.split()
         runs.append([name, str(path), *opts, *JSON])
     for argv in runs:

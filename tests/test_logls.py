@@ -20,7 +20,7 @@ from logaq.logsurj import LogSurjection
 from logaq.kcomplex import kdata_from_factorization, right_face
 from logaq.cli import corpus_instances, ALT_OPTIONS
 from logaq.inputspec import build_morphism
-from logaq import logls
+from logaq import aqclassic, logls
 
 from helpers import (ci_text, kernel_by_second_run, morphism,
                      record_tagged_builds, semistable_text, toric_text,
@@ -106,17 +106,21 @@ def test_alt_choice_independence():
 
 
 def test_build_alphas_express_by_the_lift(monkeypatch):
-    # the front's cover generators span a free module with no relation
-    # columns, and its syzygies are a reduced Groebner basis, so
-    # expressing the back's cast syzygies in them lifts
-    builds = record_tagged_builds(monkeypatch, (logls, "_build_alphas"))
+    # the front's syzygy vectors are a reduced Groebner basis of U, so
+    # the one division basis of them that U/U_0 builds expresses the
+    # back's cast syzygies too: the alphas build no tagged basis of
+    # their own, and no face's basis falls back to a Buchberger run
+    alpha_builds = record_tagged_builds(monkeypatch,
+                                        (logls, "_build_alphas"))
+    u_builds = record_tagged_builds(monkeypatch, (aqclassic, "u_mod_u0"))
     morphisms = [build_morphism(spec) for _name, spec in corpus_instances()]
     morphisms += [morphism(ci_text((2, 3, 2))), morphism(toric_text(4))]
     for m in morphisms:
         for opts in [FactorizationOptions(), *ALT_OPTIONS]:
             log_homology(m, options=opts)
-    assert len(builds) >= len(morphisms)
-    assert not any(b for _m, b in builds)
+    assert not alpha_builds
+    assert len(u_builds) >= 2 * len(morphisms)
+    assert not any(b.fell_back for b in u_builds)
 
 
 def test_residue_coefficients():

@@ -56,7 +56,7 @@ def test_syzygies_fall_back_off_a_groebner_basis(monkeypatch):
     cols = [[pp(kxy, "x + y")], [pp(kxy, "x")]]
     builds = record_tagged_builds(monkeypatch)
     syz = free.syzygies_of(cols)
-    assert [b for _m, b in builds] == [True]
+    assert [b.fell_back for b in builds] == [True]
     assert syz == module_oracle(free, cols)[0]
     (a, b), = syz
     assert kxy.is_zero(a * cols[0][0] + b * cols[1][0])
@@ -76,7 +76,7 @@ def test_zero_columns_lift_to_unit_syzygies(monkeypatch, zero_at):
         cols.insert(zero_at, [kxy.zero()])
     builds = record_tagged_builds(monkeypatch)
     syz = free.syzygies_of(cols)
-    assert [b for _m, b in builds] == [False]
+    assert [b.fell_back for b in builds] == [False]
     for i, col in enumerate(cols):
         if col[0].is_zero():
             assert [kxy.one() if j == i else kxy.zero()
@@ -96,7 +96,7 @@ def test_free_modules_of_several_generators_lift(monkeypatch):
     builds = record_tagged_builds(monkeypatch)
     syz = free.syzygies_of(cols)
     got, = free.express_in(cols, [target])
-    assert [b for _m, b in builds] == [False, False]
+    assert [b.fell_back for b in builds] == [False, False]
     oracle_syz, oracle_express = module_oracle(free, cols)
     assert syz == oracle_syz
     assert got is not None
@@ -106,7 +106,7 @@ def test_free_modules_of_several_generators_lift(monkeypatch):
     # with relation columns the lift runs against their Groebner basis
     m = FpModule(kxy, 2, [cols[0]])
     assert m.syzygies_of(cols[1:]) == module_oracle(m, cols[1:])[0]
-    assert [b for _m, b in builds] == [False, False, False]
+    assert [b.fell_back for b in builds] == [False, False, False]
 
 
 def test_express_in_many_targets():
@@ -313,6 +313,58 @@ def test_pushout_examples():
     assert p.k_dimension() == m.k_dimension() + c.k_dimension()
 
 
+def test_pushout_along_empty_faces_is_the_left_module():
+    # with no generators in S and R, P is L itself, relation basis
+    # shared, with the identity and the empty inclusion: the general
+    # construction would present L with the same relation columns
+    b = P(["x", "y"], ["x^2"])
+    left = FpModule(b, 2, [[pp(b, "y"), pp(b, "x")]])
+    gb = left.rel_gb()
+    empty, right = FpModule.free(b, 0), FpModule.free(b, 0)
+    p, inc_left, inc_right = pushout(ModHom(empty, left, []),
+                                     ModHom(empty, right, []))
+    assert p is left and p.rel_gb() is gb
+    assert inc_left.source is left and inc_left.target is left
+    assert inc_left.equals(ModHom.identity(left))
+    assert (inc_right.source, inc_right.target) == (right, left)
+    assert inc_right.image_cols == []
+    # a right face with generators takes the general construction
+    p, _l, _r = pushout(ModHom(empty, left, []),
+                        ModHom(empty, FpModule.free(b, 1), []))
+    assert p is not left and p.n_gens == 3
+
+
+def test_kernel_out_of_a_known_zero_module(monkeypatch):
+    # zero_on sets the unit vectors as the relation basis, so a kernel
+    # out of it is the zero module on no generators, with no tagged
+    # basis built; its report is that of the kernel computed in full
+    b = P(["x", "y"], ["x^2"])
+    z = FpModule.zero_on(b, 2)
+    assert z.is_known_zero()
+    full = FpModule(b, 2, z.rel_cols)
+    assert not full.is_known_zero()     # its basis is not computed yet
+    assert z.rel_gb() == full.rel_gb()
+    assert full.is_known_zero()
+    target = FpModule.free(b, 1)
+    images = [[pp(b, "x")], [pp(b, "y")]]
+    builds = record_tagged_builds(monkeypatch)
+    k = ModHom(z, target, images).kernel()
+    assert (k.n_gens, builds) == (0, [])
+    want = ModHom(FpModule(b, 2, z.rel_cols), target, images).kernel()
+    assert builds and want.n_gens == 3
+    assert HomologyReport(k).to_dict() == HomologyReport(want).to_dict() \
+        == {"n_gens": 0, "relations": [], "k_dimension": 0, "free_rank": 0}
+    # a module that is not zero is never known to be, basis or none;
+    # a tensor product of a known zero module is known to be zero
+    m = FpModule(b, 1, [[pp(b, "y")]])
+    assert not m.is_known_zero()
+    m.rel_gb()
+    assert not m.is_known_zero()
+    residue = FpModule(b, 1, [[b.var("x")], [b.var("y")]])
+    assert tensor_module(z, residue).is_known_zero()
+    assert not tensor_module(m, residue).is_known_zero()
+
+
 def test_pushout_cokernel_identity():
     b = P(["x"], ["x^3"])
     s = FpModule.free(b, 1)
@@ -473,9 +525,6 @@ def test_submodule_matches_the_tagged_buchberger_run(field, data):
     assert sub.rel_cols == want
     # the relations are their own reduced basis, ideal included
     assert sub.rel_gb() == FpModule(alg, len(cols), want).rel_gb()
-    # unreduced, they span the same submodule
-    raw = m.submodule(cols, modulo, reduced=False)
-    assert FpModule(alg, len(cols), raw.rel_cols).rel_gb() == sub.rel_gb()
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "F2", "F3"])
