@@ -13,11 +13,11 @@ cover, so the log pipeline reuses `build_ls` with its own; every term
 over R is base changed to B by `AlgebraMap`, the syzygies and their
 expressions straight from their packed vectors by `cast_vecs`.
 
-For a complete intersection the Koszul relations generate U, so U/U_0
-is zero (Lichtenbaum and Schlessinger, Trans. AMS 128, 1967).
-`u_mod_u0` finds that from the Koszul columns alone and builds the
-module known to be zero, so the second syzygies of U are never lifted,
-and H2 and the pushout of the log complex carry the zero (see modules).
+When R has no relations and the cover's leading monomials are pairwise
+coprime, the cover is a Groebner basis whose syzygies are the Koszul
+ones (Buchberger's first criterion; Eisenbud, Commutative Algebra,
+Thm 15.10), so U = U_0 and U/U_0 is the module on no generators:
+`build_ls` computes no syzygies, and d2 has no columns.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,8 @@ class LsData:
     r_to_b: AlgebraMap
     base_nvars: int
     i_gens: list          # tau: F -> I on the free basis of F
-    u_vecs: list          # syzygies of i_gens, vectors over F's positions
+    u_vecs: list          # syzygies of i_gens, vectors over F's positions;
+                          # empty when U = U_0 by the criterion
 
     @property
     def r(self):
@@ -55,13 +56,33 @@ class LsData:
         return FpModule.free(self.r, self.n_cover)._tagged(self.u_vecs)
 
 
+def _syzygies_are_koszul(r, cover):
+    """Whether R has no relations and the cover holds nonzero elements
+    whose leading monomials are pairwise coprime: then every S-pair of
+    the cover reduces to zero by Buchberger's first criterion, and its
+    syzygies are generated by the Koszul ones."""
+    if r.relations or any(p.is_zero() for p in cover):
+        return False
+    packer, seen = r.packer, 0
+    for p in cover:
+        _pos, exp = packer.unpack(max(map(packer.monomial, p.coeffs)))
+        support = sum(1 << v for v, e in enumerate(exp) if e)
+        if support & seen:
+            return False
+        seen |= support
+    return True
+
+
 def build_ls(r_to_b, base_nvars, cover):
     """LsData for the surjection R -> B, whose first `base_nvars`
     variables are the base's, with tau: F -> I the given `cover` of its
     kernel I.  The cover holds normal forms in R and is used as given.
+    Its syzygy vectors are the reduced Groebner basis of U, or none when
+    U = U_0 by `_syzygies_are_koszul`.
     """
-    u_vecs = FpModule.free(r_to_b.source, 1).syzygies_of(
-        [[p] for p in cover], packed=True)
+    r = r_to_b.source
+    u_vecs = [] if _syzygies_are_koszul(r, cover) else \
+        FpModule.free(r, 1).syzygies_of([[p] for p in cover], packed=True)
     return LsData(r_to_b, base_nvars, cover, u_vecs)
 
 
@@ -70,28 +91,25 @@ def u_mod_u0(data):
     tau(e_i) e_j - tau(e_j) e_i for i < j, presented on the syzygy
     columns.
 
-    The syzygy vectors are the reduced Groebner basis of U, so one
-    division by them expresses each Koszul column, with no lift.  When
-    these expressions, cast to B, already trim to no generators, as
-    they do for a complete intersection, U/U_0 is `FpModule.zero_on`
-    the syzygy columns, known to be zero, and the second syzygies of U
-    are never lifted.  Otherwise its relations are the lifted second
-    syzygies and then the expressions, cast to B and not made canonical
-    over R.  Either way a reader of them reads only the submodule they
-    span: the pushout of the log complex takes them as relations, H2
-    presents its kernel by `ModHom.kernel`, whose reduced bases depend
-    on that span alone, and the checks of the squares and of d1 d2 = 0
-    test membership in it.  On the full path, which the Veronese maps
-    take, their reduced basis would cost one more Buchberger run over
-    R: with it, the log complex of the Veronese d=5 map took 4.4 times
-    the CPU (3.35 s against 0.76 s, medians of 10 runs on one 2-vCPU
-    host), while on the benchmark workloads the difference stayed
-    within their run-to-run spread.
+    With no syzygy vectors, U = U_0 and this is the module on no
+    generators.  Otherwise they are the reduced Groebner basis of U, so
+    one division by them expresses each Koszul column, with no lift.
+    The relations are then the lifted second syzygies and the
+    expressions, cast to B and not made canonical over R.  A reader of
+    them reads only the submodule they span: the pushout of the log
+    complex takes them as relations, H2 presents its kernel by
+    `ModHom.kernel`, whose reduced bases depend on that span alone, and
+    the checks of the squares and of d1 d2 = 0 test membership in it.
+    Their reduced basis would cost one more Buchberger run over R: with
+    it, the log complex of the Veronese d=5 map took 4.4 times the CPU
+    (3.35 s against 0.76 s, medians of 10 runs on one 2-vCPU host),
+    while on the benchmark workloads the difference stayed within their
+    run-to-run spread.
     """
     r, m = data.r, data.n_cover
     b, n = data.r_to_b.target, len(data.u_vecs)
     if not n:
-        return FpModule.zero_on(b, 0)
+        return FpModule(b, 0)
     packer, neg = r.packer, r.field.neg
     gens = [vec_from_polys([g], packer) for g in data.i_gens]
     t = data.u_basis
@@ -107,14 +125,6 @@ def u_mod_u0(data):
                 raise CommutationFailure("a Koszul column is no syzygy")
             exprs.append(e)
     koszul = data.r_to_b.cast_vecs(exprs, n)
-    # U/U_0 is the first Koszul homology of the cover.  At a maximal
-    # ideal holding the cover it vanishes only if the cover is a regular
-    # sequence there (Bruns and Herzog, Cohen-Macaulay Rings, 1.6.19),
-    # no longer than R has variables; so a longer cover leaves U/U_0
-    # nonzero, or B = 0, where no trim finds a constant, and the zero
-    # test would fail anyway
-    if m <= r.nvars and not FpModule(b, n, koszul).trim().n_gens:
-        return FpModule.zero_on(b, n)
     return FpModule(b, n, data.r_to_b.cast_vecs(t.raw, n) + koszul)
 
 

@@ -177,13 +177,16 @@ def _build_alphas(front, front_complex, back, back_complex, s_map):
     a1 = ModHom(back_complex.c1, front_complex.c1,
                 [front_complex.c1.gen_column(l) for l in range(g)])
     # degree 2: express each cast syzygy in the front syzygy generators,
-    # by the front's own division basis of them
-    packer = front.r.packer
-    cos = [front.u_basis.express(vec_from_polys(col, packer))
-           for col in s_map.cast_vecs(back.u_vecs, g)]
-    if None in cos:
-        raise CommutationFailure(
-            "cast syzygy is not a combination of the front syzygies")
+    # by the front's own division basis of them; into a front U/U_0 on
+    # no generators, the zero map
+    cos = [{} for _ in back.u_vecs]
+    if front.u_vecs:
+        packer = front.r.packer
+        cos = [front.u_basis.express(vec_from_polys(col, packer))
+               for col in s_map.cast_vecs(back.u_vecs, g)]
+        if None in cos:
+            raise CommutationFailure(
+                "cast syzygy is not a combination of the front syzygies")
     a2 = ModHom(back_complex.c2, front_complex.c2,
                 front.r_to_b.cast_vecs(cos, len(front.u_vecs)))
     return [a0, a1, a2]

@@ -12,16 +12,10 @@ three-term complex, tensor products and pushouts are built from the same
 primitives, plus size proxies for reporting: exact k dimension when
 finite, free rank when the presentation visibly splits, graded Hilbert
 data, and the 0th Fitting ideal otherwise.  Tensoring assumes a cyclic
-coefficient module B/J, the only kind the pipelines build.
-
-A module is known to be zero when its relation basis is at hand,
-computed or set when it was built (`FpModule.zero_on`), and holds one
-unit vector per generator.  The zero is carried, not recomputed: a
-kernel out of such a module is the zero module on no generators, its
-tensor products are known to be zero too, and a pushout whose common
-source and right face have no generators is the left module itself.
-None of this changes a report: the kernel's full presentation would be
-its unit vectors, which trim to no generators.
+coefficient module B/J, the only kind the pipelines build.  A module
+the pipelines know to be zero, U/U_0 of a cover whose syzygies are the
+Koszul ones, is built on no generators, so the kernels, tensor products
+and pushouts out of it do no work by the general code paths.
 """
 
 from itertools import combinations
@@ -50,25 +44,6 @@ class FpModule:
     @classmethod
     def free(cls, algebra, n):
         return cls(algebra, n)
-
-    @classmethod
-    def zero_on(cls, algebra, n):
-        """The zero module on n generators: a unit relation column per
-        generator, with their Groebner basis, the unit vectors, set."""
-        m = cls(algebra, n, [[algebra.one() if i == j else algebra.zero()
-                              for i in range(n)] for j in range(n)])
-        m._rel_gb = sorted(m._pack(m.rel_cols), key=max)
-        return m
-
-    def is_known_zero(self):
-        """Whether the relation basis is at hand, computed or set when
-        the module was built, and holds one unit vector per generator,
-        so that the module is zero.  Computes no basis to find out."""
-        gb = self._rel_gb
-        if gb is None or len(gb) != self.n_gens:
-            return False
-        mask = self.algebra.packer.exponent_mask
-        return all(len(v) == 1 and not max(v) & mask for v in gb)
 
     def _relation_vecs(self):
         """The relation columns, then I * e_j for every position j;
@@ -423,10 +398,7 @@ class ModHom:
 
     def kernel(self, modulo=()):
         """The kernel, modulo the source columns `modulo`, presented on
-        the syzygies of the image columns; on no generators when the
-        source is known to be zero (see FpModule.is_known_zero)."""
-        if self.source.is_known_zero():
-            return FpModule(self.source.algebra, 0)
+        the syzygies of the image columns."""
         return self.source._submodule(
             self.target.syzygies_of(self.image_cols, packed=True), modulo)
 
@@ -482,8 +454,7 @@ class Complex3:
 def tensor_module(m, t):
     """m tensor_A B/J for the cyclic coefficient module t = B/J: m with
     J * e_i appended to its relations, for each generator of J in turn
-    and i = 0, 1, ...  With J = 0 this is m itself, relation basis kept;
-    a quotient of a module known to be zero gets its basis too."""
+    and i = 0, 1, ...  With J = 0 this is m itself, relation basis kept."""
     if t.n_gens != 1:
         raise ValueError("coefficient module must have one generator")
     if not t.rel_cols:
@@ -495,10 +466,7 @@ def tensor_module(m, t):
             col = [alg.zero()] * m.n_gens
             col[i] = g
             rels.append(col)
-    out = FpModule(alg, m.n_gens, rels)
-    if m.is_known_zero():
-        out._rel_gb = m._rel_gb
-    return out
+    return FpModule(alg, m.n_gens, rels)
 
 
 def tensor_hom(f, src, tgt):

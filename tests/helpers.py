@@ -8,12 +8,13 @@ of the fields, the degree-truncated linear-algebra oracle used to
 cross-check Groebner results, a spy that tells a lifted tagged basis
 from a Buchberger fallback and from one never lifted, the tagged
 Buchberger run that subquotients and expressions are checked against,
-U/U_0 presented by all the second syzygies whatever the module, and
-the previous forms that code in `logaq` is checked against: the nested
-order keys and the exponent-tuple product and lcm behind the packed
-terms, the leading term of a polynomial, the dense presentation trim,
-the box-walk staircase count, the fixpoint shift inference and the
-kernel generators built by a second Buchberger run."""
+the Koszul columns of a cover, U/U_0 presented by all the second
+syzygies whatever the module, and the previous forms that code in
+`logaq` is checked against: the nested order keys and the
+exponent-tuple product and lcm behind the packed terms, the leading term
+of a polynomial, the dense presentation trim, the box-walk staircase
+count, the fixpoint shift inference and the kernel generators built by a
+second Buchberger run."""
 
 from fractions import Fraction
 from itertools import product
@@ -168,20 +169,28 @@ def module_oracle(module, columns, modulo=()):
             express)
 
 
+def koszul_columns(algebra, gens):
+    """The Koszul syzygies gens[i] e_j - gens[j] e_i of the elements
+    `gens` of the algebra, for i < j, as columns."""
+    m = len(gens)
+    cols = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            col = [algebra.zero()] * m
+            col[j] = gens[i]
+            col[i] = -gens[j]
+            cols.append(col)
+    return cols
+
+
 def u_mod_u0_by_submodule(data):
     """U/U_0 of an LsData over B the way that does not look for zero:
     the syzygy columns over R modulo the Koszul columns, presented by
     `FpModule.submodule` on all their second syzygies, cast to B."""
     r, m, n = data.r, data.n_cover, len(data.u_vecs)
     free = FpModule.free(r, m)
-    koszul = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            col = [r.zero()] * m
-            col[j] = data.i_gens[i]
-            col[i] = -data.i_gens[j]
-            koszul.append(col)
-    u = free.submodule(free._columns(data.u_vecs, m), koszul)
+    u = free.submodule(free._columns(data.u_vecs, m),
+                       koszul_columns(r, data.i_gens))
     return FpModule(data.r_to_b.target, n,
                     data.r_to_b.apply_cols(u.rel_cols))
 

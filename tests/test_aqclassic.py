@@ -1,21 +1,25 @@
 """The classical three-term complex and its homology in degrees 0-2, the
-cover syzygies of build_ls without a Buchberger run, U/U_0 by the lift
-alone, and with no lift at all when its Koszul columns make it zero, and
-the homology submodules by the lift alone."""
+cover syzygies of build_ls without a Buchberger run, and none at all
+when the cover's leading monomials are coprime, U/U_0 by the lift alone,
+and the homology submodules by the lift alone."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from logaq import aqclassic, logls
 from logaq.cli import ALT_OPTIONS, corpus_dir
-from logaq.fields import QQ
+from logaq.fields import QQ, PrimeField
+from logaq.polynomials import Poly
 from logaq.groebner import PresentedAlgebra, AlgebraMap
 from logaq.aqclassic import aq_classical
 from logaq.logls import log_homology
 from logaq.modules import Complex3, FpModule
 from logaq.monoids import FactorizationOptions
 
-from helpers import (ci_text, morphism, record_tagged_builds, toric_text,
+from helpers import (ci_text, koszul_columns, morphism,
+                     record_tagged_builds, toric_text,
                      u_mod_u0_by_submodule, veronese_text,
                      weighted_toric_text)
 
@@ -92,12 +96,19 @@ COVER_INPUTS["ci (2, 3, 2, 2)"] = ci_text((2, 3, 2, 2))
 COVER_INPUTS["toric 4"] = toric_text(4)
 
 
+# the inputs whose every cover, front, back and classical, lies in a ring
+# without relations and has pairwise coprime leading monomials
+COPRIME_COVERS = {"strict_ci", "ci (2, 3, 2, 2)"}
+
+
 @pytest.mark.parametrize("name", sorted(COVER_INPUTS))
 def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
-    # every cover, with the ring's basis, is a Groebner basis, so its
-    # tagged basis comes from the Schreyer lift; a Buchberger run inside
-    # build_ls means the lift was lost.  monoid_collapse's front cover
-    # has a zero generator, which lifts too.
+    # a cover with coprime leading monomials computes no syzygies, so
+    # it builds no tagged basis.  Every other cover, with the ring's
+    # basis, is a Groebner basis, so its tagged basis comes from the
+    # Schreyer lift; a Buchberger run inside build_ls means the lift was
+    # lost.  monoid_collapse's front cover has a zero generator, which
+    # lifts too.
     calls = [0]
     real_build = aqclassic.build_ls
 
@@ -114,7 +125,10 @@ def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
     aq_classical(mor.ring_map)
     # front and back faces of each log complex, and the classical one
     assert calls[0] >= 2 * (1 + len(ALT_OPTIONS)) + 1
-    assert builds and not any(b.fell_back for b in builds)
+    if name in COPRIME_COVERS:
+        assert builds == []
+    else:
+        assert builds and not any(b.fell_back for b in builds)
 
 
 # per input, whether U/U_0 of the front and of the back face lifts the
@@ -135,12 +149,12 @@ LIFT_INPUTS["torsion_kernel"] = (
 @pytest.mark.parametrize("name", sorted(LIFT_INPUTS))
 def test_u_mod_u0_and_homology_submodules_lift(monkeypatch, name):
     # U/U_0 builds at most one division basis of U per face and lifts
-    # U's second syzygies only when the Koszul columns do not present it
-    # as zero already: never for a complete intersection, whose Koszul
-    # relations generate U, nor for the toric backs.  H2 of a complex
-    # whose U/U_0 is known to be zero builds no tagged basis, and every
-    # kernel of homology presents itself on the lift, with no Buchberger
-    # run
+    # U's second syzygies only when the cover has syzygy vectors: never
+    # for covers with coprime leading monomials, as those of these
+    # complete intersections and of the toric backs are, whose U/U_0
+    # has no generators.  H2 of a complex whose U/U_0 has none builds
+    # no tagged basis, and every kernel of homology presents itself on
+    # the lift, with no Buchberger run
     text, want = LIFT_INPUTS[name]
     u_builds = record_tagged_builds(monkeypatch, (aqclassic, "u_mod_u0"))
     h2_builds = record_tagged_builds(monkeypatch, (Complex3, "h2"))
@@ -176,9 +190,10 @@ def _fields_and_maps():
 @settings(max_examples=30, deadline=None)
 @given(case=_fields_and_maps())
 def test_u_mod_u0_matches_the_submodule_path(case):
-    # every U/U_0 that the log and the classical complexes build, on the
-    # zero path or the full one, spans the relations of U modulo the
-    # Koszul columns presented by all their second syzygies
+    # every U/U_0 that the log and the classical complexes build on the
+    # full path spans the relations of U modulo the Koszul columns
+    # presented by all their second syzygies; one built on no generators
+    # is zero that way too, with U computed the long way
     text, field_name = case
     seen = []
     real = aqclassic.u_mod_u0
@@ -194,7 +209,63 @@ def test_u_mod_u0_matches_the_submodule_path(case):
         aq_classical(mor.ring_map)
     assert len(seen) == 3
     for data, c2 in seen:
-        want = u_mod_u0_by_submodule(data)
-        assert c2.n_gens == want.n_gens
-        assert c2.rel_gb() == want.rel_gb()
-        assert not c2.is_known_zero() or want.trim().n_gens == 0
+        if data.u_vecs:
+            want = u_mod_u0_by_submodule(data)
+            assert c2.n_gens == want.n_gens
+            assert c2.rel_gb() == want.rel_gb()
+            continue
+        assert c2.n_gens == 0
+        u = FpModule.free(data.r, 1).syzygies_of([[p] for p in data.i_gens],
+                                                 packed=True)
+        full = u_mod_u0_by_submodule(replace(data, u_vecs=u))
+        assert full.trim().n_gens == 0
+
+
+@st.composite
+def _coprime_covers(draw, field):
+    """Covers in k[x, y, z] of nonzero elements with pairwise coprime
+    leading monomials: each element's leading monomial is a product of
+    powers of its own variables, and its other terms have lower degree,
+    so lie below it in degrevlex."""
+    parts = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+    cover = []
+    for part in sorted(set(parts)):
+        lead = tuple(draw(st.integers(1, 2)) if parts[v] == part else 0
+                     for v in range(3))
+        coeffs = {lead: field.from_int(draw(st.sampled_from([1, -1])))}
+        for _ in range(draw(st.integers(0, 3))):
+            exp = tuple(draw(st.lists(st.integers(0, 2), min_size=3,
+                                      max_size=3)))
+            if sum(exp) < sum(lead):
+                coeffs[exp] = field.from_int(draw(st.integers(-3, 3)))
+        cover.append(Poly({e: c for e, c in coeffs.items()
+                           if not field.is_zero(c)}, field))
+    return cover
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), field=st.sampled_from([QQ, PrimeField(2),
+                                              PrimeField(3)]))
+def test_coprime_leading_monomials_give_koszul_syzygies(data, field):
+    # Buchberger's first criterion: the cover is a Groebner basis whose
+    # syzygies the Koszul columns generate, so U = U_0
+    r = PresentedAlgebra(["x", "y", "z"], field)
+    cover = data.draw(_coprime_covers(field))
+    assert aqclassic._syzygies_are_koszul(r, cover)
+    u = FpModule.free(r, 1).syzygies_of([[p] for p in cover], packed=True)
+    assert u == FpModule(r, len(cover), koszul_columns(r, cover)).rel_gb()
+
+
+def test_syzygies_are_koszul_refuses():
+    r = PresentedAlgebra(["x", "y", "z"], QQ)
+    x, y, z = (r.var(v) for v in "xyz")
+    # only the leading monomials count: a tail may share a variable
+    assert aqclassic._syzygies_are_koszul(r, [x * x + y, y * z])
+    # leading monomials sharing a variable
+    assert not aqclassic._syzygies_are_koszul(r, [x * x, x * y])
+    assert not aqclassic._syzygies_are_koszul(r, [x * y + z, y * y, z])
+    # a zero element
+    assert not aqclassic._syzygies_are_koszul(r, [x, r.zero(), y])
+    # a ring with relations
+    s = PresentedAlgebra(["x", "y", "z"], QQ, [x * y])
+    assert not aqclassic._syzygies_are_koszul(s, [x * x, y * y])

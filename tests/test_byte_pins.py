@@ -16,9 +16,10 @@ of the benchmark's growth family.  `homology --coefficients residue` is
 pinned on (3, 2, 3) and (2, 3, 2, 2), whose trimmed presentations pivot
 through non-constant entries.  `homology` with self and residue
 coefficients is pinned on the log smooth Veronese maps d = 3, 4 and
-semistable maps n = 3, 5, whose U/U_0 is not presented as zero by its
-Koszul columns alone.  A family pin's command string carries its extra
-CLI arguments.  Their input texts come from `helpers`.
+semistable maps n = 3, 5, whose front covers' leading monomials are
+not coprime, so that their U/U_0 takes the full path.  A family pin's
+command string carries its extra CLI arguments.  Their input texts come
+from `helpers`.
 
 Reports print their entries as given, so one more test runs every
 pinned command and checks that each entry they report is a normal form.
