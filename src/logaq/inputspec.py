@@ -402,6 +402,9 @@ def _build_prelog(desc, field, section):
                                    weights=desc.weights)
     except ValueError as e:
         raise SemanticError(f"section {section!r}: {e}")
+    if algebra.relations and algebra.gb() == [algebra.one()]:
+        raise SemanticError(f"section {section!r}: the relations generate "
+                            "the unit ideal, so the ring is zero")
     for u, v in desc.monoid_relations:
         for w in (u, v):
             if len(w) != len(desc.gens) or not all(

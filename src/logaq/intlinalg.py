@@ -1,11 +1,10 @@
-"""Exact integer and field linear algebra.
+"""Exact integer linear algebra.
 
 Smith normal form with transformation matrices and canonical solves
-against it, integer kernels, lattice bases, and reduced-echelon kernels
-of matrices over an exact field.  Everything uses arbitrary-precision
-integers; the pivoting rule (smallest absolute nonzero entry, ties in
-row-major order) is fixed so that every downstream basis choice is
-reproducible.
+against it, integer kernels and lattice bases.  Everything uses
+arbitrary-precision integers; the pivoting rule (smallest absolute
+nonzero entry, ties in row-major order) is fixed so that every
+downstream basis choice is reproducible.
 """
 
 from dataclasses import dataclass

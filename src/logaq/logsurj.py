@@ -78,9 +78,12 @@ def a_conormal(s, a):
 def conormal_module(s):
     """Cokernel of B (x) b/b^2 -> a/a^2 (+) kergp (x) B."""
     b_alg = s.b_alg
-    c_free = FpModule.free(s.c_alg, 1)
-    a_cols = [[g] for g in s.a_gens]
-    a = c_free.submodule(a_cols)
+    face = s.face
+    # first component: the image alpha_C(u) - alpha_C(v) in a, in its
+    # canonical coefficients in the chosen generators, cast to B below;
+    # the coefficients are printed as relations
+    a, cos = FpModule.free(s.c_alg, 1).express_in(
+        [[g] for g in s.a_gens], [[face.p_to_a.apply(g)] for g in face.gens])
     amod = a_conormal(s, a)
     kmod = group_module(s.kergp, b_alg)
     na, nk = amod.n_gens, kmod.n_gens
@@ -89,15 +92,9 @@ def conormal_module(s):
     rels = [list(c) + [zero] * nk for c in amod.rel_cols]
     rels += [[zero] * na + list(c) for c in kmod.rel_cols]
 
-    face = s.face
     # second component: alpha_B(image of v) * (u - v) in the chosen
     # generators of ker(Q^gp -> N^gp), per binomial x^u - x^v of b
     seconds = face.w0_columns(s.kergp_inc)
-    # first component: the image alpha_C(u) - alpha_C(v) in a, expressed
-    # in the chosen generators, made canonical modulo their syzygies and
-    # cast to B; the coefficients are printed as relations
-    elts = [[face.p_to_a.apply(g)] for g in face.gens]
-    cos = c_free.express_in(a_cols, elts)
     for co, second in zip(cos, seconds):
         if co is None:
             raise CommutationFailure(
@@ -105,8 +102,7 @@ def conormal_module(s):
         if second is None:
             raise CommutationFailure(
                 "kernel binomial does not land in ker gp")
-    firsts = s.morphism.ring_map.apply_cols(
-        [a.normal_form(co) for co in cos])
+    firsts = s.morphism.ring_map.apply_cols(cos)
     rels += [first + second for first, second in zip(firsts, seconds)]
     return FpModule(b_alg, na + nk, rels)
 

@@ -6,16 +6,18 @@ syzygy questions go through the vector Groebner engine; the ideal enters
 by augmenting the relation submodule with I * e_j for every position.
 
 Every subquotient (kernels, homology, a/a^2, Tor) is presented by
-`FpModule.submodule`, the one place whose column order fixes the tagged
-basis and hence every printed `relations` string.  Homology of a
-three-term complex, tensor products and pushouts are built from the same
-primitives, plus size proxies for reporting: exact k dimension when
-finite, free rank when the presentation visibly splits, graded Hilbert
-data, and the 0th Fitting ideal otherwise.  Tensoring assumes a cyclic
-coefficient module B/J, the only kind the pipelines build.  A module
-the pipelines know to be zero, U/U_0 of a cover whose syzygies are the
-Koszul ones, is built on no generators, so the kernels, tensor products
-and pushouts out of it do no work by the general code paths.
+`FpModule._submodule`, the one place whose column order fixes the
+tagged basis and hence every printed `relations` string; `express_in`
+gives a submodule with canonical coordinates in it from that one basis.
+Homology of a three-term complex, tensor products and pushouts are
+built from the same primitives, plus size proxies for reporting: exact
+k dimension when finite, free rank when the presentation visibly
+splits, graded Hilbert data, and the 0th Fitting ideal otherwise.
+Tensoring assumes a cyclic coefficient module B/J, the only kind the
+pipelines build.  A module the pipelines know to be zero, U/U_0 of a
+cover whose syzygies are the Koszul ones, is built on no generators, so
+the kernels, tensor products and pushouts out of it do no work by the
+general code paths.
 """
 
 from itertools import combinations
@@ -73,24 +75,17 @@ class FpModule:
                 self._rel_gb = sorted(self._relation_vecs(), key=max)
         return self._rel_gb
 
-    def _reduce(self, col):
-        """Normal form of a column, as a vector, modulo rel_gb()."""
+    def _reduce(self, v):
+        """Normal form of a vector modulo rel_gb()."""
         alg = self.algebra
         if self._rel_reducers is None:
             self._rel_reducers = reducer_index(self.rel_gb(), alg.packer)
-        return reduce_vec(vec_from_polys(col, alg.packer), self._rel_reducers,
-                          alg.packer, alg.field)
-
-    def normal_form(self, col):
-        """The normal form of a column modulo the relations."""
-        alg = self.algebra
-        return polys_from_vec(self._reduce(col), self.n_gens, alg.packer,
-                              alg.field)
+        return reduce_vec(v, self._rel_reducers, alg.packer, alg.field)
 
     def is_zero_element(self, col):
         if not (self.rel_cols or self.algebra.relations):
             return all(p.is_zero() for p in col)
-        return not self._reduce(col)
+        return not self._reduce(vec_from_polys(col, self.algebra.packer))
 
     def elements_equal(self, a, b):
         return self.is_zero_element([x - y for x, y in zip(a, b)])
@@ -132,61 +127,60 @@ class FpModule:
         syz = self._tagged(self._pack(columns)).syzygies()
         return syz if packed else self._columns(syz, len(columns))
 
-    def submodule(self, columns, modulo=()):
-        """The submodule the given elements generate, modulo the columns
-        `modulo`, presented on `columns`.
+    def _submodule(self, vecs, modulo=()):
+        """(the submodule the columns packed as `vecs` generate, modulo
+        the columns `modulo`, presented on those columns; the tagged
+        basis of `vecs` it came from, or None when there are none).
 
         Its relations are the reduced Groebner basis of the syzygies of
-        `columns` modulo `modulo` and this module's relations, unique
-        for the order, so `columns` alone fix the printed relations.
-        When every `modulo` column lies in the span of `columns` and
-        the relations, as every caller's does, that basis comes from
-        the lifted syzygies of `columns` plus one expression of each
-        `modulo` column; otherwise from a tagged basis of `columns`
-        modulo both.
+        the columns modulo `modulo` and this module's relations, unique
+        for the order, so the columns alone fix the printed relations:
+        the lifted syzygies of the columns plus one expression of each
+        `modulo` column.  A `modulo` column outside their span raises
+        CommutationFailure: every caller passes the image of the next
+        map of a complex.
         """
-        return self._submodule(self._pack(columns), modulo)
-
-    def _submodule(self, vecs, modulo):
-        """`submodule` of the columns the vectors `vecs` pack."""
         alg = self.algebra
         n = len(vecs)
         if not n:
-            return FpModule(alg, 0)
+            return FpModule(alg, 0), None
         t = self._tagged(vecs)
         gens = list(t.raw)
         for col in modulo:
             e = t.express(vec_from_polys(col, alg.packer))
             if e is None:
-                quotient = FpModule(alg, self.n_gens,
-                                    list(modulo) + self.rel_cols)
-                gb = quotient._tagged(vecs).syzygies()
-                break
+                raise CommutationFailure(
+                    "a quotient column lies outside the submodule")
             gens.append(e)
-        else:
-            gb = buchberger_vec(gens, alg.packer, alg.field) if modulo \
-                else t.syzygies()
+        gb = buchberger_vec(gens, alg.packer, alg.field) if modulo \
+            else t.syzygies()
         out = FpModule(alg, n, self._columns(gb, n))
         # the syzygies hold I * e_j, so their basis is the relations'
         out._rel_gb = gb
-        return out
+        return out, t
 
     def express_in(self, columns, targets):
-        """For each target, coefficients c with sum c_i * columns[i] =
-        target in the module, or None if it is not in their span.  One
-        tagged basis serves every target, and each expression is one
-        division by it: some expression, not a canonical one."""
-        if not targets:
-            return []
+        """(the submodule the given elements generate, presented on
+        them as `_submodule` presents it; for each target, its canonical
+        coefficients c with sum c_i * columns[i] = target in this
+        module, or None if it is not in their span).
+
+        One tagged basis serves the submodule and every target: an
+        expression is one division by it, reduced modulo the
+        submodule's relations."""
         alg = self.algebra
-        t = self._tagged(self._pack(columns))
+        sub, t = self._submodule(self._pack(columns))
         out = []
         for target in targets:
-            e = t.express(vec_from_polys(target, alg.packer))
+            v = vec_from_polys(target, alg.packer)
+            if t is None:   # no columns: only zero lies in their span
+                e = None if self._reduce(v) else {}
+            else:
+                e = t.express(v)
             out.append(None if e is None
-                       else polys_from_vec(e, len(columns), alg.packer,
-                                           alg.field))
-        return out
+                       else polys_from_vec(sub._reduce(e), sub.n_gens,
+                                           alg.packer, alg.field))
+        return sub, out
 
     def k_dimension(self):
         """dim_k of the module, or None if infinite."""
@@ -400,7 +394,8 @@ class ModHom:
         """The kernel, modulo the source columns `modulo`, presented on
         the syzygies of the image columns."""
         return self.source._submodule(
-            self.target.syzygies_of(self.image_cols, packed=True), modulo)
+            self.target.syzygies_of(self.image_cols, packed=True),
+            modulo)[0]
 
     def cokernel(self):
         return FpModule(self.target.algebra, self.target.n_gens,

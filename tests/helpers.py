@@ -6,22 +6,22 @@ oracles on polynomials, algebras (the leading exponents of an ideal's
 basis among them), abelian groups and term orders, the coefficient forms
 of the fields, the degree-truncated linear-algebra oracle used to
 cross-check Groebner results, a spy that tells a lifted tagged basis
-from a Buchberger fallback and from one never lifted, the tagged
-Buchberger run that subquotients and expressions are checked against,
-the Koszul columns of a cover, U/U_0 presented by all the second
-syzygies whatever the module, and the previous forms that code in
-`logaq` is checked against: the nested order keys and the
-exponent-tuple product and lcm behind the packed terms, the leading term
-of a polynomial, the dense presentation trim, the box-walk staircase
-count, the fixpoint shift inference and the kernel generators built by a
-second Buchberger run."""
+from a Buchberger fallback, a count of Buchberger runs, the package's
+subquotient of columns of Polys, the tagged Buchberger run that
+subquotients and expressions are checked against, the Koszul columns of
+a cover, U/U_0 presented by all the second syzygies whatever the
+module, and the previous forms that code in `logaq` is checked against:
+the nested order keys and the exponent-tuple product and lcm behind the
+packed terms, the leading term of a polynomial, the dense presentation
+trim, the box-walk staircase count, the fixpoint shift inference and
+the kernel generators built by a second Buchberger run."""
 
 from fractions import Fraction
 from itertools import product
 
 from logaq.inputspec import parse_input, build_morphism
 from logaq.polynomials import Poly, exp_divides
-from logaq import gbcore
+from logaq import gbcore, modules
 from logaq.modules import FpModule
 from logaq.gbcore import (buchberger_vec, polys_from_vec, reduce_vec,
                           reducer_index, vec_from_polys)
@@ -44,14 +44,13 @@ def morphism(text, field_name=None):
 
 
 class TaggedBuild:
-    """A tagged basis that `FpModule._tagged` built: its module, whether
-    its syzygies were lifted since (`lifted`, set when the lift is tried)
-    and whether that lift gave up for a Buchberger run (`fell_back`)."""
+    """A tagged basis that `FpModule._tagged` built: its module, and
+    whether its constructor's lift gave up for a Buchberger run
+    (`fell_back`)."""
 
-    def __init__(self, module):
+    def __init__(self, module, fell_back):
         self.module = module
-        self.lifted = False
-        self.fell_back = False
+        self.fell_back = fell_back
 
 
 def record_tagged_builds(monkeypatch, *scopes):
@@ -60,25 +59,21 @@ def record_tagged_builds(monkeypatch, *scopes):
     Returns a list that gets a TaggedBuild for each tagged basis built
     while a function in `scopes` runs, or at any time when there is
     none.  A scope is an (owner, attribute name) pair, rebound for the
-    test.  `TaggedGB` lifts its syzygies only on first demand, whenever
-    that comes, and runs Buchberger only when the lift returns False.
+    test.  `TaggedGB`'s constructor runs the lift, and Buchberger only
+    when the lift returns None.
     """
-    builds, depth, records = [], [0], {}
+    builds, depth, lifts = [], [0], []
     real_lift, real_tagged = gbcore.TaggedGB._lift, FpModule._tagged
 
-    def lift(self):
-        held = real_lift(self)
-        record = records.get(self)
-        if record is not None:
-            record.lifted = True
-            record.fell_back = not held
-        return held
+    def lift(self, *args):
+        raw = real_lift(self, *args)
+        lifts.append(raw is not None)
+        return raw
 
     def tagged(module, vecs):
         t = real_tagged(module, vecs)
         if depth[0] or not scopes:
-            records[t] = TaggedBuild(module)
-            builds.append(records[t])
+            builds.append(TaggedBuild(module, not lifts[-1]))
         return t
 
     def scoped(real):
@@ -96,22 +91,27 @@ def record_tagged_builds(monkeypatch, *scopes):
     return builds
 
 
-def tagged_build(columns, relations, n_main, packer, field):
-    """(TaggedGB(...) with its syzygies built, whether that fell back to
-    a Buchberger run)."""
+def buchberger_runs(call, *args):
+    """(call(*args), how many Buchberger runs it made), counting the
+    runs of `buchberger_vec` from `gbcore` and from `modules`."""
     runs = [0]
     real = gbcore.buchberger_vec
 
     def counted(*args):
         runs[0] += 1
         return real(*args)
-    gbcore.buchberger_vec = counted
+    gbcore.buchberger_vec = modules.buchberger_vec = counted
     try:
-        t = gbcore.TaggedGB(columns, relations, n_main, packer, field)
-        assert t.raw is not None
+        return call(*args), runs[0]
     finally:
-        gbcore.buchberger_vec = real
-    return t, runs[0] > 0
+        gbcore.buchberger_vec = modules.buchberger_vec = real
+
+
+def submodule(module, columns, modulo=()):
+    """The submodule of `module` that the columns of Polys `columns`
+    generate, modulo the columns `modulo`, as the package presents every
+    subquotient."""
+    return module._submodule(module._pack(columns), modulo)[0]
 
 
 class TaggedOracle:
@@ -186,11 +186,10 @@ def koszul_columns(algebra, gens):
 def u_mod_u0_by_submodule(data):
     """U/U_0 of an LsData over B the way that does not look for zero:
     the syzygy columns over R modulo the Koszul columns, presented by
-    `FpModule.submodule` on all their second syzygies, cast to B."""
+    `FpModule._submodule` on all their second syzygies, cast to B."""
     r, m, n = data.r, data.n_cover, len(data.u_vecs)
-    free = FpModule.free(r, m)
-    u = free.submodule(free._columns(data.u_vecs, m),
-                       koszul_columns(r, data.i_gens))
+    u = FpModule.free(r, m)._submodule(data.u_vecs,
+                                       koszul_columns(r, data.i_gens))[0]
     return FpModule(data.r_to_b.target, n,
                     data.r_to_b.apply_cols(u.rel_cols))
 

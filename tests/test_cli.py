@@ -189,6 +189,24 @@ def test_relations_must_be_a_list(capsys, tmp_path, relations):
     assert err == f"error: {p}: section 'target': relations must be a list\n"
 
 
+@pytest.mark.parametrize("section, old", [
+    ("source", 'relations = []'),
+    ("target", 'relations = ["x^2", "y^3"]'),
+])
+@pytest.mark.parametrize("command", ["homology", "conormal", "tor"])
+def test_zero_ring_exit_2(capsys, tmp_path, section, old, command):
+    # relations generating the unit ideal present the zero ring, whose
+    # reports would give generators and free ranks to zero modules
+    text = (corpus_dir() / "strict_ci.logaq").read_text()
+    assert old in text
+    p = tmp_path / "zero_ring.logaq"
+    p.write_text(text.replace(old, 'relations = ["x", "x - 1"]'))
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2 and out == ""
+    assert err == (f"error: {p}: section {section!r}: the relations "
+                   "generate the unit ideal, so the ring is zero\n")
+
+
 def test_non_utf8_file_exit_2(capsys, tmp_path):
     p = tmp_path / "utf16.logaq"
     p.write_bytes((corpus_dir() / "strict_ci.logaq").read_text()

@@ -8,7 +8,6 @@ through the order's packer."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logaq import gbcore
 from logaq.fields import QQ, PrimeField
 from logaq.gbcore import TaggedGB, buchberger_vec, reduce_vec, reducer_index
 from logaq.groebner import PresentedAlgebra, buchberger
@@ -17,7 +16,7 @@ from logaq.polynomials import (EXPONENT_BOUND, BlockElim, DegRevLex,
 
 from helpers import (Lex, TaggedOracle, exact_form, exp_lcm, exp_mul,
                      leading, nested_block_elim, nested_degrevlex,
-                     nested_pot, tagged_build)
+                     nested_pot, buchberger_runs)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -327,10 +326,10 @@ def test_lift_syzygies_match_the_tagged_basis(field, data):
                                 _module_vecs(field, nvars, n_main, 1, 1)))
     cover = extra + cover
     args = (cover, rels, n_main, packer, field)
-    t, fell_back = tagged_build(*args)
+    t, runs = buchberger_runs(TaggedGB, *args)
     if is_gb and not any(extra):
         # a zero column is a syzygy already and needs no S-pair
-        assert not fell_back
+        assert runs == 0
     ref = TaggedOracle(*args)
     _assert_exact_coeffs(t.raw, field)
     assert t.syzygies() == ref.syzygies
@@ -355,23 +354,15 @@ def test_lift_syzygies_match_the_tagged_basis(field, data):
         assert got == ref.express(v)
 
 
-def test_lift_gives_up_off_a_groebner_basis(monkeypatch):
+def test_lift_gives_up_off_a_groebner_basis():
     # x + y and x share their leading term x; their S-pair leaves y,
-    # which the Buchberger fallback takes into its basis; that run's
-    # syzygies are reduced already, so asking for them first runs
-    # Buchberger once
+    # which the constructor's Buchberger fallback takes into its basis;
+    # that run's syzygies are reduced already, so building the basis and
+    # asking for them runs Buchberger once
     x_plus_y = _pack({(0, (1, 0)): 1, (0, (0, 1)): 1})
     x = _pack({(0, (1, 0)): 1})
-    t, fell_back = tagged_build([x_plus_y, x], [], 1, DRL, QQ)
-    assert fell_back
-    runs = []
-
-    def counted(*args):
-        runs.append(args)
-        return buchberger_vec(*args)
-    monkeypatch.setattr(gbcore, "buchberger_vec", counted)
-    assert TaggedGB([x_plus_y, x], [], 1, DRL, QQ).syzygies() \
-        == t.syzygies()
-    assert len(runs) == 1
-    syz, = t.syzygies()
+    t, runs = buchberger_runs(TaggedGB, [x_plus_y, x], [], 1, DRL, QQ)
+    assert runs == 1
+    (syz,), runs = buchberger_runs(t.syzygies)
+    assert runs == 0
     assert syz == _pack({(0, (1, 0)): 1, (1, (1, 0)): -1, (1, (0, 1)): -1})

@@ -6,15 +6,16 @@ from math import comb, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from logaq import logsurj
 from logaq.logsurj import (LogSurjection, tor_over_c, w_terms,
                            a_conormal, conormal_module,
                            check_edge_identity)
 from logaq.modules import FpModule, HomologyReport
-from logaq.cli import corpus_instances
+from logaq.cli import corpus_dir, corpus_instances
 from logaq.inputspec import build_morphism
 
 from helpers import (ci_text, module_oracle, morphism, record_tagged_builds,
-                     toric_text, weighted_toric_text)
+                     submodule, toric_text, weighted_toric_text)
 
 
 def surj(name, field_name=None):
@@ -190,9 +191,29 @@ def test_conormal_examples():
         conormal_module(surj("logpoint_quotient"))).k_dimension == 1
 
 
+CONORMAL_INPUTS = {f"toric {n} {field}": weighted_toric_text((1,) * n, field)
+                   for n in (2, 3, 4, 5) for field in ("QQ", "F2", "F3")}
+CONORMAL_INPUTS.update(
+    (name, (corpus_dir() / f"{name}.logaq").read_text())
+    for name, spec in corpus_instances()
+    if spec.meta.get("surjection") == "true")
+
+
+@pytest.mark.parametrize("name", sorted(CONORMAL_INPUTS))
+def test_conormal_module_builds_one_tagged_basis(monkeypatch, name):
+    # a's presentation and the coefficients of the binomials' images in
+    # a come from one tagged basis of the chosen generators of a, and
+    # from none when a has no generators (monoid_collapse)
+    s = LogSurjection(morphism(CONORMAL_INPUTS[name]))
+    builds = record_tagged_builds(monkeypatch,
+                                  (logsurj, "conormal_module"))
+    logsurj.conormal_module(s)
+    assert [b.module.algebra for b in builds] == [s.c_alg] * bool(s.a_gens)
+
+
 def test_a_conormal():
     s = surj("strict_hypersurface")
-    a = FpModule.free(s.c_alg, 1).submodule([[g] for g in s.a_gens])
+    a = submodule(FpModule.free(s.c_alg, 1), [[g] for g in s.a_gens])
     assert HomologyReport(a_conormal(s, a)).k_dimension == 2
 
 

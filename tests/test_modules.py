@@ -2,18 +2,19 @@
 complexes, pushouts, tensor coefficients, and homology reports."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly, poly_str
 from logaq.groebner import PresentedAlgebra, buchberger
 from logaq.modules import (FpModule, ModHom, Complex3,
                            tensor_module, tensor_hom, tensor_complex,
-                           pushout, HomologyReport)
+                           pushout, HomologyReport, CommutationFailure)
 
-from helpers import (dense_trim, exact_form, infer_shifts_by_fixpoint,
-                     module_oracle, oracle_syzygy_dim, poly_vector,
-                     record_tagged_builds, span_rank, syzygy_span_dim)
+from helpers import (buchberger_runs, dense_trim, exact_form,
+                     infer_shifts_by_fixpoint, module_oracle,
+                     oracle_syzygy_dim, poly_vector, record_tagged_builds,
+                     span_rank, submodule, syzygy_span_dim)
 
 
 def P(names, rels=()):
@@ -95,14 +96,14 @@ def test_free_modules_of_several_generators_lift(monkeypatch):
     target = [pp(kxy, "x*y"), pp(kxy, "y^2")]
     builds = record_tagged_builds(monkeypatch)
     syz = free.syzygies_of(cols)
-    got, = free.express_in(cols, [target])
+    sub, (got,) = free.express_in(cols, [target])
     assert [b.fell_back for b in builds] == [False, False]
     oracle_syz, oracle_express = module_oracle(free, cols)
-    assert syz == oracle_syz
+    assert syz == oracle_syz == sub.rel_cols
     assert got is not None
     assert free.elements_equal(ModHom(FpModule.free(kxy, 3), free,
                                       cols).apply(got), target)
-    assert FpModule(kxy, 3, syz).normal_form(got) == oracle_express(target)
+    assert got == oracle_express(target)
     # with relation columns the lift runs against their Groebner basis
     m = FpModule(kxy, 2, [cols[0]])
     assert m.syzygies_of(cols[1:]) == module_oracle(m, cols[1:])[0]
@@ -116,7 +117,7 @@ def test_express_in_many_targets():
     targets = [[pp(kxy, "x*y"), pp(kxy, "y^2")],
                [kxy.one(), kxy.zero()],
                [pp(kxy, "y^2"), kxy.zero()]]
-    got = m.express_in(cols, targets)
+    _sub, got = m.express_in(cols, targets)
     assert len(got) == 3
     assert got[1] is None
     for target, co in ((targets[0], got[0]), (targets[2], got[2])):
@@ -125,8 +126,9 @@ def test_express_in_many_targets():
                  for i in range(2)]
         assert m.elements_equal(combo, target)
     # each target alone gets the same canonical coefficients
-    assert [m.express_in(cols, [t])[0] for t in targets] == got
-    assert m.express_in(cols, []) == []
+    assert [m.express_in(cols, [t])[1][0] for t in targets] == got
+    sub, none = m.express_in(cols, [])
+    assert none == [] and sub.rel_cols == m.syzygies_of(cols)
 
 
 def test_syzygy_completeness_oracle():
@@ -240,6 +242,14 @@ def _fin_columns(field, length, max_size):
                     max_size=max_size)
 
 
+def _fin_combinations(data, alg, cols, length, max_size):
+    """Up to max_size B-combinations of the columns `cols` of the given
+    length, with multipliers drawn as the entries of `_fin_columns`."""
+    mults = data.draw(_fin_columns(alg.field, len(cols), max_size))
+    return [[sum((c * col[i] for c, col in zip(ms, cols)), alg.zero())
+             for i in range(length)] for ms in mults]
+
+
 def _k_rank(alg, *parts):
     """dim_k of the B-span of the columns in `parts`: the rank of every
     basis monomial times every column, on the k-coordinates of the
@@ -265,24 +275,49 @@ def test_submodule_and_kernel_oracle(field, data):
     rels = data.draw(_fin_columns(field, 2, 2))
     target = FpModule(alg, 2, rels)
 
-    # (B C + B N + B R) / (B N + B R)
+    # (B C + B N + B R) / (B N + B R), with N inside B C + B R
     gens = data.draw(_fin_columns(field, 2, 3))
-    modulo = data.draw(_fin_columns(field, 2, 2))
-    sub = target.submodule(gens, modulo)
+    modulo = _fin_combinations(data, alg, gens + rels, 2, 2)
+    sub = submodule(target, gens, modulo)
     assert sub.n_gens == len(gens)
     assert sub.k_dimension() == (_k_rank(alg, gens, modulo, rels)
                                  - _k_rank(alg, modulo, rels))
 
     # f: B^m -> B^2 / R; ker f + B N over B N has dimension
-    # dim ker f - dim(ker f & B N), and each of those is a rank count
+    # dim ker f - dim(ker f & B N), and each of those is a rank count;
+    # N is drawn inside ker f, as the image of d2 lies in ker d1
     images = data.draw(_fin_columns(field, 2, 3).filter(bool))
     m = len(images)
     f = ModHom(FpModule.free(alg, m), target, images)
-    modulo = data.draw(_fin_columns(field, m, 2))
+    modulo = _fin_combinations(data, alg, target.syzygies_of(images), m, 2)
     want = (len(FIN_BASIS) * m - _k_rank(alg, images, rels)
             - _k_rank(alg, modulo)
             + _k_rank(alg, [f.apply(c) for c in modulo], rels))
     assert f.kernel(modulo).k_dimension() == want
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "F2", "F3"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_kernel_refuses_a_quotient_column_outside_it(field, data):
+    # a column that f does not send to zero, added to columns of ker f,
+    # is no image of a map into the kernel: the kernel modulo it raises
+    alg = _fin_algebra(field)
+    target = FpModule(alg, 2, data.draw(_fin_columns(field, 2, 2)))
+    images = data.draw(_fin_columns(field, 2, 3).filter(bool))
+    m = len(images)
+    f = ModHom(FpModule.free(alg, m), target, images)
+    outside = [i for i, col in enumerate(images)
+               if not target.is_zero_element(col)]
+    assume(outside)
+    modulo = _fin_combinations(data, alg, target.syzygies_of(images), m, 3)
+    col = modulo.pop() if modulo else f.source.zero_column()
+    i = data.draw(st.sampled_from(outside))
+    modulo.insert(data.draw(st.integers(0, len(modulo))),
+                  [p + alg.one() if j == i else p
+                   for j, p in enumerate(col)])
+    with pytest.raises(CommutationFailure):
+        f.kernel(modulo)
 
 
 def test_rank_nullity():
@@ -501,13 +536,16 @@ def _span_setup(field, data):
 @given(data=st.data())
 def test_submodule_matches_the_tagged_buchberger_run(field, data):
     # modulo columns in the span of the columns and the relations, as
-    # every caller's are, and sometimes one that may not be, which takes
-    # the quotient's tagged basis
+    # every caller's are; a drawn column outside that span is refused
     alg, m, cols, modulo, column = _span_setup(field, data)
-    if data.draw(st.booleans()):
-        modulo.append(data.draw(column))
+    extra = data.draw(column)
+    if module_oracle(m, cols)[1](extra) is None:
+        with pytest.raises(CommutationFailure):
+            submodule(m, cols, modulo + [extra])
+    else:
+        modulo.append(extra)
     want, _express = module_oracle(m, cols, modulo)
-    sub = m.submodule(cols, modulo)
+    sub = submodule(m, cols, modulo)
     assert sub.rel_cols == want
     # the relations are their own reduced basis, ideal included
     assert sub.rel_gb() == FpModule(alg, len(cols), want).rel_gb()
@@ -517,17 +555,20 @@ def test_submodule_matches_the_tagged_buchberger_run(field, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_division_expressions_reconstruct_their_targets(field, data):
-    # an expression is one division: it writes its target in the
-    # columns, modulo the relations, and reduced modulo their syzygies
-    # it is the canonical one
+    # an expression is one division, reduced modulo the syzygies of the
+    # columns: it writes its target in the columns, modulo the
+    # relations, and it is the canonical one
     alg, m, cols, targets, column = _span_setup(field, data)
     in_span = len(targets)
     targets.append(data.draw(column))
-    got = m.express_in(cols, targets)
+    m.rel_gb()
+    (sub, got), runs = buchberger_runs(m.express_in, cols, targets)
+    # a division that leaves a main term answers None at once: the
+    # targets cost no Buchberger run beyond building the basis
+    assert runs == buchberger_runs(m.express_in, cols, [])[1]
     syz, express = module_oracle(m, cols)
     combine = ModHom(FpModule.free(alg, len(cols)), m, cols)
-    syzygies = FpModule(alg, len(cols), m.syzygies_of(cols))
-    assert syzygies.rel_cols == syz
+    assert sub.rel_cols == m.syzygies_of(cols) == syz
     for i, (target, co) in enumerate(zip(targets, got)):
         want = express(target)
         assert (co is None) == (want is None)
@@ -535,7 +576,7 @@ def test_division_expressions_reconstruct_their_targets(field, data):
             assert co is not None
         if co is not None:
             assert m.elements_equal(combine.apply(co), target)
-            assert syzygies.normal_form(co) == want
+            assert co == want
 
 
 @pytest.mark.parametrize("relation, want", [
