@@ -22,6 +22,7 @@ Thm 15.10), so U = U_0 and U/U_0 is the module on no generators:
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .gbcore import vec_from_polys
 from .groebner import AlgebraMap, adjoin_target_vars
@@ -63,9 +64,9 @@ def _syzygies_are_koszul(r, cover):
     syzygies are generated by the Koszul ones."""
     if r.relations or any(p.is_zero() for p in cover):
         return False
-    packer, seen = r.packer, 0
+    seen = 0
     for p in cover:
-        _pos, exp = packer.unpack(max(map(packer.monomial, p.coeffs)))
+        exp = max(p.coeffs, key=r.order.key)
         support = sum(1 << v for v, e in enumerate(exp) if e)
         if support & seen:
             return False
@@ -82,7 +83,8 @@ def build_ls(r_to_b, base_nvars, cover):
     """
     r = r_to_b.source
     u_vecs = [] if _syzygies_are_koszul(r, cover) else \
-        FpModule.free(r, 1).syzygies_of([[p] for p in cover], packed=True)
+        FpModule.free(r, 1).syzygies_of(
+            [vec_from_polys([p], r.packer) for p in cover])
     return LsData(r_to_b, base_nvars, cover, u_vecs)
 
 
@@ -110,20 +112,16 @@ def u_mod_u0(data):
     b, n = data.r_to_b.target, len(data.u_vecs)
     if not n:
         return FpModule(b, 0)
-    packer, neg = r.packer, r.field.neg
-    gens = [vec_from_polys([g], packer) for g in data.i_gens]
     t = data.u_basis
     exprs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            # tau(e_i) in position j, -tau(e_j) in position i
-            col = {u - (j << packer.top): c for u, c in gens[i].items()}
-            col.update((u - (i << packer.top), neg(c))
-                       for u, c in gens[j].items())
-            e = t.express(col)
-            if e is None:
-                raise CommutationFailure("a Koszul column is no syzygy")
-            exprs.append(e)
+    for (i, gi), (j, gj) in combinations(enumerate(data.i_gens), 2):
+        # tau(e_i) in position j, -tau(e_j) in position i
+        col = [None] * m
+        col[i], col[j] = -gj, gi
+        e = t.express(vec_from_polys(col, r.packer))
+        if e is None:
+            raise CommutationFailure("a Koszul column is no syzygy")
+        exprs.append(e)
     koszul = data.r_to_b.cast_vecs(exprs, n)
     return FpModule(b, n, data.r_to_b.cast_vecs(t.raw, n) + koszul)
 
@@ -135,9 +133,9 @@ def ls_complex(data):
     c1 = FpModule.free(r_to_b.target, data.n_cover)
     c0 = FpModule.free(r_to_b.target, data.omega_rank)
     d2 = ModHom(c2, c1, r_to_b.cast_vecs(data.u_vecs, data.n_cover))
-    d1 = ModHom(c1, c0, r_to_b.apply_cols(
-        [[f.derivative(v) for v in range(data.base_nvars, data.r.nvars)]
-         for f in data.i_gens]))
+    d1 = ModHom(c1, c0, [[r_to_b.apply(f.derivative(v))
+                          for v in range(data.base_nvars, data.r.nvars)]
+                         for f in data.i_gens])
     cx = Complex3(d2, d1)
     if not cx.is_complex():
         raise CommutationFailure("d1 d2 is not zero")

@@ -211,14 +211,10 @@ class AlgebraMap:
                 out[e] = c * a if s is None else s + c * a
         return Poly.from_sums(out, self.target.field)
 
-    def apply_cols(self, cols):
-        """The columns base changed along the map, entry by entry."""
-        return [[self.apply(p) for p in col] for col in cols]
-
     def cast_vecs(self, vecs, n):
         """Vectors over n positions, in the source's packed terms, base
         changed along the map to columns of n Polys over the target:
-        `apply_cols` of their columns, without building them."""
+        `apply` of every entry, without building the source's columns."""
         unpack = self.source.packer.unpack
         f = self.target.field
         zero = self.target.zero()

@@ -28,8 +28,7 @@ from .modules import (ModHom, Complex3, CommutationFailure,
 from .aqclassic import (build_ls, ls_complex, coefficient_module,
                         aq_classical)
 from .monoids import choose_log_factorization, FactorizationOptions
-from .kcomplex import (kdata_from_factorization, group_module,
-                       right_face, w0_coordinates)
+from .kcomplex import kdata_from_factorization, right_face, w0_coordinates
 
 
 def _binomial_words(alg, p):
@@ -211,16 +210,13 @@ def _build_betas(back_complex, right_complex, kd, face, n_m):
         raise CommutationFailure("kernel binomial does not land in W0")
     b1 = ModHom(back_complex.c1, right_complex.c1, cols1)
 
-    # degree 2: lift each syzygy image through the inclusion of W1
-    w0_mod = group_module(kd.w0, b_alg)
+    # degree 2: lift each syzygy image through the inclusion of W1; it
+    # lifts exactly when it is zero in W0 (x) B = coker W1
     res = snf(kd.w1_cols)
     cols2 = []
     for col in back_complex.d2.image_cols:
         # col is already the syzygy cast to B over the back cover
         xi = [b_alg.nf(p) for p in b1.apply(col)]
-        if not w0_mod.is_zero_element(xi):
-            raise CommutationFailure(
-                "syzygy image has nonzero component in W0")
         eta = _int_preimage(res, xi, b_alg)
         if eta is None:
             raise CommutationFailure(

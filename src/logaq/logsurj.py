@@ -7,12 +7,14 @@ conormal module
 
     coker( B (x) b/b^2  -->  a/a^2 (+) ker(Q^gp -> N^gp) (x) B )
 
-with a = ker(C -> B) and b = ker(k[Q] -> k[N]).  Tor and a/a^2 present
-their syzygies over C and cast them to B with `AlgebraMap.apply_cols`.
+with a = ker(C -> B) and b = ker(k[Q] -> k[N]).  The syzygies behind Tor
+and a/a^2, and the coefficients of b's image in a, stay packed vectors
+over C until `AlgebraMap.cast_vecs` casts them to B.
 The edge-consistency check compares the conormal module against H1 of
 the log complex of the same morphism.
 """
 
+from .gbcore import vec_from_polys
 from .modules import FpModule, ModHom, HomologyReport, CommutationFailure
 from .kcomplex import group_module
 from .logls import log_homology, MonoidFace
@@ -40,15 +42,16 @@ def tor_over_c(s, n):
     resolve B over C, cast the differentials to B, take homology."""
     if not 0 <= n <= 4:
         raise ValueError("depth must be between 0 and 4")
-    # cols[i]: C^{r_{i+1}} -> C^{r_i} of the free resolution of B
+    # vecs[i]: C^{r_{i+1}} -> C^{r_i} of the free resolution of B, packed
     ranks = [1, len(s.a_gens)]
-    cols = [[[g] for g in s.a_gens]]
+    vecs = [[vec_from_polys([g], s.c_alg.packer) for g in s.a_gens]]
     for _step in range(n):
-        cols.append(FpModule.free(s.c_alg, ranks[-2]).syzygies_of(cols[-1]))
-        ranks.append(len(cols[-1]))
+        vecs.append(FpModule.free(s.c_alg, ranks[-2]).syzygies_of(vecs[-1]))
+        ranks.append(len(vecs[-1]))
     frees = [FpModule.free(s.b_alg, r) for r in ranks]
-    diffs = [ModHom(source, target, s.morphism.ring_map.apply_cols(c))
-             for source, target, c in zip(frees[1:], frees, cols)]
+    cast = s.morphism.ring_map.cast_vecs
+    diffs = [ModHom(source, target, cast(v, target.n_gens))
+             for source, target, v in zip(frees[1:], frees, vecs)]
     reports = [HomologyReport(diffs[0].cokernel())]
     for low, high in zip(diffs, diffs[1:]):
         reports.append(HomologyReport(low.kernel(high.image_cols)))
@@ -70,9 +73,9 @@ def w_terms(s, n):
 
 def a_conormal(s, a):
     """a/a^2 (x) B from `a`, the ideal a over C presented on the chosen
-    generators: their syzygies cast to B are its relations."""
+    generators: its relation basis, their syzygies, cast to B."""
     return FpModule(s.b_alg, a.n_gens,
-                    s.morphism.ring_map.apply_cols(a.rel_cols))
+                    s.morphism.ring_map.cast_vecs(a.rel_gb(), a.n_gens))
 
 
 def conormal_module(s):
@@ -102,7 +105,7 @@ def conormal_module(s):
         if second is None:
             raise CommutationFailure(
                 "kernel binomial does not land in ker gp")
-    firsts = s.morphism.ring_map.apply_cols(cos)
+    firsts = s.morphism.ring_map.cast_vecs(cos, na)
     rels += [first + second for first, second in zip(firsts, seconds)]
     return FpModule(b_alg, na + nk, rels)
 

@@ -4,6 +4,8 @@ A module is coker(R^m -> R^n) for R = k[x]/I, stored as a list of
 relation columns (length-n lists of Poly).  All membership, kernel, and
 syzygy questions go through the vector Groebner engine; the ideal enters
 by augmenting the relation submodule with I * e_j for every position.
+Syzygies and coordinates come back as the engine's packed vectors;
+columns of Polys cross into them only at `vec_from_polys`.
 
 Every subquotient (kernels, homology, a/a^2, Tor) is presented by
 `FpModule._submodule`, the one place whose column order fixes the
@@ -110,22 +112,13 @@ class FpModule:
         return TaggedGB(vecs, self.rel_gb(), self.n_gens, alg.packer,
                         alg.field)
 
-    def _columns(self, vecs, n):
-        """Vectors over n positions as columns of Polys."""
-        alg = self.algebra
-        return [polys_from_vec(v, n, alg.packer, alg.field) for v in vecs]
-
-    def syzygies_of(self, columns, packed=False):
-        """Generating relations among the given elements, modulo this module.
-
-        Returns the reduced Groebner basis of their syzygy module: as
-        columns of length len(columns) over the algebra, or with
-        `packed` as vectors over as many positions.
-        """
-        if not columns:
+    def syzygies_of(self, vecs):
+        """Generating relations among the elements packed as `vecs`,
+        modulo this module: the reduced Groebner basis of their syzygy
+        module, as vectors over len(vecs) positions."""
+        if not vecs:
             return []
-        syz = self._tagged(self._pack(columns)).syzygies()
-        return syz if packed else self._columns(syz, len(columns))
+        return self._tagged(vecs).syzygies()
 
     def _submodule(self, vecs, modulo=()):
         """(the submodule the columns packed as `vecs` generate, modulo
@@ -154,7 +147,8 @@ class FpModule:
             gens.append(e)
         gb = buchberger_vec(gens, alg.packer, alg.field) if modulo \
             else t.syzygies()
-        out = FpModule(alg, n, self._columns(gb, n))
+        out = FpModule(alg, n, [polys_from_vec(v, n, alg.packer, alg.field)
+                                for v in gb])
         # the syzygies hold I * e_j, so their basis is the relations'
         out._rel_gb = gb
         return out, t
@@ -163,23 +157,20 @@ class FpModule:
         """(the submodule the given elements generate, presented on
         them as `_submodule` presents it; for each target, its canonical
         coefficients c with sum c_i * columns[i] = target in this
-        module, or None if it is not in their span).
+        module, as a vector over the columns' positions, or None if it
+        is not in their span).
 
         One tagged basis serves the submodule and every target: an
         expression is one division by it, reduced modulo the
         submodule's relations."""
-        alg = self.algebra
         sub, t = self._submodule(self._pack(columns))
         out = []
-        for target in targets:
-            v = vec_from_polys(target, alg.packer)
+        for v in self._pack(targets):
             if t is None:   # no columns: only zero lies in their span
                 e = None if self._reduce(v) else {}
             else:
                 e = t.express(v)
-            out.append(None if e is None
-                       else polys_from_vec(sub._reduce(e), sub.n_gens,
-                                           alg.packer, alg.field))
+            out.append(None if e is None else sub._reduce(e))
         return sub, out
 
     def k_dimension(self):
@@ -393,9 +384,9 @@ class ModHom:
     def kernel(self, modulo=()):
         """The kernel, modulo the source columns `modulo`, presented on
         the syzygies of the image columns."""
+        target = self.target
         return self.source._submodule(
-            self.target.syzygies_of(self.image_cols, packed=True),
-            modulo)[0]
+            target.syzygies_of(target._pack(self.image_cols)), modulo)[0]
 
     def cokernel(self):
         return FpModule(self.target.algebra, self.target.n_gens,

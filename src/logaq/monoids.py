@@ -170,7 +170,7 @@ class FactorizationOptions:
 
     extra_x: bool = False       # add a redundant cover of the first N gen
     reverse_x: bool = False     # reverse the order of the new monoid gens
-    front_raw: bool = False     # downstream: use raw ideal generators
+    front_raw: bool = False     # reverse the front cover's kernel gens
 
 
 @dataclass

@@ -10,11 +10,12 @@ runs, by default this one's; run it on two checkouts and `diff` the
 outputs.  The inputs are the corpus, the log Veronese maps d <= 5, the
 strict rational normal curves d <= 5, the semistable maps n <= 5, eight
 complete intersections, the toric sum maps n <= 5 over QQ, F2 and F3,
-four weighted toric maps and two zero rings.  Each gets `homology`
-(self, residue, `--char 2`, `--char 3 --alt-choices`), `conormal`,
-`tor`, `tor --char 2`, `kcomplex` (self and residue) and `print`.  Then
-come the five `verify` suites and the benchmark workloads' ops at seeds
-1-3.  This is a script, not a test.
+four weighted toric maps, two zero rings and the non-graded quotient
+k -> k[x, y]/(x^2 - x^3, x*y), whose H0 is told by its Fitting ideal
+alone.  Each gets `homology` (self, residue, `--char 2`, `--char 3
+--alt-choices`), `conormal`, `tor`, `tor --char 2`, `kcomplex` (self
+and residue) and `print`.  Then come the five `verify` suites and the
+benchmark workloads' ops at seeds 1-3.  This is a script, not a test.
 """
 
 import argparse
@@ -82,7 +83,9 @@ def inputs(helpers, corpus_dir):
     out += [("zero_source", strict_ci.replace(
                 'relations = []', 'relations = ["x", "x - 1"]')),
             ("zero_target", strict_ci.replace(
-                'relations = ["x^2", "y^3"]', 'relations = ["x", "x - 1"]'))]
+                'relations = ["x^2", "y^3"]', 'relations = ["x", "x - 1"]')),
+            ("fitting_nongraded",
+             helpers.quotient_text(("x^2 - x^3", "x*y")))]
     return out
 
 

@@ -1,20 +1,22 @@
 """Shared test utilities: morphism construction from input text, the
-input texts of the complete-intersection and toric families and of two
-log smooth ones (the Veronese and the semistable maps), the lex order,
-exact linear algebra over a field and an integer determinant, small
-oracles on polynomials, algebras (the leading exponents of an ideal's
-basis among them), abelian groups and term orders, the coefficient forms
-of the fields, the degree-truncated linear-algebra oracle used to
-cross-check Groebner results, a spy that tells a lifted tagged basis
-from a Buchberger fallback, a count of Buchberger runs, the package's
-subquotient of columns of Polys, the tagged Buchberger run that
-subquotients and expressions are checked against, the Koszul columns of
-a cover, U/U_0 presented by all the second syzygies whatever the
-module, and the previous forms that code in `logaq` is checked against:
-the nested order keys and the exponent-tuple product and lcm behind the
-packed terms, the leading term of a polynomial, the dense presentation
-trim, the box-walk staircase count, the fixpoint shift inference and
-the kernel generators built by a second Buchberger run."""
+input texts of the complete-intersection and toric families, of two log
+smooth ones (the Veronese and the semistable maps) and of the strict
+quotients k -> k[x, y]/I, the lex order, exact linear algebra over a
+field and an integer determinant, small oracles on polynomials, algebras
+(the leading exponents of an ideal's basis among them), abelian groups
+and term orders, the coefficient forms of the fields, the
+degree-truncated linear-algebra oracle used to cross-check Groebner
+results, a spy that tells a lifted tagged basis from a Buchberger
+fallback, a count of Buchberger runs, the package's syzygies and
+coordinates read as columns of Polys and its subquotient of such
+columns, the tagged Buchberger run that subquotients and expressions are
+checked against, the Koszul columns of a cover, U/U_0 presented by all
+the second syzygies whatever the module, and the previous forms that
+code in `logaq` is checked against: the nested order keys and the
+exponent-tuple product and lcm behind the packed terms, the leading term
+of a polynomial, the dense presentation trim, the box-walk staircase
+count, the fixpoint shift inference and the kernel generators built by
+a second Buchberger run."""
 
 from fractions import Fraction
 from itertools import product
@@ -107,6 +109,27 @@ def buchberger_runs(call, *args):
         gbcore.buchberger_vec = modules.buchberger_vec = real
 
 
+def columns_of(algebra, vecs, n):
+    """Vectors over n positions as columns of n Polys; None stays None."""
+    return [None if v is None
+            else polys_from_vec(v, n, algebra.packer, algebra.field)
+            for v in vecs]
+
+
+def syzygy_columns(module, columns):
+    """`module.syzygies_of` the columns of Polys `columns`, as columns."""
+    return columns_of(module.algebra,
+                      module.syzygies_of(module._pack(columns)),
+                      len(columns))
+
+
+def express_columns(module, columns, targets):
+    """`module.express_in(columns, targets)` with each coordinate as a
+    column of Polys over the columns, or None."""
+    sub, coordinates = module.express_in(columns, targets)
+    return sub, columns_of(module.algebra, coordinates, len(columns))
+
+
 def submodule(module, columns, modulo=()):
     """The submodule of `module` that the columns of Polys `columns`
     generate, modulo the columns `modulo`, as the package presents every
@@ -191,7 +214,8 @@ def u_mod_u0_by_submodule(data):
     u = FpModule.free(r, m)._submodule(data.u_vecs,
                                        koszul_columns(r, data.i_gens))[0]
     return FpModule(data.r_to_b.target, n,
-                    data.r_to_b.apply_cols(u.rel_cols))
+                    [[data.r_to_b.apply(p) for p in col]
+                     for col in u.rel_cols])
 
 
 def _names(pool, n):
@@ -229,6 +253,31 @@ alpha = {{}}
 
 [morphism]
 ring_map = {{ {ring_map} }}
+monoid_map = {{}}
+"""
+
+
+def quotient_text(relations):
+    """k -> k[x, y]/(relations) over QQ, strict: the source has no
+    variables, so the cover is the target's ideal itself."""
+    rels = ", ".join(f'"{r}"' for r in relations)
+    return f"""[field]
+name = "QQ"
+
+[source]
+vars = []
+relations = []
+gens = []
+alpha = {{}}
+
+[target]
+vars = [x, y]
+relations = [{rels}]
+gens = []
+alpha = {{}}
+
+[morphism]
+ring_map = {{}}
 monoid_map = {{}}
 """
 

@@ -215,8 +215,8 @@ def test_u_mod_u0_matches_the_submodule_path(case):
             assert c2.rel_gb() == want.rel_gb()
             continue
         assert c2.n_gens == 0
-        u = FpModule.free(data.r, 1).syzygies_of([[p] for p in data.i_gens],
-                                                 packed=True)
+        free = FpModule.free(data.r, 1)
+        u = free.syzygies_of(free._pack([[p] for p in data.i_gens]))
         full = u_mod_u0_by_submodule(replace(data, u_vecs=u))
         assert full.trim().n_gens == 0
 
@@ -252,7 +252,8 @@ def test_coprime_leading_monomials_give_koszul_syzygies(data, field):
     r = PresentedAlgebra(["x", "y", "z"], field)
     cover = data.draw(_coprime_covers(field))
     assert aqclassic._syzygies_are_koszul(r, cover)
-    u = FpModule.free(r, 1).syzygies_of([[p] for p in cover], packed=True)
+    free = FpModule.free(r, 1)
+    u = free.syzygies_of(free._pack([[p] for p in cover]))
     assert u == FpModule(r, len(cover), koszul_columns(r, cover)).rel_gb()
 
 

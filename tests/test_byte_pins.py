@@ -17,7 +17,11 @@ pinned on (3, 2, 3) and (2, 3, 2, 2), whose trimmed presentations pivot
 through non-constant entries.  `homology` with self and residue
 coefficients is pinned on the log smooth Veronese maps d = 3, 4 and
 semistable maps n = 3, 5, whose front covers' leading monomials are
-not coprime, so that their U/U_0 takes the full path.  A family pin's
+not coprime, so that their U/U_0 takes the full path.  `homology`,
+plain and with `--alt-choices`, is pinned on the non-graded quotient
+k -> k[x, y]/(x^2 - x^3, x*y), whose H0 has no k dimension, free rank
+or Hilbert data: its report and the comparison of the alternative
+choices go through the 0th Fitting ideal.  A family pin's
 command string carries its extra CLI arguments.  Their input texts come
 from `helpers`.
 
@@ -32,7 +36,8 @@ import pytest
 from logaq.cli import main, corpus_dir, corpus_instances
 from logaq.modules import FpModule
 
-from helpers import ci_text, semistable_text, toric_text, veronese_text
+from helpers import (ci_text, quotient_text, semistable_text, toric_text,
+                     veronese_text)
 
 JSON = ["--format", "json"]
 ARGS = {
@@ -367,10 +372,15 @@ FAMILY_DIGESTS = {
         "414e6a6a05215a74ab6d163c4eda5abcf5f89c70619a3c10f48d6f3876a4d5e3",
     ("semistable", 5, "homology --coefficients residue"):
         "b17943e2dd60432dbec529f22565d36702d969aa79fa38e5ca7835da36704fd5",
+    ("quotient", ("x^2 - x^3", "x*y"), "homology"):
+        "d46a182f68eb05eeaf9564def929c2920173a7ec458e3650994af9a2591aeb97",
+    ("quotient", ("x^2 - x^3", "x*y"), "homology --alt-choices"):
+        "fe5581d1fedfe4a3572305ededd04b9b0e4ce86828d6e383d80f4a767a63c292",
 }
 
 FAMILY_TEXTS = {"ci": ci_text, "toric": toric_text,
-                "veronese": veronese_text, "semistable": semistable_text}
+                "veronese": veronese_text, "semistable": semistable_text,
+                "quotient": quotient_text}
 
 
 def test_family_outputs_match_pinned_digests(tmp_path, capsys):

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly, DegRevLex, Packer, poly_str, exp_divides
 from logaq import groebner
+from logaq.gbcore import polys_from_vec, vec_from_polys
 from logaq.groebner import (buchberger, PresentedAlgebra, AlgebraMap,
                             staircase_dimension)
 
 from helpers import (Lex, exact_form, poly_vector, truncated_ideal_span,
                      span_rank, in_span, lt_exponents, staircase_by_walk,
                      kernel_by_second_run)
+
+F2, F3 = PrimeField(2), PrimeField(3)
 
 
 def P(names, rels_str=(), field=QQ, order=None):
@@ -86,22 +89,50 @@ def test_algebra_map_kernels():
         assert to_k.apply(g).is_zero()
 
 
-def test_apply_cols_is_apply_on_every_entry():
+def _cast_by_apply(f, vecs, n):
+    """`cast_vecs` the long way: each vector unpacked to its column, then
+    `apply` on every entry."""
+    src = f.source
+    return [[f.apply(p) for p in polys_from_vec(v, n, src.packer, src.field)]
+            for v in vecs]
+
+
+def test_cast_vecs_is_apply_on_every_entry():
     # k[u, v] -> k[t]/(t^3), u -> t^2, v -> t + 1: u v loses a term and
     # u^2 vanishes in the target, and zero entries stay zero
     kuv = P(["u", "v"])
     kt = P(["t"], ["t^3"])
     f = AlgebraMap(kuv, kt, [parse(kt, "t^2"), parse(kt, "t + 1")])
-    cols = [[parse(kuv, s) for s in col]
+    vecs = [vec_from_polys([parse(kuv, s) for s in col], kuv.packer)
             for col in (["u*v", "0", "u - v^2"], ["0", "0", "0"],
                         ["u^2", "3*v", "1"])]
-    got = f.apply_cols(cols)
-    assert got == [[f.apply(p) for p in col] for col in cols]
+    got = f.cast_vecs(vecs, 3)
+    assert got == _cast_by_apply(f, vecs, 3)
     assert all(p.is_zero() for p in got[1]) and got[0][1].is_zero()
     assert [[poly_str(p, ["t"], kt.order) for p in col] for col in got] \
         == [["t^2", "0", "-2*t - 1"], ["0", "0", "0"],
             ["0", "3*t + 3", "1"]]
-    assert f.apply_cols([]) == []
+    assert f.cast_vecs([], 3) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), field=st.sampled_from([QQ, F2, F3]))
+def test_cast_vecs_matches_apply_on_drawn_vectors(data, field):
+    # k[u, v] -> k[s, t]/(s^2 - t, t^3): entries cancel and vanish in
+    # the target, a position may be left empty
+    kuv = P(["u", "v"], field=field)
+    kst = P(["s", "t"], ["s^2 - t", "t^3"], field=field)
+    f = AlgebraMap(kuv, kst, [parse(kst, "s + t"), parse(kst, "s*t - 1")])
+    n = data.draw(st.integers(1, 3))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coeff = st.integers(-3, 3).map(field.from_int).filter(
+        lambda c: not field.is_zero(c))
+    poly = st.dictionaries(exps, coeff, max_size=4).map(
+        lambda d: Poly(d, field))
+    cols = data.draw(st.lists(st.lists(poly, min_size=n, max_size=n),
+                              max_size=3))
+    vecs = [vec_from_polys(col, kuv.packer) for col in cols]
+    assert f.cast_vecs(vecs, n) == _cast_by_apply(f, vecs, n)
 
 
 def test_kernel_and_surjectivity_share_one_graph_basis():

@@ -1,7 +1,8 @@
 """Every import in the package and its tests is used, the package
-imports at module level only, and every function, class and method the
-package defines is read somewhere in the package: a definition that
-only tests use belongs in `tests/`."""
+imports at module level only, every function, class and method the
+package defines is read somewhere in the package (a definition that
+only tests use belongs in `tests/`), and only the engine's modules read
+the packed term layout."""
 
 import ast
 from pathlib import Path
@@ -125,4 +126,54 @@ def test_every_package_definition_has_a_package_reader():
     found = [(str(p.relative_to(ROOT)), line, name) for p in PACKAGE
              for line, name in unread(defined_names(p.read_text()),
                                       names, attrs)]
+    assert found == []
+
+
+# the modules that own the packed terms: outside them, Polys cross into
+# vectors only through `vec_from_polys(..., algebra.packer)`
+PACKER_OWNERS = {"polynomials", "gbcore", "groebner", "modules"}
+PACKED_LAYOUT = {"top", "unpack", "pack", "monomial", "guards",
+                 "exponent_mask", "units"}
+
+
+def packed_layout_reads(source):
+    """(line, attribute) of each read of a packed-layout attribute of a
+    packer: of `x.packer`, of a name bound to one by assignment, or of a
+    name `packer`."""
+    tree = ast.parse(source)
+
+    def is_packer(node):
+        return isinstance(node, ast.Attribute) and node.attr == "packer"
+    names = {"packer"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) \
+                        and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                names |= {t.id for t, v in pairs
+                          if isinstance(t, ast.Name) and is_packer(v)}
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in PACKED_LAYOUT
+                  and (is_packer(node.value)
+                       or (isinstance(node.value, ast.Name)
+                           and node.value.id in names)))
+
+
+def test_scan_finds_a_packed_layout_read():
+    source = ("p, seen = r.packer, 0\n"
+              "t = p.top - packer.units[0]\n"
+              "e = alg.packer.unpack(t)\n"
+              "m = Poly.monomial(e, c, f)\n"
+              "v = vec_from_polys(col, alg.packer)\n")
+    assert packed_layout_reads(source) == [(2, "top"), (2, "units"),
+                                           (3, "unpack")]
+
+
+def test_only_the_engine_reads_the_packed_layout():
+    found = [(str(p.relative_to(ROOT)), line, attr) for p in PACKAGE
+             if p.stem not in PACKER_OWNERS
+             for line, attr in packed_layout_reads(p.read_text())]
     assert found == []

@@ -6,9 +6,13 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from logaq.fields import QQ, PrimeField
+from logaq.intlinalg import IntMatrix, snf
+from logaq.polynomials import Poly
 from logaq.monoids import FactorizationOptions, choose_log_factorization
-from logaq.groebner import AlgebraMap
+from logaq.groebner import AlgebraMap, PresentedAlgebra
 from logaq.modules import (Complex3, FpModule, HomologyReport,
                            tensor_complex)
 from logaq.logls import (CommutationFailure, log_ls, log_homology,
@@ -33,6 +37,60 @@ def mor(name, field_name=None):
 
 def dims(reports):
     return tuple(r.k_dimension for r in reports)
+
+
+# W1 inside Z^3 with invariant factors 2 and 6: over F2 both vanish,
+# over F3 the 6 does, and no combination reaches the third row
+W1 = IntMatrix.from_columns([[2, 2, 0], [0, 6, 0]], 3)
+FIELDS = {"QQ": QQ, "F2": PrimeField(2), "F3": PrimeField(3)}
+
+
+def _times_w1(b, eta):
+    return [sum((b.from_int(w) * e for w, e in zip(row, eta)), b.zero())
+            for row in W1.rows]
+
+
+def _preimage_or_refusal(name, xi_ints, eta_coeffs=(0,) * 4):
+    """Over B = k[x]/(x^2): xi = W1 * eta + xi_ints, with eta's entries
+    c + d*x from `eta_coeffs`; asserts that `_int_preimage` refuses xi
+    exactly when W0 (x) B = coker W1 says it is outside the B-span of
+    W1's columns, and that a preimage it gives is one; returns whether
+    it gave one."""
+    field = FIELDS[name]
+    b = PresentedAlgebra(["x"], field,
+                         [Poly.monomial((2,), field.one(), field)])
+    x = b.var("x")
+    eta = [b.from_int(c) + b.from_int(d) * x
+           for c, d in zip(eta_coeffs[::2], eta_coeffs[1::2])]
+    xi = [p + b.from_int(o) for p, o in zip(_times_w1(b, eta), xi_ints)]
+    span = FpModule(b, 3, [[b.from_int(w) for w in col]
+                           for col in W1.columns()])
+    got = logls._int_preimage(snf(W1), xi, b)
+    assert (got is None) == (not span.is_zero_element(xi))
+    if got is not None:
+        assert _times_w1(b, got) == xi
+    return got is not None
+
+
+@pytest.mark.parametrize("name, inside", [
+    ("QQ", [True, True, True, False]),
+    ("F2", [False, False, False, False]),
+    ("F3", [False, False, True, False])], ids=list(FIELDS))
+def test_int_preimage_where_p_divides_an_invariant_factor(name, inside):
+    # e_0, e_1, e_0 + e_1 and e_2: over F3, 2 eta_0 = 1 makes row 1
+    # 2 eta_0 + 6 eta_1 = 1 too, so e_0 + e_1 lifts and e_0 does not
+    assert [_preimage_or_refusal(name, xi)
+            for xi in ([1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1])] \
+        == inside
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(eta=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       off=st.lists(st.integers(-1, 1), min_size=3, max_size=3))
+def test_int_preimage_refuses_exactly_the_vectors_outside_the_span(
+        name, eta, off):
+    _preimage_or_refusal(name, off, eta)
 
 
 def test_log_point():

@@ -12,9 +12,10 @@ from logaq.modules import (FpModule, ModHom, Complex3,
                            pushout, HomologyReport, CommutationFailure)
 
 from helpers import (buchberger_runs, dense_trim, exact_form,
-                     infer_shifts_by_fixpoint, module_oracle,
-                     oracle_syzygy_dim, poly_vector, record_tagged_builds,
-                     span_rank, submodule, syzygy_span_dim)
+                     express_columns, infer_shifts_by_fixpoint,
+                     module_oracle, oracle_syzygy_dim, poly_vector,
+                     record_tagged_builds, span_rank, submodule,
+                     syzygy_columns, syzygy_span_dim)
 
 
 def P(names, rels=()):
@@ -33,20 +34,20 @@ def test_syzygy_examples():
     kxy = P(["x", "y"])
     free = FpModule.free(kxy, 1)
     x, y = kxy.var("x"), kxy.var("y")
-    syz = free.syzygies_of([[x], [y]])
+    syz = syzygy_columns(free, [[x], [y]])
     assert len(syz) == 1
     a, b = syz[0]
     # the Koszul syzygy up to sign and normalization
     assert kxy.is_zero(a * x + b * y)
     assert {kxy.str_of(a), kxy.str_of(b)} in ({"y", "-x"}, {"-y", "x"})
 
-    syz = free.syzygies_of([[x * x], [x * y]])
+    syz = syzygy_columns(free, [[x * x], [x * y]])
     assert len(syz) == 1
     a, b = syz[0]
     assert kxy.is_zero(a * x * x + b * x * y)
     assert {kxy.str_of(a), kxy.str_of(b)} in ({"y", "-x"}, {"-y", "x"})
 
-    assert free.syzygies_of([[kxy.one()]]) == []
+    assert syzygy_columns(free, [[kxy.one()]]) == []
 
 
 def test_syzygies_fall_back_off_a_groebner_basis(monkeypatch):
@@ -56,7 +57,7 @@ def test_syzygies_fall_back_off_a_groebner_basis(monkeypatch):
     free = FpModule.free(kxy, 1)
     cols = [[pp(kxy, "x + y")], [pp(kxy, "x")]]
     builds = record_tagged_builds(monkeypatch)
-    syz = free.syzygies_of(cols)
+    syz = syzygy_columns(free, cols)
     assert [b.fell_back for b in builds] == [True]
     assert syz == module_oracle(free, cols)[0]
     (a, b), = syz
@@ -76,7 +77,7 @@ def test_zero_columns_lift_to_unit_syzygies(monkeypatch, zero_at):
         cols = [[pp(kxy, s)] for s in ("x*y", "y^2", "x^2 + x*y")]
         cols.insert(zero_at, [kxy.zero()])
     builds = record_tagged_builds(monkeypatch)
-    syz = free.syzygies_of(cols)
+    syz = syzygy_columns(free, cols)
     assert [b.fell_back for b in builds] == [False]
     for i, col in enumerate(cols):
         if col[0].is_zero():
@@ -95,8 +96,8 @@ def test_free_modules_of_several_generators_lift(monkeypatch):
             [pp(kxy, "y"), kxy.zero()]]
     target = [pp(kxy, "x*y"), pp(kxy, "y^2")]
     builds = record_tagged_builds(monkeypatch)
-    syz = free.syzygies_of(cols)
-    sub, (got,) = free.express_in(cols, [target])
+    syz = syzygy_columns(free, cols)
+    sub, (got,) = express_columns(free, cols, [target])
     assert [b.fell_back for b in builds] == [False, False]
     oracle_syz, oracle_express = module_oracle(free, cols)
     assert syz == oracle_syz == sub.rel_cols
@@ -106,8 +107,10 @@ def test_free_modules_of_several_generators_lift(monkeypatch):
     assert got == oracle_express(target)
     # with relation columns the lift runs against their Groebner basis
     m = FpModule(kxy, 2, [cols[0]])
-    assert m.syzygies_of(cols[1:]) == module_oracle(m, cols[1:])[0]
+    assert syzygy_columns(m, cols[1:]) == module_oracle(m, cols[1:])[0]
     assert [b.fell_back for b in builds] == [False, False, False]
+    # as the engine gives them: the submodule's relation basis, packed
+    assert free.syzygies_of(free._pack(cols)) == sub.rel_gb()
 
 
 def test_express_in_many_targets():
@@ -117,7 +120,7 @@ def test_express_in_many_targets():
     targets = [[pp(kxy, "x*y"), pp(kxy, "y^2")],
                [kxy.one(), kxy.zero()],
                [pp(kxy, "y^2"), kxy.zero()]]
-    _sub, got = m.express_in(cols, targets)
+    _sub, got = express_columns(m, cols, targets)
     assert len(got) == 3
     assert got[1] is None
     for target, co in ((targets[0], got[0]), (targets[2], got[2])):
@@ -126,9 +129,9 @@ def test_express_in_many_targets():
                  for i in range(2)]
         assert m.elements_equal(combo, target)
     # each target alone gets the same canonical coefficients
-    assert [m.express_in(cols, [t])[1][0] for t in targets] == got
-    sub, none = m.express_in(cols, [])
-    assert none == [] and sub.rel_cols == m.syzygies_of(cols)
+    assert [express_columns(m, cols, [t])[1][0] for t in targets] == got
+    sub, none = express_columns(m, cols, [])
+    assert none == [] and sub.rel_cols == syzygy_columns(m, cols)
 
 
 def test_syzygy_completeness_oracle():
@@ -145,7 +148,7 @@ def test_syzygy_completeness_oracle():
         alg = P(names)
         gens = [pp(alg, s) for s in rels]
         free = FpModule.free(alg, 1)
-        syz = free.syzygies_of([[g] for g in gens])
+        syz = syzygy_columns(free, [[g] for g in gens])
         for s in syz:
             acc = Poly.zero(QQ)
             for c, g in zip(s, gens):
@@ -289,7 +292,8 @@ def test_submodule_and_kernel_oracle(field, data):
     images = data.draw(_fin_columns(field, 2, 3).filter(bool))
     m = len(images)
     f = ModHom(FpModule.free(alg, m), target, images)
-    modulo = _fin_combinations(data, alg, target.syzygies_of(images), m, 2)
+    modulo = _fin_combinations(data, alg, syzygy_columns(target, images),
+                               m, 2)
     want = (len(FIN_BASIS) * m - _k_rank(alg, images, rels)
             - _k_rank(alg, modulo)
             + _k_rank(alg, [f.apply(c) for c in modulo], rels))
@@ -310,7 +314,8 @@ def test_kernel_refuses_a_quotient_column_outside_it(field, data):
     outside = [i for i, col in enumerate(images)
                if not target.is_zero_element(col)]
     assume(outside)
-    modulo = _fin_combinations(data, alg, target.syzygies_of(images), m, 3)
+    modulo = _fin_combinations(data, alg, syzygy_columns(target, images),
+                               m, 3)
     col = modulo.pop() if modulo else f.source.zero_column()
     i = data.draw(st.sampled_from(outside))
     modulo.insert(data.draw(st.integers(0, len(modulo))),
@@ -562,13 +567,13 @@ def test_division_expressions_reconstruct_their_targets(field, data):
     in_span = len(targets)
     targets.append(data.draw(column))
     m.rel_gb()
-    (sub, got), runs = buchberger_runs(m.express_in, cols, targets)
+    (sub, got), runs = buchberger_runs(express_columns, m, cols, targets)
     # a division that leaves a main term answers None at once: the
     # targets cost no Buchberger run beyond building the basis
-    assert runs == buchberger_runs(m.express_in, cols, [])[1]
+    assert runs == buchberger_runs(express_columns, m, cols, [])[1]
     syz, express = module_oracle(m, cols)
     combine = ModHom(FpModule.free(alg, len(cols)), m, cols)
-    assert sub.rel_cols == m.syzygies_of(cols) == syz
+    assert sub.rel_cols == syzygy_columns(m, cols) == syz
     for i, (target, co) in enumerate(zip(targets, got)):
         want = express(target)
         assert (co is None) == (want is None)
