@@ -8,9 +8,10 @@ images and `apply` results, `kernel_generators` its generators), and
 consumers and `str_of` take it as it stands: a scalar combination of
 normal forms is one already.  Algebra maps carry validity checks,
 surjectivity witnesses, and kernels read off the reduced basis of the
-graph ideal under an order eliminating the target.  `adjoin_target_vars`
-builds the one ring extension R -> B that the classical and the log
-factorizations share.
+graph ideal under an order eliminating the target variables that no
+source variable maps to exactly; each hit one is its source variable.
+`adjoin_target_vars` builds the one ring extension R -> B that the
+classical and the log factorizations share.
 """
 
 from .polynomials import (Poly, DegRevLex, BlockElim, Packer, exp_divides,
@@ -100,11 +101,14 @@ class PresentedAlgebra:
 def staircase_dimension(lt_exps, nvars):
     """Number of monomials outside the monomial ideal, or None if infinite.
 
-    Counted by runs: over each point of the box below the last
-    coordinate, the monomials outside the ideal are those whose last
-    exponent is below the smallest last exponent among the generators
-    dividing that point in the other coordinates.  The pure power of
-    the last variable is always among them.
+    Counted by runs in every coordinate.  The monomials outside the
+    ideal lie in the box below the pure powers.  Along coordinate i the
+    generators that may divide a point change only where its exponent
+    reaches one of theirs, so each run between consecutive such cuts
+    (0 and the box's bound among them) counts as its length times the
+    count over the remaining coordinates.  In the last coordinate the
+    count is the smallest last exponent among the generators left,
+    the pure power of the last variable always among them.
     """
     if any(all(e == 0 for e in exp) for exp in lt_exps):
         return 0
@@ -124,8 +128,10 @@ def staircase_dimension(lt_exps, nvars):
     def count(i, gens):
         if i == last:
             return min(g[last] for g in gens)
-        return sum(count(i + 1, [g for g in gens if g[i] <= e])
-                   for e in range(bounds[i]))
+        b = bounds[i]
+        cuts = sorted({0, b, *(g[i] for g in gens if g[i] < b)})
+        return sum((hi - lo) * count(i + 1, [g for g in gens if g[i] <= lo])
+                   for lo, hi in zip(cuts, cuts[1:]))
     return count(0, lt_exps)
 
 
@@ -171,6 +177,7 @@ class AlgebraMap:
         self.images = [target.nf(p) for p in images]
         self._monomial_images = {}  # exponent -> normal form of its image
         self._graph_ring = None
+        self._graph_vars = None
 
     def is_well_defined(self):
         return all(self.target.is_zero(self.substitute(g))
@@ -232,42 +239,73 @@ class AlgebraMap:
         return out
 
     def _graph(self):
-        """Product presentation k[target vars | source vars] with the graph
-        ideal, under an order eliminating the target block.  Built once, so
-        kernels and surjectivity share its Groebner basis."""
+        """(ring, nt, ns): the graph ring k[t' | source vars] of the map
+        under an order eliminating its first nt variables, and ns, the
+        number of source variables.  Built once, so kernels and
+        surjectivity share its Groebner basis.
+
+        A target variable t_j that some source variable maps to exactly
+        is that variable in the graph ring: the first such one stands in
+        for t_j, and its equation x_i - t_j goes.  Only the nt target
+        variables no source variable hits get a primed copy t'.  The
+        graph ring is the quotient of k[t | source vars] by the graph
+        ideal with each hit t_j put equal to its stand-in, so the
+        elimination ideal, the kernel, is the same; for a map that hits
+        every target variable, no variable is eliminated.
+        `_graph_vars[j]` is the graph ring variable t_j became.
+        """
         if self._graph_ring is None:
             self._graph_ring = self._build_graph()
         return self._graph_ring
 
     def _build_graph(self):
-        nt = self.target.nvars
-        ns = self.source.nvars
-        n = nt + ns
+        nt, ns = self.target.nvars, self.source.nvars
         f = self.source.field
+        stand_in = {}   # target variable -> its stand-in source variable
+        for i, image in enumerate(self.images):
+            if len(image.coeffs) == 1:
+                (exp, c), = image.coeffs.items()
+                if c == f.one() and sum(exp) == 1:
+                    stand_in.setdefault(exp.index(1), i)
+        unhit = [j for j in range(nt) if j not in stand_in]
+        m = len(unhit)
+        n = m + ns
+        place = self._graph_vars = [
+            m + stand_in[j] if j in stand_in else unhit.index(j)
+            for j in range(nt)]
 
         def lift_target(p):
-            return Poly({exp + (0,) * ns: c for exp, c in p.coeffs.items()}, f)
+            out = {}
+            for exp, c in p.coeffs.items():
+                e = [0] * n
+                for j, a in enumerate(exp):
+                    e[place[j]] = a
+                out[tuple(e)] = c
+            return Poly(out, f)
 
         gens = [lift_target(g) for g in self.target.relations]
+        standing = set(stand_in.values())
         for i in range(ns):
-            xi = Poly.variable(nt + i, n, f)
-            gens.append(xi - lift_target(self.images[i]))
-        names = ([f"{v}'" for v in self.target.varnames]
+            if i not in standing:
+                xi = Poly.variable(m + i, n, f)
+                gens.append(xi - lift_target(self.images[i]))
+        names = ([f"{self.target.varnames[j]}'" for j in unhit]
                  + list(self.source.varnames))
-        ring = PresentedAlgebra(names, f, gens, order=BlockElim(nt))
-        return ring, nt, ns
+        ring = PresentedAlgebra(names, f, gens, order=BlockElim(m))
+        return ring, m, ns
 
     def kernel_generators(self):
         """Generators of the kernel, as normal forms modulo the source
         ideal, zeros and repeats dropped, in order.
 
         By the elimination theorem the elements of the graph ideal's
-        reduced basis that are free of target variables, projected to
-        the source, are the reduced basis of the kernel in the source
-        polynomial ring under the restriction of the elimination order.
-        That restriction is degrevlex, the order of every source algebra
-        in the package.  For a source with relations that basis holds
-        elements of the source ideal, whose normal forms are zero.
+        reduced basis that are free of the eliminated variables,
+        projected to the source, are the reduced basis of the kernel in
+        the source polynomial ring under the restriction of the
+        elimination order.  That restriction is degrevlex, the order of
+        every source algebra in the package.  For a source with
+        relations that basis holds elements of the source ideal, whose
+        normal forms are zero.
         """
         ring, nt, _ns = self._graph()
         out = []
@@ -288,14 +326,14 @@ class AlgebraMap:
 
         Uses the graph ideal: the normal form of a target variable under
         the elimination order lies in the source block iff it has a
-        preimage.
+        preimage.  A hit variable is its stand-in there, whose normal
+        form is in the source block already.
         """
         ring, nt, ns = self._graph()
         f = self.source.field
         out = []
-        for j in range(nt):
-            tj = Poly.variable(j, nt + ns, f)
-            q = ring.nf(tj)
+        for j in self._graph_vars:
+            q = ring.nf(Poly.variable(j, nt + ns, f))
             if any(any(e != 0 for e in exp[:nt]) for exp in q.coeffs):
                 return None
             out.append(Poly({exp[nt:]: c for exp, c in q.coeffs.items()}, f))
@@ -311,6 +349,8 @@ def adjoin_target_vars(a_to_b, extra):
 
     `extra` lists (name, image in B) pairs.  R's variables are A's, then
     the extra ones, then the y@v, so its first A.nvars variables are A's.
+    Each y@v maps to v, so R -> B's graph ring keeps a copy of no B
+    variable that is a normal form (see `AlgebraMap._graph`).
     """
     a, b = a_to_b.source, a_to_b.target
     names = (list(a.varnames) + [name for name, _ in extra]

@@ -8,13 +8,15 @@ prints on standard output (standard error names temporary paths and is
 left out).  `--src` is the `src` directory of the checkout whose package
 runs, by default this one's; run it on two checkouts and `diff` the
 outputs.  The inputs are the corpus, the log Veronese maps d <= 5, the
-strict rational normal curves d <= 5, the semistable maps n <= 5, eight
-complete intersections, the toric sum maps n <= 5 over QQ, F2 and F3,
-four weighted toric maps, two zero rings and the non-graded quotient
-k -> k[x, y]/(x^2 - x^3, x*y), whose H0 is told by its Fitting ideal
-alone.  Each gets `homology` (self, residue, `--char 2`, `--char 3
---alt-choices`), `conormal`, `tor`, `tor --char 2`, `kcomplex` (self
-and residue) and `print`.  Then come the five `verify` suites and the
+strict rational normal curves d <= 5, the semistable maps n <= 5, ten
+complete intersections in up to six variables, the toric sum maps
+n <= 5 over QQ, F2 and F3, four weighted toric maps, two zero rings,
+the non-graded quotient k -> k[x, y]/(x^2 - x^3, x*y), whose H0 is
+told by its Fitting ideal alone, and the map k[u, v] -> k[s, t],
+u -> s, v -> s*t + t^2, which hits s but not t.  Each gets `homology`
+(self, residue, `--char 2`, `--char 3 --alt-choices`), `conormal`,
+`tor`, `tor --char 2`, `kcomplex` (self and residue) and `print`.
+Then come the five `verify` suites and the
 benchmark workloads' ops at seeds 1-3.  This is a script, not a test.
 """
 
@@ -42,7 +44,7 @@ COMMANDS = (
     ("print",),
 )
 CIS = ((2, 3), (2, 2, 3), (3, 2, 3), (2, 3, 2, 2), (4, 2, 5), (5, 2, 4),
-       (2, 3, 4, 5), (5, 5, 5, 3))
+       (2, 3, 4, 5), (5, 5, 5, 3), (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2))
 WEIGHTED = (((1, 2, 3), "QQ"), ((1, 2, 3), "F3"), ((1, 2), "F2"),
             ((1, 3, 2, 2), "F3"))
 SUITES = ("strict", "prop12", "jz", "edge", "all")
@@ -85,7 +87,8 @@ def inputs(helpers, corpus_dir):
             ("zero_target", strict_ci.replace(
                 'relations = ["x^2", "y^3"]', 'relations = ["x", "x - 1"]')),
             ("fitting_nongraded",
-             helpers.quotient_text(("x^2 - x^3", "x*y")))]
+             helpers.quotient_text(("x^2 - x^3", "x*y"))),
+            ("partly_hit", helpers.partly_hit_text())]
     return out
 
 

@@ -1,7 +1,8 @@
 """Shared test utilities: morphism construction from input text, the
 input texts of the complete-intersection and toric families, of two log
 smooth ones (the Veronese and the semistable maps) and of the strict
-quotients k -> k[x, y]/I, the lex order, exact linear algebra over a
+quotients k -> k[x, y]/I and of a map that hits one target variable
+and not the other, the lex order, exact linear algebra over a
 field and an integer determinant, small oracles on polynomials, algebras
 (the leading exponents of an ideal's basis among them), abelian groups
 and term orders, the coefficient forms of the fields, the
@@ -15,19 +16,20 @@ the second syzygies whatever the module, and the previous forms that
 code in `logaq` is checked against: the nested order keys and the
 exponent-tuple product and lcm behind the packed terms, the leading term
 of a polynomial, the dense presentation trim, the box-walk staircase
-count, the fixpoint shift inference and the kernel generators built by
-a second Buchberger run."""
+count, the fixpoint shift inference, the kernel generators built by
+a second Buchberger run, and the kernel and surjectivity witness read
+off a graph ring with a copy of every target variable."""
 
 from fractions import Fraction
 from itertools import product
 
 from logaq.inputspec import parse_input, build_morphism
-from logaq.polynomials import Poly, exp_divides
+from logaq.polynomials import BlockElim, Poly, exp_divides
 from logaq import gbcore, modules
 from logaq.modules import FpModule
 from logaq.gbcore import (buchberger_vec, polys_from_vec, reduce_vec,
                           reducer_index, vec_from_polys)
-from logaq.groebner import buchberger
+from logaq.groebner import PresentedAlgebra, buchberger
 from logaq.intlinalg import IntMatrix, snf
 from logaq.abgroups import FpAbGroup
 
@@ -279,6 +281,30 @@ alpha = {{}}
 [morphism]
 ring_map = {{}}
 monoid_map = {{}}
+"""
+
+
+def partly_hit_text():
+    """k[u, v] -> k[s, t], u -> s, v -> s*t + t^2 over QQ, strict: a
+    map that hits the target variable s and not t, nor is onto."""
+    return """[field]
+name = "QQ"
+
+[source]
+vars = [u, v]
+relations = []
+gens = []
+alpha = {}
+
+[target]
+vars = [s, t]
+relations = []
+gens = []
+alpha = {}
+
+[morphism]
+ring_map = { u = "s", v = "s*t + t^2" }
+monoid_map = {}
 """
 
 
@@ -790,6 +816,42 @@ def infer_shifts_by_fixpoint(module):
             return None
     m = min(shifts) if shifts else 0
     return [s - m for s in shifts]
+
+
+def full_graph(algebra_map):
+    """(kernel generators, surjectivity witness) of the map read off the
+    graph ring with a primed copy of every target variable,
+    k[t' | source vars]/(the target's relations in t', x_i - image_i(t'))
+    under an order eliminating t'."""
+    tgt, src = algebra_map.target, algebra_map.source
+    f = src.field
+    nt, ns = tgt.nvars, src.nvars
+
+    def lift(p):
+        return Poly({exp + (0,) * ns: c for exp, c in p.coeffs.items()}, f)
+    gens = [lift(g) for g in tgt.relations]
+    gens += [Poly.variable(nt + i, nt + ns, f) - lift(image)
+             for i, image in enumerate(algebra_map.images)]
+    ring = PresentedAlgebra([f"{v}'" for v in tgt.varnames] + src.varnames,
+                            f, gens, order=BlockElim(nt))
+
+    def project(p):
+        return Poly({exp[nt:]: c for exp, c in p.coeffs.items()}, f)
+    kernel, seen = [], set()
+    for g in ring.gb():
+        if any(any(exp[:nt]) for exp in g.coeffs):
+            continue
+        q = src.nf(project(g))
+        if not q.is_zero() and q not in seen:
+            seen.add(q)
+            kernel.append(q)
+    witness = []
+    for j in range(nt):
+        q = ring.nf(Poly.variable(j, nt + ns, f))
+        if any(any(exp[:nt]) for exp in q.coeffs):
+            return kernel, None
+        witness.append(project(q))
+    return kernel, witness
 
 
 def kernel_by_second_run(algebra_map):

@@ -18,8 +18,8 @@ from logaq.logls import log_homology
 from logaq.modules import Complex3, FpModule
 from logaq.monoids import FactorizationOptions
 
-from helpers import (ci_text, koszul_columns, morphism,
-                     record_tagged_builds, toric_text,
+from helpers import (ci_text, columns_of, koszul_columns, module_oracle,
+                     morphism, record_tagged_builds, toric_text,
                      u_mod_u0_by_submodule, veronese_text,
                      weighted_toric_text)
 
@@ -97,24 +97,34 @@ COVER_INPUTS["toric 4"] = toric_text(4)
 
 
 # the inputs whose every cover, front, back and classical, lies in a ring
-# without relations and has pairwise coprime leading monomials
-COPRIME_COVERS = {"strict_ci", "ci (2, 3, 2, 2)"}
+# without relations and has pairwise coprime leading monomials, or holds
+# only zero generators
+COPRIME_OR_ZERO_COVERS = {"strict_ci", "ci (2, 3, 2, 2)", "monoid_collapse"}
 
 
 @pytest.mark.parametrize("name", sorted(COVER_INPUTS))
 def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
-    # a cover with coprime leading monomials computes no syzygies, so
-    # it builds no tagged basis.  Every other cover, with the ring's
-    # basis, is a Groebner basis, so its tagged basis comes from the
-    # Schreyer lift; a Buchberger run inside build_ls means the lift was
-    # lost.  monoid_collapse's front cover has a zero generator, which
-    # lifts too.
+    # a cover with coprime leading monomials computes no syzygies, and
+    # a zero generator has the unit syzygy without one, so neither
+    # builds a tagged basis: monoid_collapse's front cover is a zero
+    # generator, and its back cover has one element.  Every other
+    # cover, with the ring's basis, is a Groebner basis, so its tagged
+    # basis comes from the Schreyer lift; a Buchberger run inside
+    # build_ls means the lift was lost.  Either way the syzygies are
+    # the oracle's, where the cover's are not the Koszul ones.
     calls = [0]
     real_build = aqclassic.build_ls
 
-    def build_ls(*args, **kwargs):
+    def build_ls(r_to_b, base_nvars, cover):
         calls[0] += 1
-        return real_build(*args, **kwargs)
+        data = real_build(r_to_b, base_nvars, cover)
+        r = r_to_b.source
+        if not aqclassic._syzygies_are_koszul(r, cover):
+            free = FpModule.free(r, 1)
+            cols = [[p] for p in cover]
+            assert columns_of(r, data.u_vecs, len(cover)) \
+                == module_oracle(free, cols)[0]
+        return data
     for module in (aqclassic, logls):
         monkeypatch.setattr(module, "build_ls", build_ls)
     builds = record_tagged_builds(monkeypatch, (aqclassic, "build_ls"),
@@ -125,7 +135,7 @@ def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
     aq_classical(mor.ring_map)
     # front and back faces of each log complex, and the classical one
     assert calls[0] >= 2 * (1 + len(ALT_OPTIONS)) + 1
-    if name in COPRIME_COVERS:
+    if name in COPRIME_OR_ZERO_COVERS:
         assert builds == []
     else:
         assert builds and not any(b.fell_back for b in builds)

@@ -2,6 +2,8 @@
 Buchberger run they replaced), staircase counts, and the
 degree-truncated linear-algebra oracle for membership soundness."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from logaq.groebner import (buchberger, PresentedAlgebra, AlgebraMap,
 
 from helpers import (Lex, exact_form, poly_vector, truncated_ideal_span,
                      span_rank, in_span, lt_exponents, staircase_by_walk,
-                     kernel_by_second_run)
+                     kernel_by_second_run, full_graph)
 
 F2, F3 = PrimeField(2), PrimeField(3)
 
@@ -147,6 +149,51 @@ def test_kernel_and_surjectivity_share_one_graph_basis():
     assert f._graph()[0] is ring and ring._gb is basis
 
 
+# maps k[u, v, w] -> k[s, t]/J, by the images of u, v and w: the first
+# variable whose image is s stands in for it, t is hit or not
+PARTLY_HIT = {
+    "s hit, t not, not onto": ((), ["s", "s*t + t^2", "s^2"]),
+    "s hit twice, t not, onto": (("t^3",), ["s", "t + s^2", "s"]),
+    "both hit, the later by w": (("s^2 - t^2",), ["s + t", "s", "t"]),
+    "none hit": (("s^2",), ["s + t", "2*t", "s*t"]),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "F2", "F3"])
+@pytest.mark.parametrize("name", sorted(PARTLY_HIT))
+def test_graph_ring_eliminates_only_the_unhit_target_variables(field, name):
+    # the graph ring keeps a primed copy only of the target variables no
+    # source variable maps to exactly; the kernel and the witness are
+    # those of the graph ring with a copy of every target variable
+    rels, images = PARTLY_HIT[name]
+    tgt = P(["s", "t"], rels, field=field)
+    f = AlgebraMap(P(["u", "v", "w"], field=field), tgt,
+                   [parse(tgt, s) for s in images])
+    kernel, witness = full_graph(f)
+    assert f.kernel_generators() == kernel
+    assert f.surjectivity_witness() == witness
+    hit = {j for j, v in enumerate(tgt.varnames)
+           if any(g == tgt.var(v) for g in f.images)}
+    ring, nt, ns = f._graph()
+    assert (nt, ns) == (2 - len(hit), 3)
+    assert ring.varnames[:nt] == [f"{v}'" for j, v in enumerate(tgt.varnames)
+                                  if j not in hit]
+    if witness is not None:
+        for v, w in zip(tgt.varnames, witness):
+            assert f.apply(w) == tgt.nf(tgt.var(v))
+
+
+def test_partly_hit_map_has_no_kernel_and_no_witness():
+    # k[u, v] -> k[s, t], u -> s, v -> s*t + t^2: s is u, t has no
+    # preimage, and the images are algebraically independent
+    kst = P(["s", "t"])
+    f = AlgebraMap(P(["u", "v"]), kst, [kst.var("s"), parse(kst, "s*t + t^2")])
+    assert f.kernel_generators() == [] == full_graph(f)[0]
+    assert f.surjectivity_witness() is None
+    ring, nt, _ns = f._graph()
+    assert (ring.varnames, nt) == (["t'", "u", "v"], 1)
+
+
 def test_surjectivity():
     kuv = P(["u", "v"])
     kt = P(["t"])
@@ -239,6 +286,27 @@ def test_staircase_counted_by_runs_matches_the_box_walk(ideal):
     gens, nvars = ideal
     assert staircase_dimension(gens, nvars) == \
         staircase_by_walk(gens, nvars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_ideals().filter(lambda ideal: ideal[1] >= 1))
+def test_staircase_counts_the_standard_monomials_of_the_box(ideal):
+    # with the constant the ideal is the unit ideal; otherwise the count
+    # is infinite exactly when a variable has no pure power, and else
+    # it is the number of monomials below the pure powers that no
+    # generator divides
+    gens, nvars = ideal
+    got = staircase_dimension(gens, nvars)
+    if (0,) * nvars in gens:
+        assert got == 0
+        return
+    powers = [[g[i] for g in gens
+               if g[i] and not any(g[:i] + g[i + 1:])] for i in range(nvars)]
+    if not all(powers):
+        assert got is None
+        return
+    box = product(*(range(min(p)) for p in powers))
+    assert got == sum(not any(exp_divides(g, e) for g in gens) for e in box)
 
 
 def _poly2(field):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from logaq.fields import QQ, PrimeField
 from logaq.polynomials import Poly, poly_str
+from logaq.gbcore import polys_from_vec
 from logaq.groebner import PresentedAlgebra, buchberger
 from logaq.modules import (FpModule, ModHom, Complex3,
                            tensor_module, tensor_hom, tensor_complex,
@@ -67,8 +68,8 @@ def test_syzygies_fall_back_off_a_groebner_basis(monkeypatch):
 @pytest.mark.parametrize("zero_at", [0, 1, 3, "all"])
 def test_zero_columns_lift_to_unit_syzygies(monkeypatch, zero_at):
     # a zero column has the unit syzygy, and the other columns, with
-    # the ring's x^2, still lift without a Buchberger run; so do
-    # columns that are all zero
+    # the ring's x^2, still lift without a Buchberger run; columns that
+    # are all zero build no tagged basis at all
     kxy = P(["x", "y"], ["x^2"])
     free = FpModule.free(kxy, 1)
     if zero_at == "all":
@@ -78,7 +79,8 @@ def test_zero_columns_lift_to_unit_syzygies(monkeypatch, zero_at):
         cols.insert(zero_at, [kxy.zero()])
     builds = record_tagged_builds(monkeypatch)
     syz = syzygy_columns(free, cols)
-    assert [b.fell_back for b in builds] == [False]
+    assert [b.fell_back for b in builds] == \
+        ([] if zero_at == "all" else [False])
     for i, col in enumerate(cols):
         if col[0].is_zero():
             assert [kxy.one() if j == i else kxy.zero()
@@ -582,6 +584,42 @@ def test_division_expressions_reconstruct_their_targets(field, data):
         if co is not None:
             assert m.elements_equal(combine.apply(co), target)
             assert co == want
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "F2", "F3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_zero_columns_by_lookup_match_the_oracle(field, data):
+    # columns mixed with literal zeros, elements of the relation basis
+    # (zero by lookup), their negatives (zero, and not by lookup where
+    # -1 is not 1) and those elements plus 1 in the last position (the
+    # same leading term, mostly not zero): only the columns zero by
+    # lookup stay out of the tagged basis, and the syzygies, the
+    # submodule's relations and basis and the coordinates are those of
+    # the oracle, which tags every column
+    alg, m, cols, targets, column = _span_setup(field, data)
+    n = m.n_gens
+    rels = [polys_from_vec(g, n, alg.packer, field) for g in m.rel_gb()]
+    zero = [alg.zero()] * n
+    kind = st.sampled_from(
+        [zero] + rels + [[-p for p in r] for r in rels]
+        + [r[:-1] + [r[-1] + alg.one()] for r in rels])
+    for col in data.draw(st.lists(kind, min_size=1, max_size=3)):
+        cols.insert(data.draw(st.integers(0, len(cols))), col)
+    vecs = m._pack(cols)
+    _gb, _t, kept = m._lifted(vecs)
+    assert kept == [i for i, col in enumerate(cols)
+                    if col != zero and col not in rels]
+    syz, express = module_oracle(m, cols)
+    assert syzygy_columns(m, cols) == syz
+    sub = submodule(m, cols)
+    assert sub.rel_cols == syz
+    assert sub.rel_gb() == m.syzygies_of(vecs) \
+        == FpModule(alg, len(cols), syz).rel_gb()
+    targets.append(data.draw(column))
+    sub, got = express_columns(m, cols, targets)
+    assert sub.rel_cols == syz
+    assert got == [express(t) for t in targets]
 
 
 @pytest.mark.parametrize("relation, want", [
