@@ -29,7 +29,8 @@ and every kernel basis is, Schreyer's lift proves it: one reduction per
 S-pair leaves a lifted syzygy in the tags (Eisenbud, Commutative
 Algebra, Thm 15.10; La Scala and Stillman, J. Symb. Comp. 26, 1998).  A
 Buchberger run builds the basis only when a reduction leaves a main
-term.  The lifts are kept raw, as generators of the syzygy module; its
+term.  An empty column's unit syzygy stays out of every Buchberger run.
+The lifts are kept raw, as generators of the syzygy module; its
 reduced Groebner basis, unique for the order and so the same from
 either builder, is computed on first demand.
 
@@ -300,14 +301,20 @@ class TaggedGB:
     columns, modulo the relations, and the tag-only vectors are the
     syzygies.
 
+    An empty column k has the unit syzygy e_k, and no other syzygy has a
+    term in position k, so the units stay out of every Buchberger run:
+    the reduced basis is the units and that of the other columns'
+    syzygies.  A caller passes a column known to be zero as an empty one.
+
     The constructor builds the basis completely.  Division starts with
     the nonzero columns and the relations, and Schreyer's lift proves
     that these are together a Groebner basis; when it fails, a
     Buchberger run becomes the basis.  `raw` generates the syzygy
-    module, over the positions of the columns: the lifted S-pair
-    reductions, or the run's reduced basis of it.  `syzygies()` is that
-    reduced basis, unique for the order, so both builders give it
-    alike.  `express` gives some expression, not a canonical one.
+    module, over the positions of the columns: the units, then the
+    lifted S-pair reductions or the run's reduced basis of the rest.
+    `syzygies()` is the reduced basis, unique for the order, so both
+    builders give it alike.  `express` gives some expression, not a
+    canonical one.
     """
 
     def __init__(self, columns, relations, n_main, packer, field):
@@ -319,22 +326,27 @@ class TaggedGB:
         self._shift = n_main << packer.top
         tagged = _tag(columns, n_main, packer, field)
         led = [v for col, v in zip(columns, tagged) if col]
+        self._units = [self._tags(v)
+                       for col, v in zip(columns, tagged) if not col]
         entries = [_reducer(v, max(v)) for v in led + relations]
         self._basis = {}
         for entry in entries:
             self._basis.setdefault(entry[0] >> packer.top, []).append(entry)
         self._syzygies = None
-        self.raw = self._lift(tagged, len(led), entries)
-        if self.raw is None:
-            gb = buchberger_vec(tagged + relations, packer, field)
+        self._lifts = self._lift(len(led), entries)
+        if self._lifts is None:
+            gb = buchberger_vec(led + relations, packer, field)
             self._basis = reducer_index(gb, packer)
-            self.raw = self._syzygies = [self._tags(g) for g in gb
-                                         if max(g) < self._main_floor]
+            self._lifts = [self._tags(g) for g in gb
+                           if max(g) < self._main_floor]
+            self._syzygies = sorted(self._units + self._lifts, key=max)
+        self.raw = self._units + self._lifts
 
-    def _lift(self, tagged, n_led, entries):
-        """Schreyer's lift: the lifted syzygies, or None when the nonzero
-        columns and the relations, whose reducer entries `entries` are
-        (the first `n_led` of them the columns'), are no Groebner basis.
+    def _lift(self, n_led, entries):
+        """Schreyer's lift: the lifted syzygies of the nonzero columns,
+        or None when they and the relations, whose reducer entries
+        `entries` are (the first `n_led` of them the columns'), are no
+        Groebner basis.
 
         A tagged column makes S-pairs only with later elements in its
         leading position whose multiplier lcm / (its leading term) is
@@ -344,12 +356,11 @@ class TaggedGB:
         of two relations lift within the relations alone and are left
         out.  Each kept S-vector is reduced once by the led columns and
         the relations: a main term left over means they are no Groebner
-        basis; otherwise the tags left are the lifted syzygy.  A zero
-        column is a syzygy already.
+        basis; otherwise the tags left are the lifted syzygy.
         """
         packer, field = self.packer, self.field
         guards, top = packer.guards, packer.top
-        raw = [self._tags(v) for v in tagged if max(v) < self._main_floor]
+        raw = []
         for a, ra in enumerate(entries[:n_led]):
             lta = ra[0]
             mults = [(packer.lcm(lta, rb[0]) - lta, rb)
@@ -373,10 +384,12 @@ class TaggedGB:
 
     def syzygies(self):
         """The reduced Groebner basis of the syzygy module, over the
-        positions of the columns; computed once."""
+        positions of the columns: the units and the reduced basis of
+        the lifts; computed once."""
         if self._syzygies is None:
-            self._syzygies = buchberger_vec(self.raw, self.packer,
-                                            self.field)
+            self._syzygies = sorted(
+                self._units + buchberger_vec(self._lifts, self.packer,
+                                             self.field), key=max)
         return self._syzygies
 
     def express(self, v):

@@ -16,7 +16,7 @@ re-parsing gives an equal spec.
 from dataclasses import dataclass, field as dc_field
 
 from .fields import field_from_name
-from .polynomials import Poly, poly_str
+from .polynomials import Poly
 from .groebner import PresentedAlgebra, AlgebraMap
 from .monoids import FpMonoid, MonoidHom, PrelogRing, PrelogMorphism
 
@@ -497,12 +497,8 @@ def _canonicalize(spec, morphism):
     it: relations become the reduced Groebner basis, alpha and ring_map
     images their normal forms."""
     src, tgt = morphism.source, morphism.target
-    spec.source.relations = [poly_str(p, src.algebra.varnames,
-                                      src.algebra.order)
-                             for p in src.algebra.gb()]
-    spec.target.relations = [poly_str(p, tgt.algebra.varnames,
-                                      tgt.algebra.order)
-                             for p in tgt.algebra.gb()]
+    spec.source.relations = [src.algebra.str_of(p) for p in src.algebra.gb()]
+    spec.target.relations = [tgt.algebra.str_of(p) for p in tgt.algebra.gb()]
     spec.source.alpha = {g: src.algebra.str_of(p)
                          for g, p in zip(spec.source.gens, src.alpha)}
     spec.target.alpha = {g: tgt.algebra.str_of(p)

@@ -19,10 +19,10 @@ Tensoring assumes a cyclic coefficient module B/J, the only kind the
 pipelines build.  A module the pipelines know to be zero, U/U_0 of a
 cover whose syzygies are the Koszul ones, is built on no generators, so
 the kernels, tensor products and pushouts out of it do no work by the
-general code paths.  Elements known to be zero get the same treatment
-one by one: a column that is empty or an element of the module's
-relation basis, as the multiples g e_j of the ideal's basis among a
-kernel's generators are, has its unit syzygy without a tagged basis.
+general code paths.  Elements known to be zero are found one by one: a
+column that is an element of the module's relation basis, as the
+multiples g e_j of the ideal's basis among a kernel's generators are,
+enters the tagged basis empty, at its own position.
 """
 
 from itertools import combinations
@@ -116,68 +116,49 @@ class FpModule:
                         alg.field)
 
     def _lifted(self, vecs):
-        """(the reduced Groebner basis of the syzygies of `vecs` modulo
-        this module, over their positions; the tagged basis of those
-        not zero by lookup, or None when there are none; the positions
-        of those).
+        """The tagged basis of `vecs` modulo this module, with each
+        vector zero by lookup passed as an empty column.
 
         A vector is zero by lookup when it is empty or is the element
         of rel_gb() with its leading term, as the relation vectors g e_j
-        among a kernel's generators are.  A zero element k has the unit
-        syzygy e_k, and no other element of the reduced basis has a
-        term in position k: the basis is {e_k} and the reduced basis of
-        the other elements' syzygies, moved to their positions, unique
-        for the order.  So only the other vectors are tagged.
+        among a kernel's generators are.  TaggedGB keeps an empty
+        column's unit syzygy out of every Buchberger run.
         """
-        packer, field = self.algebra.packer, self.algebra.field
         leads = {max(g): g for g in self.rel_gb()}
-        kept = [i for i, v in enumerate(vecs)
-                if v and leads.get(max(v)) != v]
-        t = self._tagged([vecs[i] for i in kept]) if kept else None
-        gb = t.syzygies() if t else []
-        if len(kept) < len(vecs):
-            one, unit = field.one(), (0,) * packer.nvars
-            gone = set(kept)
-            gb = [_moved(s, kept, packer.top) for s in gb]
-            gb += [{packer.pack(i, unit): one}
-                   for i in range(len(vecs)) if i not in gone]
-            gb.sort(key=max)
-        return gb, t, kept
+        return self._tagged([v if v and leads.get(max(v)) != v else {}
+                             for v in vecs])
 
     def syzygies_of(self, vecs):
         """Generating relations among the elements packed as `vecs`,
         modulo this module: the reduced Groebner basis of their syzygy
         module, as vectors over len(vecs) positions.  The elements zero
-        by lookup get their unit syzygies without a tagged basis (see
-        `_lifted`)."""
-        return self._lifted(vecs)[0]
+        by lookup have their unit syzygies (see `_lifted`)."""
+        return self._lifted(vecs).syzygies() if vecs else []
 
     def _submodule(self, vecs, modulo=()):
         """(the submodule the columns packed as `vecs` generate, modulo
         the columns `modulo`, presented on those columns; the tagged
-        basis of `vecs` it came from, or None when there is none; the
-        positions among `vecs` of the columns that basis tags).
+        basis of `vecs` it came from, or None when there are none).
 
         Its relations are the reduced Groebner basis of the syzygies of
         the columns modulo `modulo` and this module's relations, unique
         for the order, so the columns alone fix the printed relations.
-        Without `modulo` they are `syzygies_of` the columns, and the
-        columns zero by lookup are left out of the tagged basis.  With
-        `modulo`, every column is tagged and the relations are reduced
-        from the lifted syzygies of the columns plus one expression of
-        each `modulo` column.  A `modulo` column outside their span
-        raises CommutationFailure: every caller passes the image of the
-        next map of a complex.
+        Without `modulo` they are `syzygies_of` the columns.  With
+        `modulo`, every column is tagged as it stands and the relations
+        are reduced from the lifted syzygies of the columns plus one
+        expression of each `modulo` column.  A `modulo` column outside
+        their span raises CommutationFailure: every caller passes the
+        image of the next map of a complex.
         """
         alg = self.algebra
         n = len(vecs)
         if not n:
-            return FpModule(alg, 0), None, []
+            return FpModule(alg, 0), None
         if not modulo:
-            gb, t, kept = self._lifted(vecs)
+            t = self._lifted(vecs)
+            gb = t.syzygies()
         else:
             t = self._tagged(vecs)
-            kept = list(range(n))
             gens = list(t.raw)
             for col in modulo:
                 e = t.express(vec_from_polys(col, alg.packer))
@@ -190,7 +171,7 @@ class FpModule:
                                 for v in gb])
         # the syzygies hold I * e_j, so their basis is the relations'
         out._rel_gb = gb
-        return out, t, kept
+        return out, t
 
     def express_in(self, columns, targets):
         """(the submodule the given elements generate, presented on
@@ -200,20 +181,15 @@ class FpModule:
         is not in their span).
 
         One tagged basis serves the submodule and every target: an
-        expression is one division by it, moved from the positions of
-        the columns it tags to theirs among `columns` and reduced
-        modulo the submodule's relations."""
-        vecs = self._pack(columns)
-        sub, t, kept = self._submodule(vecs)
-        top = self.algebra.packer.top
+        expression is one division by it, reduced modulo the
+        submodule's relations."""
+        sub, t = self._submodule(self._pack(columns))
         out = []
         for v in self._pack(targets):
-            if t is None:   # no column tagged: only zero lies in the span
+            if t is None:   # no columns: only zero lies in their span
                 e = None if self._reduce(v) else {}
             else:
                 e = t.express(v)
-                if e is not None and len(kept) < len(vecs):
-                    e = _moved(e, kept, top)
             out.append(None if e is None else sub._reduce(e))
         return sub, out
 
@@ -378,13 +354,6 @@ class FpModule:
                 if num[dd] == 0:
                     del num[dd]
         return num, list(w)
-
-
-def _moved(v, positions, top):
-    """The vector v over len(positions) positions with position i moved
-    to positions[i]; `positions` ascend, so the term order is kept."""
-    return {t - ((positions[-(t >> top)] + (t >> top)) << top): c
-            for t, c in v.items()}
 
 
 class ModHom:

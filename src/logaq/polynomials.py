@@ -305,11 +305,10 @@ class Poly:
         return f"Poly({self.coeffs})"
 
 
-def poly_str(p, varnames, order=None):
+def poly_str(p, varnames, order):
     """Canonical printing: terms sorted descending by the given order."""
     if p.is_zero():
         return "0"
-    order = order or DegRevLex()
     parts = []
     for exp, c in p.terms_sorted(order):
         factors = []

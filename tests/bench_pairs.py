@@ -17,8 +17,13 @@ parent's interquartile range and the pairs the change wins, in the
 direction the metric calls better (ties count for neither side).  A
 gain holds by the pairs rule when the change wins at least nine tenths
 of the pairs and the medians differ by more than the parent's
-interquartile range.  The last line is a JSON object with every value
-measured, {workload: {side: [{metric: value}, ...]}}.  This is a
+interquartile range.  It also prints whether the change stays within
+the metric's `bound`, a share of the parent's median: "yes" when the
+change's median is worse than the parent's by at most that share,
+"no" when by more, and "unresolved" when the parent's interquartile
+range exceeds that share, too wide to tell, unless every change run
+beats every parent run.  The last line is a JSON object with every
+value measured, {workload: {side: [{metric: value}, ...]}}.  This is a
 script, not a test.
 """
 
@@ -57,6 +62,22 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def within_bound(parent, change, bound, lower):
+    """"yes", "no" or "unresolved": whether the change's median is worse
+    than the parent's by at most `bound` times the parent's median, in
+    the direction `lower` (lower is better) or not.  Unresolved when the
+    parent's interquartile range exceeds that margin, unless every
+    change run beats every parent run."""
+    qa, qb = quartiles(parent), quartiles(change)
+    margin = bound * abs(qa[1])
+    if (max(change) < min(parent)) if lower else (min(change) > max(parent)):
+        return "yes"
+    if qa[2] - qa[0] > margin:
+        return "unresolved"
+    worse = qb[1] - qa[1] if lower else qa[1] - qb[1]
+    return "yes" if worse <= margin else "no"
+
+
 def summarize(runs, metrics):
     """Lines of the per-metric table for one workload's runs."""
     lines = []
@@ -75,7 +96,9 @@ def summarize(runs, metrics):
             f"  {name}: parent {qa[1]:.5g} [{qa[0]:.5g}, {qa[2]:.5g}]"
             f" -> change {qb[1]:.5g} [{qb[0]:.5g}, {qb[2]:.5g}]"
             f" ({ratio:.3f}x), parent IQR {iqr:.5g},"
-            f" change wins {wins}/{len(a)}, gain by the rule: {gain}")
+            f" change wins {wins}/{len(a)}, gain by the rule: {gain},"
+            f" within bound {m['bound']:g}:"
+            f" {within_bound(a, b, m['bound'], lower)}")
     return lines
 
 

@@ -8,7 +8,8 @@ field and an integer determinant, small oracles on polynomials, algebras
 and term orders, the coefficient forms of the fields, the
 degree-truncated linear-algebra oracle used to cross-check Groebner
 results, a spy that tells a lifted tagged basis from a Buchberger
-fallback, a count of Buchberger runs, the package's syzygies and
+fallback, a record of the columns each tagged basis gets and of the
+input of each Buchberger run, a count of those runs, the package's syzygies and
 coordinates read as columns of Polys and its subquotient of such
 columns, the tagged Buchberger run that subquotients and expressions are
 checked against, the Koszul columns of a cover, U/U_0 presented by all
@@ -95,20 +96,35 @@ def record_tagged_builds(monkeypatch, *scopes):
     return builds
 
 
+def engine_inputs(call, *args):
+    """(call(*args), the columns of each tagged basis `modules` builds,
+    the input vectors of each Buchberger run), recording the runs of
+    `buchberger_vec` from `gbcore` and from `modules`."""
+    tagged, runs = [], []
+    real_run, real_tagged = gbcore.buchberger_vec, modules.TaggedGB
+
+    def run(vecs, *rest):
+        runs.append(list(vecs))
+        return real_run(vecs, *rest)
+
+    class Recorded(real_tagged):
+        def __init__(self, columns, *rest):
+            tagged.append(list(columns))
+            super().__init__(columns, *rest)
+    gbcore.buchberger_vec = modules.buchberger_vec = run
+    modules.TaggedGB = Recorded
+    try:
+        return call(*args), tagged, runs
+    finally:
+        gbcore.buchberger_vec = modules.buchberger_vec = real_run
+        modules.TaggedGB = real_tagged
+
+
 def buchberger_runs(call, *args):
     """(call(*args), how many Buchberger runs it made), counting the
     runs of `buchberger_vec` from `gbcore` and from `modules`."""
-    runs = [0]
-    real = gbcore.buchberger_vec
-
-    def counted(*args):
-        runs[0] += 1
-        return real(*args)
-    gbcore.buchberger_vec = modules.buchberger_vec = counted
-    try:
-        return call(*args), runs[0]
-    finally:
-        gbcore.buchberger_vec = modules.buchberger_vec = real
+    out, _tagged, runs = engine_inputs(call, *args)
+    return out, len(runs)
 
 
 def columns_of(algebra, vecs, n):

@@ -97,21 +97,20 @@ COVER_INPUTS["toric 4"] = toric_text(4)
 
 
 # the inputs whose every cover, front, back and classical, lies in a ring
-# without relations and has pairwise coprime leading monomials, or holds
-# only zero generators
-COPRIME_OR_ZERO_COVERS = {"strict_ci", "ci (2, 3, 2, 2)", "monoid_collapse"}
+# without relations and has pairwise coprime leading monomials
+COPRIME_COVERS = {"strict_ci", "ci (2, 3, 2, 2)"}
 
 
 @pytest.mark.parametrize("name", sorted(COVER_INPUTS))
 def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
-    # a cover with coprime leading monomials computes no syzygies, and
-    # a zero generator has the unit syzygy without one, so neither
-    # builds a tagged basis: monoid_collapse's front cover is a zero
-    # generator, and its back cover has one element.  Every other
-    # cover, with the ring's basis, is a Groebner basis, so its tagged
-    # basis comes from the Schreyer lift; a Buchberger run inside
-    # build_ls means the lift was lost.  Either way the syzygies are
-    # the oracle's, where the cover's are not the Koszul ones.
+    # a cover with coprime leading monomials computes no syzygies, so
+    # it builds no tagged basis.  Every other cover, with the ring's
+    # basis, is a Groebner basis, so its tagged basis comes from the
+    # Schreyer lift; a Buchberger run inside build_ls means the lift
+    # was lost.  monoid_collapse's front cover is one zero generator,
+    # an empty column whose basis lifts at once to its unit syzygy.
+    # Either way the syzygies are the oracle's, where the cover's are
+    # not the Koszul ones.
     calls = [0]
     real_build = aqclassic.build_ls
 
@@ -135,7 +134,7 @@ def test_build_ls_covers_need_no_tagged_basis(monkeypatch, name):
     aq_classical(mor.ring_map)
     # front and back faces of each log complex, and the classical one
     assert calls[0] >= 2 * (1 + len(ALT_OPTIONS)) + 1
-    if name in COPRIME_OR_ZERO_COVERS:
+    if name in COPRIME_COVERS:
         assert builds == []
     else:
         assert builds and not any(b.fell_back for b in builds)

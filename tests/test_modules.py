@@ -12,8 +12,8 @@ from logaq.modules import (FpModule, ModHom, Complex3,
                            tensor_module, tensor_hom, tensor_complex,
                            pushout, HomologyReport, CommutationFailure)
 
-from helpers import (buchberger_runs, dense_trim, exact_form,
-                     express_columns, infer_shifts_by_fixpoint,
+from helpers import (buchberger_runs, dense_trim, engine_inputs,
+                     exact_form, express_columns, infer_shifts_by_fixpoint,
                      module_oracle, oracle_syzygy_dim, poly_vector,
                      record_tagged_builds, span_rank, submodule,
                      syzygy_columns, syzygy_span_dim)
@@ -69,7 +69,7 @@ def test_syzygies_fall_back_off_a_groebner_basis(monkeypatch):
 def test_zero_columns_lift_to_unit_syzygies(monkeypatch, zero_at):
     # a zero column has the unit syzygy, and the other columns, with
     # the ring's x^2, still lift without a Buchberger run; columns that
-    # are all zero build no tagged basis at all
+    # are all zero build one lifted basis, of units alone
     kxy = P(["x", "y"], ["x^2"])
     free = FpModule.free(kxy, 1)
     if zero_at == "all":
@@ -79,8 +79,7 @@ def test_zero_columns_lift_to_unit_syzygies(monkeypatch, zero_at):
         cols.insert(zero_at, [kxy.zero()])
     builds = record_tagged_builds(monkeypatch)
     syz = syzygy_columns(free, cols)
-    assert [b.fell_back for b in builds] == \
-        ([] if zero_at == "all" else [False])
+    assert [b.fell_back for b in builds] == [False]
     for i, col in enumerate(cols):
         if col[0].is_zero():
             assert [kxy.one() if j == i else kxy.zero()
@@ -593,10 +592,12 @@ def test_zero_columns_by_lookup_match_the_oracle(field, data):
     # columns mixed with literal zeros, elements of the relation basis
     # (zero by lookup), their negatives (zero, and not by lookup where
     # -1 is not 1) and those elements plus 1 in the last position (the
-    # same leading term, mostly not zero): only the columns zero by
-    # lookup stay out of the tagged basis, and the syzygies, the
-    # submodule's relations and basis and the coordinates are those of
-    # the oracle, which tags every column
+    # same leading term, mostly not zero): the columns zero by lookup,
+    # and only they, reach the tagged basis as empty columns, at their
+    # own positions, and no Buchberger run gets their unit vectors,
+    # tagged or as syzygies; the syzygies, the submodule's relations
+    # and basis and the coordinates are those of the oracle, which tags
+    # every column as it stands
     alg, m, cols, targets, column = _span_setup(field, data)
     n = m.n_gens
     rels = [polys_from_vec(g, n, alg.packer, field) for g in m.rel_gb()]
@@ -607,9 +608,22 @@ def test_zero_columns_by_lookup_match_the_oracle(field, data):
     for col in data.draw(st.lists(kind, min_size=1, max_size=3)):
         cols.insert(data.draw(st.integers(0, len(cols))), col)
     vecs = m._pack(cols)
-    _gb, _t, kept = m._lifted(vecs)
-    assert kept == [i for i, col in enumerate(cols)
-                    if col != zero and col not in rels]
+    zero_at = [i for i, col in enumerate(cols)
+               if col == zero or col in rels]
+    t, (columns,), built = engine_inputs(m._lifted, vecs)
+    assert [i for i, v in enumerate(columns) if not v] == zero_at
+    assert [v for v in columns if v] \
+        == [v for i, v in enumerate(vecs) if i not in zero_at]
+    _syz, _tagged, reduced = engine_inputs(t.syzygies)
+    unit = (0,) * alg.nvars
+
+    def units(shift):
+        return [{alg.packer.pack(shift + i, unit): field.one()}
+                for i in zero_at]
+    # a fallback run while building sees tags at n + i, the run that
+    # reduces the lifts sees the columns' own positions
+    assert not any(v in units(n) for run in built for v in run)
+    assert not any(v in units(0) for run in reduced for v in run)
     syz, express = module_oracle(m, cols)
     assert syzygy_columns(m, cols) == syz
     sub = submodule(m, cols)

@@ -77,12 +77,12 @@ def test_orders():
 
 
 def test_poly_str():
-    names = ["x", "y"]
-    assert poly_str(p_of({}), names) == "0"
-    assert poly_str(p_of({(1, 0): 1}), names) == "x"
-    assert poly_str(p_of({(2, 1): 2, (1, 0): 3, (0, 0): -1}), names) \
+    names, drl = ["x", "y"], DegRevLex()
+    assert poly_str(p_of({}), names, drl) == "0"
+    assert poly_str(p_of({(1, 0): 1}), names, drl) == "x"
+    assert poly_str(p_of({(2, 1): 2, (1, 0): 3, (0, 0): -1}), names, drl) \
         == "2*x^2*y + 3*x - 1"
-    assert poly_str(p_of({(1, 0): -1, (0, 1): 1}), names) == "-x + y"
+    assert poly_str(p_of({(1, 0): -1, (0, 1): 1}), names, drl) == "-x + y"
 
 
 def test_homogeneity():
