@@ -76,8 +76,6 @@ class AbHom:
         stacked_cols = (a.columns()
                         + [[-x for x in c] for c in rt.columns()])
         stacked = IntMatrix.from_columns(stacked_cols, a.nrows)
-        if stacked.ncols == 0:
-            stacked = IntMatrix.zero(a.nrows, 0)
         ker = int_kernel(stacked)
         inc_cols = [col[: a.ncols] for col in ker.columns()]
         inc = IntMatrix.from_columns(inc_cols, a.ncols)

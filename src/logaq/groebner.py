@@ -4,14 +4,17 @@ A presented algebra is k[x_1..x_n]/I with a fixed monomial order and
 weights; the reduced Groebner basis of I is cached, and every element of
 the quotient gets the canonical normal-form representative.  The code
 that makes an element puts it in normal form once (`AlgebraMap` its
-images and `apply` results, `kernel_generators` its generators), and
+images and monomial images, `kernel_generators` its generators), and
 consumers and `str_of` take it as it stands: a scalar combination of
-normal forms is one already.  Algebra maps carry validity checks,
-surjectivity witnesses, and kernels read off the reduced basis of the
-graph ideal under an order eliminating the target variables that no
-source variable maps to exactly; each hit one is its source variable.
-`adjoin_target_vars` builds the one ring extension R -> B that the
-classical and the log factorizations share.
+normal forms is one already.  `AlgebraMap.monomial_image` forms the
+normal form of a monomial's image once per map, and `apply` sums those
+images, for a polynomial or each position of a vector (`cast_vecs`).
+Algebra maps carry validity checks, surjectivity witnesses, and
+kernels read off the reduced basis of the graph ideal under an order
+eliminating the target variables that no source variable maps to
+exactly; each hit one is its source variable.  `adjoin_target_vars`
+builds the one ring extension R -> B that the classical and the log
+factorizations share.
 """
 
 from .polynomials import (Poly, DegRevLex, BlockElim, Packer, exp_divides,
@@ -145,7 +148,6 @@ def monomial_ideal_numerator(gens, weights):
     # remove redundant generators
     kept = [g for g in gens
             if not any(h != g and exp_divides(h, g) for h in gens)]
-    kept = sorted(set(kept))
     if not kept:
         return {0: 1}
     if any(all(e == 0 for e in g) for g in kept):
@@ -180,40 +182,26 @@ class AlgebraMap:
         self._graph_vars = None
 
     def is_well_defined(self):
-        return all(self.target.is_zero(self.substitute(g))
-                   for g in self.source.relations)
+        return all(self.apply(g).is_zero() for g in self.source.relations)
 
-    def substitute(self, p):
-        """p with the images put in for the source variables, not yet
-        reduced modulo the target's ideal."""
-        f = self.source.field
-        n = self.target.nvars
-        out = Poly.zero(f)
-        for exp, c in p.coeffs.items():
-            term = Poly.constant(c, n, f)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * (self.images[i] ** e)
-            out = out + term
-        return out
-
-    def _monomial_image(self, exp):
-        """The normal form of the image of x^exp, computed once per map."""
+    def monomial_image(self, exp):
+        """The normal form of the image of x^exp, the product of the
+        images' powers reduced once; computed once per map."""
         image = self._monomial_images.get(exp)
         if image is None:
-            f = self.target.field
-            image = self._monomial_images[exp] = self.target.nf(
-                self.substitute(Poly({exp: f.one()}, f)))
+            image = self.target.one()
+            for e, p in zip(exp, self.images):
+                if e:
+                    image = image * p ** e
+            image = self._monomial_images[exp] = self.target.nf(image)
         return image
 
     def apply(self, p):
-        """The normal form of p's image: a sum of the normal forms of its
-        monomials' images, since the normal form is linear."""
-        if p.is_zero():     # as most entries of base-changed columns are
-            return p
+        """The normal form of p's image: the sum of its monomials' images
+        times their coefficients, since the normal form is linear."""
         out = {}
         for exp, c in p.coeffs.items():
-            for e, a in self._monomial_image(exp).coeffs.items():
+            for e, a in self.monomial_image(exp).coeffs.items():
                 s = out.get(e)
                 out[e] = c * a if s is None else s + c * a
         return Poly.from_sums(out, self.target.field)
@@ -221,21 +209,19 @@ class AlgebraMap:
     def cast_vecs(self, vecs, n):
         """Vectors over n positions, in the source's packed terms, base
         changed along the map to columns of n Polys over the target:
-        `apply` of every entry, without building the source's columns."""
+        `apply` of each position's terms, without building the source's
+        columns; a position with no terms is the target's zero."""
         unpack = self.source.packer.unpack
-        f = self.target.field
+        f = self.source.field
         zero = self.target.zero()
         out = []
         for v in vecs:
-            sums = {}
+            terms = {}
             for t, c in v.items():
                 pos, exp = unpack(t)
-                d = sums.setdefault(pos, {})
-                for e, a in self._monomial_image(exp).coeffs.items():
-                    s = d.get(e)
-                    d[e] = c * a if s is None else s + c * a
-            out.append([Poly.from_sums(sums[i], f) if i in sums else zero
-                        for i in range(n)])
+                terms.setdefault(pos, {})[exp] = c
+            out.append([self.apply(Poly(terms[i], f)) if i in terms
+                        else zero for i in range(n)])
         return out
 
     def _graph(self):

@@ -63,7 +63,8 @@ class MonoidFace:
         self.p_alg = p.monoid_algebra(field)
         self.p_rels = p.group_completion().relations
         self.h_alg = AlgebraMap(self.p_alg, n_alg,
-                                [_monomial(n_alg, w) for w in images])
+                                [Poly.monomial(w, field.one(), field)
+                                 for w in images])
         self.p_to_b = AlgebraMap(self.p_alg, f.target.algebra,
                                  [f.target.alpha_of(w) for w in images])
         self.p_to_a = AlgebraMap(self.p_alg, f.source.algebra,
@@ -92,13 +93,9 @@ class MonoidFace:
             if z is None:
                 cols.append(None)
                 continue
-            scale = self.p_to_b.apply(_monomial(self.p_alg, v))
+            scale = self.p_to_b.monomial_image(v)
             cols.append([b_alg.from_int(c) * scale for c in z])
         return cols
-
-
-def _monomial(alg, word):
-    return Poly.monomial(tuple(word), alg.field.one(), alg.field)
 
 
 @dataclass

@@ -44,7 +44,6 @@ class FpModule:
         for c in self.rel_cols:
             if len(c) != n_gens:
                 raise ValueError("relation column length mismatch")
-        self._rel_vecs = None
         self._rel_gb = None
         self._rel_reducers = None   # reducer index of rel_gb()
 
@@ -52,32 +51,22 @@ class FpModule:
     def free(cls, algebra, n):
         return cls(algebra, n)
 
-    def _relation_vecs(self):
-        """The relation columns, then I * e_j for every position j;
-        packed once."""
-        if self._rel_vecs is None:
-            packer = self.algebra.packer
-            out = [vec_from_polys(c, packer) for c in self.rel_cols]
-            for j in range(self.n_gens):
-                for g in self.algebra.gb():
-                    out.append(vec_from_polys(
-                        [g if i == j else None for i in range(self.n_gens)],
-                        packer))
-            self._rel_vecs = out
-        return self._rel_vecs
-
     def rel_gb(self):
-        """Reduced GB of the full relation submodule (ideal included).
+        """Reduced GB of the full relation submodule: the relation
+        columns, then I * e_j for every position j.
 
         Without relation columns that is gb(I) * e_j for every j, as it
         stands: the reduced basis of I times each position."""
         if self._rel_gb is None:
-            if self.rel_cols:
-                self._rel_gb = buchberger_vec(self._relation_vecs(),
-                                              self.algebra.packer,
-                                              self.algebra.field)
-            else:
-                self._rel_gb = sorted(self._relation_vecs(), key=max)
+            alg = self.algebra
+            vecs = [vec_from_polys(c, alg.packer) for c in self.rel_cols]
+            for j in range(self.n_gens):
+                for g in alg.gb():
+                    vecs.append(vec_from_polys(
+                        [g if i == j else None for i in range(self.n_gens)],
+                        alg.packer))
+            self._rel_gb = (buchberger_vec(vecs, alg.packer, alg.field)
+                            if self.rel_cols else sorted(vecs, key=max))
         return self._rel_gb
 
     def _reduce(self, v):

@@ -108,8 +108,6 @@ class MonoidHom:
         """Induced map of group completions."""
         mat = IntMatrix.from_columns([list(w) for w in self.images],
                                      self.target.n_gens)
-        if not self.images:
-            mat = IntMatrix.zero(self.target.n_gens, 0)
         return AbHom(self.source.group_completion(),
                      self.target.group_completion(), mat)
 
@@ -119,21 +117,21 @@ class MonoidHom:
 
 
 class PrelogRing:
-    """(algebra, monoid, structure images of the monoid generators)."""
+    """(algebra, monoid, structure images of the monoid generators); the
+    structure map is an algebra map out of k[monoid generators], so a
+    word's image is a monomial's, formed once per ring."""
 
     def __init__(self, algebra, monoid, alpha):
         if len(alpha) != monoid.n_gens:
             raise ValueError("one structure image per monoid generator")
         self.algebra = algebra
         self.monoid = monoid
-        self.alpha = [algebra.nf(p) for p in alpha]
+        self._alpha_map = AlgebraMap(
+            PresentedAlgebra(monoid.gen_names, algebra.field), algebra, alpha)
+        self.alpha = self._alpha_map.images
 
     def alpha_of(self, word):
-        out = self.algebra.one()
-        for e, img in zip(word, self.alpha):
-            if e:
-                out = out * (img ** e)
-        return self.algebra.nf(out)
+        return self._alpha_map.monomial_image(tuple(word))
 
 
 class PrelogMorphism:
@@ -217,9 +215,8 @@ def choose_log_factorization(morphism, options=FactorizationOptions()):
         morphism.ring_map,
         [(nm, tgt.alpha_of(w)) for nm, w in zip(x_names, x_words)])
     a_to_r = AlgebraMap(a_alg, r_alg, [r_alg.var(v) for v in a_alg.varnames])
-    # structure map of (R, P0): alpha_A on M, the new variables on X;
-    # PrelogRing reduces the images, so they are only substituted here
-    mid = PrelogRing(r_alg, p0, [a_to_r.substitute(p) for p in src.alpha]
+    # structure map of (R, P0): alpha_A on M, the new variables on X
+    mid = PrelogRing(r_alg, p0, [a_to_r.apply(p) for p in src.alpha]
                      + [r_alg.var(nm) for nm in x_names])
     left = PrelogMorphism(
         src, mid, a_to_r,

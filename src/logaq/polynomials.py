@@ -37,7 +37,7 @@ reaches the bound sets the guard bit of its own field.
 Each algebra has its own packer, which keeps the monomials it has
 packed, up to `_CACHED_MONOMIALS`, so that a monomial met again costs
 one dict lookup.  The engine's inputs are polynomials of small support
-that share their few monomials: in a pass of each benchmark workload,
+that share their monomials: in a pass of each benchmark workload,
 91-94% of the packings are of a monomial the packer has met before.  The
 layout itself depends only on the order's keys of the unit vectors, so
 it is computed once for all packers that share them.
@@ -51,10 +51,11 @@ from struct import Struct
 # and a guard bit above it
 EXPONENT_BOUND = 2**31
 _FIELD = 32
-# no packer has been seen to meet more than 16 distinct monomials (the
-# benchmark workloads, the corpus, complete intersections up to
-# (5,5,5,3)); this bound, 256 times that, caps a packer's memo at about
-# 1 MiB in 8 variables, exponent tuples included
+# a packer meets at most 8, 13 and 8 distinct monomials in a seed-1
+# pass of the benchmark workloads, and up to 148 in the growth families
+# (77 and 148 at Veronese d=5, 6 homology, 53 and 122 at the strict
+# rational normal curves d=5, 6); this bound caps a packer's memo at
+# about 1 MiB in 8 variables, exponent tuples included
 _CACHED_MONOMIALS = 2**12
 
 

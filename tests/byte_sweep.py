@@ -51,28 +51,12 @@ SUITES = ("strict", "prop12", "jz", "edge", "all")
 SEEDS = (1, 2, 3)
 
 
-def rnc_text(d):
-    """The strict map k[z_0..z_d] -> k[z_0..z_d]/(2x2 minors) over QQ,
-    onto the coordinate ring of the degree-d rational normal curve."""
-    zs = [f"z{i}" for i in range(d + 1)]
-    minors = ", ".join(f'"{zs[i]}*{zs[j + 1]} - {zs[i + 1]}*{zs[j]}"'
-                       for i in range(d) for j in range(i + 1, d))
-    ring = f"vars = [{', '.join(zs)}]\n"
-    return (f'[field]\nname = "QQ"\n\n'
-            f"[source]\n{ring}relations = []\ngens = []\nalpha = {{}}\n\n"
-            f"[target]\n{ring}relations = [{minors}]\ngens = []\n"
-            f"alpha = {{}}\n\n"
-            f"[morphism]\nring_map = {{ "
-            + ", ".join(f'{z} = "{z}"' for z in zs)
-            + " }\nmonoid_map = {}\n")
-
-
 def inputs(helpers, corpus_dir):
     """(name, text) of every input of the sweep."""
     out = [(p.stem, p.read_text())
            for p in sorted(corpus_dir.glob("*.logaq"))]
     out += [(f"veronese_{d}", helpers.veronese_text(d)) for d in range(2, 6)]
-    out += [(f"rnc_{d}", rnc_text(d)) for d in range(2, 6)]
+    out += [(f"rnc_{d}", helpers.rnc_text(d)) for d in range(2, 6)]
     out += [(f"semistable_{n}", helpers.semistable_text(n))
             for n in range(2, 6)]
     out += [(f"ci_{'_'.join(map(str, d))}", helpers.ci_text(d)) for d in CIS]

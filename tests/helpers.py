@@ -1,9 +1,10 @@
 """Shared test utilities: morphism construction from input text, the
 input texts of the complete-intersection and toric families, of two log
-smooth ones (the Veronese and the semistable maps) and of the strict
-quotients k -> k[x, y]/I and of a map that hits one target variable
-and not the other, the lex order, exact linear algebra over a
-field and an integer determinant, small oracles on polynomials, algebras
+smooth ones (the Veronese and the semistable maps), of the strict
+rational normal curves and quotients k -> k[x, y]/I and of a map that
+hits one target variable and not the other, the lex order, exact linear
+algebra over a field and an integer determinant, small oracles on
+polynomials, algebra maps (the substitution of the images) and algebras
 (the leading exponents of an ideal's basis among them), abelian groups
 and term orders, the coefficient forms of the fields, the
 degree-truncated linear-algebra oracle used to cross-check Groebner
@@ -198,10 +199,13 @@ def module_oracle(module, columns, modulo=()):
     column or None)."""
     alg = module.algebra
     packer, field, n = alg.packer, alg.field, len(columns)
+    ideal = [[g if i == j else None for i in range(module.n_gens)]
+             for j in range(module.n_gens) for g in alg.gb()]
     oracle = TaggedOracle(
         [vec_from_polys(c, packer) for c in columns],
-        [vec_from_polys(c, packer) for c in modulo]
-        + module._relation_vecs(), module.n_gens, packer, field)
+        [vec_from_polys(c, packer)
+         for c in [*modulo, *module.rel_cols, *ideal]],
+        module.n_gens, packer, field)
 
     def express(target):
         e = oracle.express(vec_from_polys(target, packer))
@@ -324,6 +328,22 @@ monoid_map = {}
 """
 
 
+def rnc_text(d):
+    """The strict map k[z_0..z_d] -> k[z_0..z_d]/(2x2 minors) over QQ,
+    onto the coordinate ring of the degree-d rational normal curve."""
+    zs = [f"z{i}" for i in range(d + 1)]
+    minors = ", ".join(f'"{zs[i]}*{zs[j + 1]} - {zs[i + 1]}*{zs[j]}"'
+                       for i in range(d) for j in range(i + 1, d))
+    ring = f"vars = [{', '.join(zs)}]\n"
+    return (f'[field]\nname = "QQ"\n\n'
+            f"[source]\n{ring}relations = []\ngens = []\nalpha = {{}}\n\n"
+            f"[target]\n{ring}relations = [{minors}]\ngens = []\n"
+            f"alpha = {{}}\n\n"
+            f"[morphism]\nring_map = {{ "
+            + ", ".join(f'{z} = "{z}"' for z in zs)
+            + " }\nmonoid_map = {}\n")
+
+
 def toric_text(n):
     """The sum map (k[u_1..u_n], N^n) -> (k[t], N) over F3."""
     return weighted_toric_text((1,) * n, "F3")
@@ -439,6 +459,21 @@ def total_degree(p):
 def mul_monomial(p, exp):
     """p times the monomial x^exp."""
     return Poly({exp_mul(e, exp): c for e, c in p.coeffs.items()}, p.field)
+
+
+def substitute(algebra_map, p):
+    """p with the map's images put in for the source variables, term by
+    term, not reduced modulo the target's ideal."""
+    f = algebra_map.source.field
+    n = algebra_map.target.nvars
+    out = Poly.zero(f)
+    for exp, c in p.coeffs.items():
+        term = Poly.constant(c, n, f)
+        for image, e in zip(algebra_map.images, exp):
+            if e:
+                term = term * image ** e
+        out = out + term
+    return out
 
 
 def leading(p, order):

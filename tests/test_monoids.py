@@ -4,13 +4,16 @@ and the canonical log factorization."""
 import inspect
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logaq.fields import QQ
+from logaq.fields import QQ, PrimeField
+from logaq.polynomials import Poly
 from logaq.monoids import (FpMonoid, MonoidHom, PrelogRing,
                            PrelogMorphism, FactorizationOptions,
                            choose_log_factorization)
 from logaq.groebner import PresentedAlgebra, AlgebraMap
-from logaq.abgroups import AbHom
+from logaq.abgroups import AbHom, FpAbGroup
+from logaq.intlinalg import IntMatrix
 from logaq.modules import ModHom, Complex3
 from logaq.inputspec import parse_input, SemanticError
 
@@ -80,6 +83,15 @@ def test_strictness():
     assert not MonoidHom(FpMonoid([]), n, []).is_strict()
 
 
+def test_maps_on_no_generators_have_empty_matrices():
+    gp = MonoidHom(FpMonoid([]), FpMonoid(["e", "f"]), []).gp()
+    assert (gp.matrix.nrows, gp.matrix.ncols) == (2, 0)
+    inc, group = AbHom(FpAbGroup(0), FpAbGroup(3),
+                       IntMatrix.zero(3, 0)).kernel()
+    assert (inc.nrows, inc.ncols) == (0, 0)
+    assert group.n_gens == 0 and group.invariants() == ([], 0)
+
+
 @pytest.mark.parametrize("cls", [ModHom, Complex3, AlgebraMap, AbHom,
                                  MonoidHom, PrelogRing, PrelogMorphism])
 def test_constructors_take_no_check_flag(cls):
@@ -111,6 +123,33 @@ monoid_map = {}
                        match="alpha does not respect monoid relation 1$"):
         parse_input(text)
     parse_input(text.replace('c = "x^2"', 'c = "x"'))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_alpha_of_is_the_normal_form_of_the_product(field, data):
+    """A word's structure image is the normal form of the product of
+    the generators' images raised to its exponents, in an algebra with
+    relations; a second call gives the same value."""
+    alg = PresentedAlgebra(["s", "t"], field, [
+        Poly({(2, 0): field.one(), (0, 1): field.from_int(-1)}, field),
+        Poly({(0, 3): field.one()}, field)])
+    coeff = st.integers(-2, 2).map(field.from_int).filter(
+        lambda c: not field.is_zero(c))
+    poly = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           coeff, max_size=3).map(lambda d: Poly(d, field))
+    alpha = data.draw(st.lists(poly, min_size=3, max_size=3))
+    ring = PrelogRing(alg, FpMonoid(["a", "b", "c"]), alpha)
+    for word in data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3),
+                                   min_size=1, max_size=3)):
+        product = alg.one()
+        for image, e in zip(alpha, word):
+            if e:
+                product = product * image ** e
+        got = ring.alpha_of(word)
+        assert got == alg.nf(product)
+        assert ring.alpha_of(list(word)) is got
 
 
 LOG_POINT = """
